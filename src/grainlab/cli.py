@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__, bounds as bounds_mod, channel, codes, graph, model
 from .config import get_caps, parse_cap_string
-from .errors import CapExceeded, GrainlabError, PreconditionError, SearchTimeout
+from .errors import CapExceeded, GrainlabError, PreconditionError
 from .manifest import RunManifest, emit_csv, fmt, render_svg
 
 
@@ -421,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapExceeded, SearchTimeout) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except GrainlabError as exc:

@@ -252,8 +252,6 @@ def verify_known_pattern(code: Code, t: int) -> bool:
     *different* patterns too); sufficient when the decoder is told the
     pattern.
     """
-    if len(code.words) != code.size:
-        return False
     n = code.n
     caps = get_caps()
     if n > caps.error_enum_n:

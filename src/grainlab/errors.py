@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all grainlab modules.
 
 The CLI maps these onto exit codes: PreconditionError -> 2,
-CapExceeded and SearchTimeout -> 3.
+CapExceeded -> 3.
 """
 
 
@@ -19,7 +19,3 @@ class CapExceeded(GrainlabError):
     Caps exist so that desk-scale tools fail loudly instead of silently
     truncating or grinding forever; see grainlab.config.
     """
-
-
-class SearchTimeout(GrainlabError):
-    """An exact search ran past its configured time limit."""

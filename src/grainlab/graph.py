@@ -5,49 +5,56 @@ t-confusable.  The largest t-grain-correcting code is exactly a maximum
 independent set of this graph.  Clique partitions of the graph yield the
 cardinality upper bounds evaluated in grainlab.bounds.
 
-Internals work on raw word values (ints); the public types carry Words.
+Images and preimage cliques B(y) come from the closed-form kernel of
+grainlab.model, so the graph is never stored, and the greedy partition
+keeps an int32 count array of |B(y)| over the uncovered words.  Internals
+work on raw word values (ints, numpy arrays); the public types carry Words.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+
+import numpy as np
 
 from .config import get_caps
 from .errors import CapExceeded, PreconditionError
-from .model import Word, _apply_mask, _support_masks, grain_images
+from .model import (
+    Word,
+    _apply_mask,
+    _support_masks,
+    image_values,
+    preimage_counts,
+    preimage_values,
+)
 
 
-def _images_int(xv: int, masks: tuple[int, ...]) -> set[int]:
-    return {_apply_mask(xv, m) for m in masks}
+def _neighbor_values(xv: int, n: int, t: int) -> set[int]:
+    """Values of the words sharing an image with xv: the union of the
+    preimage cliques of its images, xv itself excluded."""
+    return set(preimage_values(image_values(xv, n, t), n, t).tolist()) - {xv}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfusabilityGraph:
     """Graph on {0,1}^n with edges between t-confusable words.
 
-    Stored implicitly: per-vertex image sets plus the inverted preimage
-    index.  Two vertices are adjacent iff they share an image, so
-    adjacency is the union of the preimage lists of a vertex's images.
-    (An explicit 2^n x 2^n structure would be hopeless at the cap.)
+    Stored implicitly: neighbours come from the closed-form kernel on
+    demand.  (An explicit 2^n x 2^n structure would be hopeless at the
+    cap.)
     """
 
     n: int
     t: int
-    _images: list[set[int]] = field(repr=False)
-    _preimages: dict[int, list[int]] = field(repr=False)
 
     @property
     def vertex_count(self) -> int:
         return 1 << self.n
 
     def neighbors(self, x: Word) -> frozenset[Word]:
-        out: set[int] = set()
-        for y in self._images[x.value]:
-            out.update(self._preimages[y])
-        out.discard(x.value)
-        return frozenset(Word(self.n, v) for v in out)
+        return frozenset(Word(self.n, v) for v in _neighbor_values(x.value, self.n, self.t))
 
     def degree(self, x: Word) -> int:
         return len(self.neighbors(x))
@@ -55,19 +62,15 @@ class ConfusabilityGraph:
     def edge(self, x1: Word, x2: Word) -> bool:
         if x1.n != self.n or x2.n != self.n:
             raise PreconditionError("word length does not match graph")
-        if x1 == x2:
-            return False
-        return bool(self._images[x1.value] & self._images[x2.value])
+        return x2 in self.neighbors(x1)
 
     def edges(self):
         """All edges as sorted Word pairs (deterministic order)."""
         for xv in range(self.vertex_count):
-            seen: set[int] = set()
-            for y in self._images[xv]:
-                seen.update(self._preimages[y])
-            for other in sorted(seen):
-                if other > xv:
-                    yield (Word(self.n, xv), Word(self.n, other))
+            x = Word(self.n, xv)
+            for other in sorted(self.neighbors(x)):
+                if other > x:
+                    yield (x, other)
 
 
 def build_graph(n: int, t: int) -> ConfusabilityGraph:
@@ -76,13 +79,7 @@ def build_graph(n: int, t: int) -> ConfusabilityGraph:
         raise CapExceeded(f"n={n} exceeds graph_n={caps.graph_n}")
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
-    masks = _support_masks(n, min(t, n // 2))
-    images = [_images_int(xv, masks) for xv in range(1 << n)]
-    preimages: dict[int, list[int]] = {}
-    for xv, img in enumerate(images):
-        for y in img:
-            preimages.setdefault(y, []).append(xv)
-    return ConfusabilityGraph(n, t, images, preimages)
+    return ConfusabilityGraph(n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +104,8 @@ def _half_adjacency(n: int, t: int) -> list[int]:
     isomorphism between the halves.  Solving one half therefore solves
     the whole graph.
     """
-    masks = _support_masks(n, min(t, n // 2))
     half = 1 << (n - 1) if n > 1 else 1
-    images = [_images_int(xv, masks) for xv in range(half)]
-    pre: dict[int, list[int]] = {}
-    for xv, img in enumerate(images):
-        for y in img:
-            pre.setdefault(y, []).append(xv)
-    adj = [0] * half
-    for xv, img in enumerate(images):
-        m = 0
-        for y in img:
-            for other in pre[y]:
-                m |= 1 << other
-        adj[xv] = m & ~(1 << xv)
-    return adj
+    return [sum(1 << v for v in _neighbor_values(xv, n, t)) for xv in range(half)]
 
 
 def _greedy_independent(adj: list[int]) -> tuple[int, int]:
@@ -263,6 +247,10 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     members from every other B.  Every part is a clique because all its
     members share the image y.  The part count upper-bounds the minimum
     clique-partition size.
+
+    counts[y] holds |B(y)| over the uncovered words.  Covering x lowers
+    it by one at each of x's images, so a step costs one arg-max plus
+    work proportional to the part's images, not a rescan of every B.
     """
     caps = get_caps()
     if m > caps.partition_m:
@@ -272,34 +260,21 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     if m < 1 or s < 0:
         raise PreconditionError("need m >= 1 and s >= 0")
 
-    masks = _support_masks(m, min(s, m // 2))
-    total = 1 << m
-    images: list[list[int]] = [[] for _ in range(total)]
-    buckets: list[set[int]] = [set() for _ in range(total)]
-    for xv in range(total):
-        img = _images_int(xv, masks)
-        images[xv] = list(img)
-        for y in img:
-            buckets[y].add(xv)
-
-    covered = 0
+    counts = preimage_counts(m, s)
+    alive = np.ones(1 << m, dtype=bool)
+    left = 1 << m
     parts: list[tuple[Word, ...]] = []
     witnesses: list[Word] = []
-    while covered < total:
-        best_y = -1
-        best_size = 0
-        for y in range(total):
-            size = len(buckets[y])
-            if size > best_size:
-                best_size = size
-                best_y = y
-        part = sorted(buckets[best_y])
-        covered += len(part)
-        for xv in part:
-            for y in images[xv]:
-                buckets[y].discard(xv)
-        parts.append(tuple(Word(m, xv) for xv in part))
-        witnesses.append(Word(m, best_y))
+    while left:
+        # argmax returns the first maximum: the smallest y among the largest
+        y = int(counts.argmax())
+        members = preimage_values(y, m, s)
+        part = np.sort(members[alive[members]])
+        alive[part] = False
+        np.subtract.at(counts, image_values(part, m, s), 1)
+        left -= part.size
+        parts.append(tuple(Word(m, xv) for xv in part.tolist()))
+        witnesses.append(Word(m, y))
     return CliquePartition(m, s, tuple(parts), tuple(witnesses))
 
 
@@ -307,40 +282,38 @@ def verify_clique_partition(partition: CliquePartition) -> bool:
     """Certificate check: disjointness, coverage of {0,1}^m, and the
     clique property of every part.
 
-    A part whose members all contain the recorded witness (or any
-    common word) in their image sets is certified at once; otherwise
-    every pair gets the full confusability test (image-set overlap).
+    The check does not trust the closed-form kernel: it applies the
+    grain operator literally under every support mask.  A part whose
+    members all record its witness is certified at once; otherwise (no
+    witness, or a member misses it) a common image of all members, then
+    image-set overlap of every pair, must be found.
     """
     m, s = partition.m, partition.s
-    seen: set[int] = set()
-    for part in partition.parts:
-        for x in part:
-            if x.n != m or x.value in seen:
-                return False
-            seen.add(x.value)
-    if len(seen) != (1 << m):
+    parts = partition.parts
+    members = [x.value if x.n == m else -1 for part in parts for x in part]
+    if sorted(members) != list(range(1 << m)):
         return False
+    values = np.array(members, dtype=np.int64)
 
-    witnesses = partition.witnesses or (None,) * len(partition.parts)
-    for part, witness in zip(partition.parts, witnesses):
-        if len(part) <= 1:
+    witness = [w.value if w.n == m else -1 for w in partition.witnesses[: len(parts)]]
+    witness += [-1] * (len(parts) - len(witness))
+    sizes = [len(part) for part in parts]
+    target = np.repeat(witness, sizes)
+    masks = _support_masks(m, min(s, m // 2))
+    hit = np.zeros(values.size, dtype=bool)
+    for mask in masks:
+        hit |= _apply_mask(values, mask) == target
+
+    part_of = np.repeat(np.arange(len(parts)), sizes)
+    for k in np.unique(part_of[~hit]).tolist():
+        if sizes[k] <= 1:
             continue
-        image_sets = [grain_images(x, s) for x in part]
-        if witness is not None and all(witness in im for im in image_sets):
+        image_sets = [{_apply_mask(x.value, mask) for mask in masks} for x in parts[k]]
+        if set.intersection(*image_sets):
             continue
-        common = frozenset.intersection(*image_sets)
-        if common:
-            continue
-        for i in range(len(part)):
-            for j in range(i + 1, len(part)):
-                if not (image_sets[i] & image_sets[j]):
-                    return False
+        if not all(a & b for a, b in itertools.combinations(image_sets, 2)):
+            return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _partition_size(m: int, s: int) -> int:
-    return greedy_clique_partition(m, s).size
 
 
 def partition_size_table(
@@ -355,5 +328,5 @@ def partition_size_table(
     for s in s_values:
         for m in m_values:
             if s >= 1 and m >= 2 * s:
-                rows.append((m, s, _partition_size(m, s)))
+                rows.append((m, s, greedy_clique_partition(m, s).size))
     return rows

@@ -10,7 +10,8 @@ position 1 and no two adjacent 1s.
 
 Everything here is pure and deterministic.  Words pack their bits into
 a Python int (leftmost bit = most significant) so the grain operator is
-a couple of mask operations.
+a couple of mask operations; image_values and preimage_values vectorise
+them over numpy arrays in closed form.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .config import WORD_LEN_MAX, get_caps
 from .errors import CapExceeded, PreconditionError
@@ -329,6 +332,63 @@ def image_count_lower_bound(r: int, t: int) -> int:
     return math.ceil(total)
 
 
+# ---------------------------------------------------------------------------
+# closed-form image / preimage kernel
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _mask_array(n: int, t: int) -> np.ndarray:
+    if n < 1 or t < 0:
+        raise PreconditionError("need n >= 1 and t >= 0")
+    masks = np.array(_support_masks(n, min(t, n // 2)), dtype=np.int64)
+    masks.flags.writeable = False
+    return masks
+
+
+def image_values(x, n: int, t: int) -> np.ndarray:
+    """Distinct images of the packed word x (an int or an int array)
+    under at most t grains, concatenated word by word.
+
+    With S the support masks of weight <= t and d(x) = x ^ (x >> 1) the
+    run-boundary mask (position j >= 2 set iff x_j != x_{j-1}):
+      (a) the images of x are { x ^ M : M in S, M inside d(x) };
+      (b) the preimage clique B(y) of words with image y is
+          { y ^ M : M in S, M disjoint from d(y) };
+    distinct masks give distinct words, so neither needs de-duplication.
+
+    (a): M sets each j in M to x_{j-1}, which changes x_j iff j is a run
+    boundary, so the image is x ^ (M & d(x)); M & d(x) is again in S, and
+    it equals M when M lies inside d(x).
+    (b): by (a), y is an image of x iff M = x ^ y is in S and inside
+    d(y ^ M) = d(y) ^ M ^ (M >> 1).  For j in M, j - 1 is not in M (no
+    adjacent positions, never position 1), so bit j of d(y ^ M) is
+    d(y)_j ^ 1: M lies inside d(y ^ M) iff it is disjoint from d(y).
+    """
+    masks = _mask_array(n, t)
+    x = np.asarray(x, dtype=np.int64)[..., None]
+    return (x ^ masks)[(masks & ~(x ^ (x >> 1))) == 0]
+
+
+def preimage_values(y, n: int, t: int) -> np.ndarray:
+    """Preimage cliques B(y) of the packed word y (an int or an int
+    array), concatenated word by word; closed form (b) of image_values."""
+    masks = _mask_array(n, t)
+    y = np.asarray(y, dtype=np.int64)[..., None]
+    return (y ^ masks)[(masks & (y ^ (y >> 1))) == 0]
+
+
+def preimage_counts(n: int, t: int) -> np.ndarray:
+    """|B(y)| for every y in 0 .. 2^n - 1, as an int32 array: the number
+    of support masks disjoint from the run-boundary mask of y."""
+    ys = np.arange(1 << n, dtype=np.int64)
+    d = ys ^ (ys >> 1)
+    counts = np.zeros(1 << n, dtype=np.int32)
+    for mask in _mask_array(n, t).tolist():
+        counts += (d & mask) == 0
+    return counts
+
+
 def grain_preimages(m: int, s: int) -> dict[Word, frozenset[Word]]:
     """For every y in {0,1}^m, the set of words x whose image set
     (budget s) contains y.  The union of these sets is all of {0,1}^m,
@@ -338,11 +398,7 @@ def grain_preimages(m: int, s: int) -> dict[Word, frozenset[Word]]:
         raise CapExceeded(f"m={m} exceeds preimage_m={caps.preimage_m}")
     if m < 1 or s < 0:
         raise PreconditionError("need m >= 1 and s >= 0")
-    masks = _support_masks(m, min(s, m // 2))
-    pre: dict[int, set[int]] = {}
-    for xv in range(1 << m):
-        for mask in masks:
-            pre.setdefault(_apply_mask(xv, mask), set()).add(xv)
     return {
-        Word(m, y): frozenset(Word(m, x) for x in xs) for y, xs in pre.items()
+        Word(m, y): frozenset(Word(m, x) for x in preimage_values(y, m, s).tolist())
+        for y in range(1 << m)
     }

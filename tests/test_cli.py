@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -254,7 +255,11 @@ class TestEnvCaps:
             [sys.executable, "-m", "grainlab.cli", "phi", "--x", "0" * 26, "--t", "1"],
             capture_output=True,
             text=True,
-            env={"PATH": "", "GRAINLAB_CAPS": "error_enum_n=28"},
+            env={
+                "PATH": "",
+                "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+                "GRAINLAB_CAPS": "error_enum_n=28",
+            },
         )
         assert proc.returncode == 0
 
@@ -263,6 +268,10 @@ class TestEnvCaps:
             [sys.executable, "-m", "grainlab.cli", "phi", "--x", "0101", "--t", "1"],
             capture_output=True,
             text=True,
-            env={"PATH": "", "GRAINLAB_CAPS": "error_enum_n=3"},
+            env={
+                "PATH": "",
+                "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+                "GRAINLAB_CAPS": "error_enum_n=3",
+            },
         )
         assert proc.returncode == 3

@@ -5,13 +5,14 @@ import pytest
 from grainlab.errors import CapExceeded
 from grainlab.graph import (
     CliquePartition,
+    _half_adjacency,
     build_graph,
     greedy_clique_partition,
     max_code_size,
     partition_size_table,
     verify_clique_partition,
 )
-from grainlab.model import Word, confusable, grain_images
+from grainlab.model import Word, confusable, enumerate_error_vectors, grain_images
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
@@ -49,6 +50,47 @@ def max_independent_brute(n, t):
         if best:
             break
     return best
+
+
+def literal_images(n, t):
+    """Image sets of every word value, applying each grain mask literally."""
+    masks = [e.mask for e in enumerate_error_vectors(n, t)]
+    return [{(x & ~mk) | ((x >> 1) & mk) for mk in masks} for x in range(1 << n)]
+
+
+def greedy_partition_scan(m, s):
+    """Reference greedy partition: rescan every preimage bucket for the
+    largest (first on ties) before emitting each part."""
+    images = literal_images(m, s)
+    buckets = [set() for _ in images]
+    for x, img in enumerate(images):
+        for y in img:
+            buckets[y].add(x)
+    covered = 0
+    parts, witnesses = [], []
+    while covered < len(images):
+        best_y, best_size = -1, 0
+        for y, bucket in enumerate(buckets):
+            if len(bucket) > best_size:
+                best_y, best_size = y, len(bucket)
+        part = sorted(buckets[best_y])
+        covered += len(part)
+        for x in part:
+            for y in images[x]:
+                buckets[y].discard(x)
+        parts.append(tuple(Word(m, x) for x in part))
+        witnesses.append(Word(m, best_y))
+    return tuple(parts), tuple(witnesses)
+
+
+def half_adjacency_ref(n, t):
+    """Adjacency bitmasks among first-bit-0 words, by image-set overlap."""
+    half = 1 << (n - 1) if n > 1 else 1
+    images = literal_images(n, t)[:half]
+    return [
+        sum(1 << o for o in range(half) if o != x and images[x] & images[o])
+        for x in range(half)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +177,11 @@ class TestMaxCodeSize:
         for a, b in itertools.combinations(result.words, 2):
             assert not confusable(a, b, 1)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_half_adjacency_matches_reference(self, n):
+        for t in range(0, 3):
+            assert _half_adjacency(n, t) == half_adjacency_ref(n, t), t
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             max_code_size(11, 1)
@@ -178,6 +225,12 @@ class TestGreedyPartition:
         # a clique partition needs one part per codeword of any valid code
         assert greedy_clique_partition(m, s).size >= max_code_size(m, s).size
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_rescan_reference(self, m):
+        for s in range(0, 5):
+            part = greedy_clique_partition(m, s)
+            assert (part.parts, part.witnesses) == greedy_partition_scan(m, s), s
+
     def test_deterministic(self):
         a = greedy_clique_partition(6, 1)
         b = greedy_clique_partition(6, 1)
@@ -215,6 +268,21 @@ class TestVerifyPartition:
         parts = tuple((w,) for w in words(3))
         part = CliquePartition(3, 1, parts, tuple(words(3)))
         assert verify_clique_partition(part)
+
+    def test_part_without_witness_still_checked(self):
+        # witnesses shorter than parts: the unwitnessed non-clique part
+        # must still fail the pairwise check
+        part = CliquePartition(
+            2,
+            1,
+            (
+                (Word.parse("01"),),
+                (Word.parse("00"), Word.parse("11")),
+                (Word.parse("10"),),
+            ),
+            (Word.parse("01"),),
+        )
+        assert not verify_clique_partition(part)
 
     def test_missing_coverage_rejected(self):
         part = CliquePartition(

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,9 @@ from grainlab.model import (
     grain_images,
     grain_preimages,
     image_count_lower_bound,
+    image_values,
+    preimage_counts,
+    preimage_values,
     run_count,
 )
 
@@ -349,3 +353,32 @@ class TestPreimages:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             grain_preimages(17, 1)
+
+
+class TestClosedFormKernel:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_literal_grains(self, n):
+        for t in range(0, 5):
+            vectors = enumerate_error_vectors(n, t)
+            inverse: dict[int, set[int]] = {}
+            for x in words_of_length(n):
+                images = {apply_grains(x, e).value for e in vectors}
+                got = image_values(x.value, n, t).tolist()
+                assert len(got) == len(images) and set(got) == images, (x, t)
+                for y in images:
+                    inverse.setdefault(y, set()).add(x.value)
+            for y in range(1 << n):
+                got = preimage_values(y, n, t).tolist()
+                assert len(got) == len(inverse[y]) and set(got) == inverse[y], (y, t)
+            counts = preimage_counts(n, t)
+            assert counts.tolist() == [len(inverse[y]) for y in range(1 << n)]
+
+    def test_array_input_concatenates_per_word(self):
+        xs = np.arange(1 << 6)
+        for fn in (image_values, preimage_values):
+            whole = fn(xs, 6, 2).tolist()
+            assert whole == [v for x in range(1 << 6) for v in fn(x, 6, 2).tolist()]
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(PreconditionError):
+            image_values(0, 4, -1)
