@@ -11,9 +11,13 @@ Replacing "copy the previous bit" by an erasure symbol gives the
 no-adjacent-erasures (NAE) channel, whose capacity is exactly 1/(1+p).
 Filling each erasure with the previous channel output turns the NAE
 channel back into the grains channel, so 1/(1+p) is an upper bound on
-the grains-channel capacity.  The lower bound is the symmetric
-information rate (SIR): the information rate under i.i.d. uniform
-inputs, computed here as the difference of two convergent series.
+the grains-channel capacity.  The exact degradation oracle follows
+that cascade literally on packed ints: the NAE output is the kept bits
+plus the erasure mask, and one fill, shared with cascade_fill, turns
+it into a grains output without seeing the input.  The lower bound is
+the symmetric information rate (SIR): the information rate under
+i.i.d. uniform inputs, computed here as the difference of two
+convergent series.
 
 Exact finite-n oracles (output-entropy brackets, mutual information,
 conditional error entropy) are provided for validating every series
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -148,6 +152,15 @@ def simulate_erasures(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) ->
     return "".join(ERASURE if u[i] else bits[i] for i in range(x.n))
 
 
+def _fill(kept: int, erased: int, n: int, y0: int) -> int:
+    """Fill the packed NAE output (kept bits, 0 where erased; erasure
+    mask) of length n: each erasure copies the bit to its left, y0 left
+    of position 1.  Adjacent erasures would copy an erasure."""
+    if erased & (erased >> 1):
+        raise PreconditionError("adjacent erasures cannot be filled")
+    return kept | ((((y0 << n) | kept) >> 1) & erased)
+
+
 def cascade_fill(y: str | Sequence[str], y0: int) -> Word:
     """Fill each erasure with the previous raw symbol (y0 before the
     first).  Sound for NAE outputs, where erasures are never adjacent;
@@ -155,20 +168,13 @@ def cascade_fill(y: str | Sequence[str], y0: int) -> Word:
     """
     if y0 not in (0, 1):
         raise PreconditionError("fill bit y0 must be 0 or 1")
-    symbols = list(y)
-    out = []
-    prev = str(y0)
-    for c in symbols:
-        if c == ERASURE:
-            if prev == ERASURE:
-                raise PreconditionError("adjacent erasures cannot be filled")
-            out.append(prev)
-        elif c in "01":
-            out.append(c)
-        else:
+    kept = erased = 0
+    for c in y:
+        if c not in ("0", "1", ERASURE):
             raise PreconditionError(f"bad channel symbol {c!r}")
-        prev = c
-    return Word.parse("".join(out))
+        kept = (kept << 1) | (c == "1")
+        erased = (erased << 1) | (c == ERASURE)
+    return Word(len(y), _fill(kept, erased, len(y), y0))
 
 
 def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
@@ -262,18 +268,15 @@ def cascaded_erasure_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]
     """Exact output distribution of the NAE channel followed by
     erasure filling, with the fill bit matched to the initial state's
     previous bit.  Computed along the literal two-stage route so the
-    result can be compared against grains_output_law."""
+    result can be compared against grains_output_law; the fill sees
+    only the NAE output (kept bits and erasure mask), never x."""
     n = x.n
-    bits = x.render()
-    law: dict[Word, float] = {}
+    law: dict[int, float] = {}
     for u0, x0, w in spec.initial_states():
         for mask, q in _indicator_law(n, spec.p, u0):
-            ternary = "".join(
-                ERASURE if (mask >> (n - 1 - i)) & 1 else bits[i] for i in range(n)
-            )
-            filled = cascade_fill(ternary, y0=x0)
+            filled = _fill(x.value & ~mask, mask, n, x0)
             law[filled] = law.get(filled, 0.0) + w * q
-    return dict(sorted(law.items()))
+    return {Word(n, y): q for y, q in sorted(law.items())}
 
 
 def total_variation(law1: dict[Word, float], law2: dict[Word, float]) -> float:
@@ -296,14 +299,13 @@ class RunHazards:
     closed form 2(t-^j - t+^j) / ((3+B+p) t-^j - (3-B+p) t+^j) where
     B = sqrt(p^2 + 6p + 1) and t± = 1 - (1 ∓ B)/p.  The closed form is
     cross-checked against the recursion wherever its (rescaled)
-    denominator stays away from 0; the recursion is authoritative.
+    denominator stays away from 0, on first read of a closed_form_*
+    property; the recursion is authoritative.
     """
 
     p: float
     depth: int
     values: tuple[float, ...]
-    closed_form_checked: int
-    closed_form_max_dev: float
 
     def value(self, j: int) -> float:
         if not 2 <= j <= self.depth:
@@ -314,6 +316,19 @@ class RunHazards:
         """Complementary quantity 1 - 2 b_j (a conditional indicator
         probability; stays in [0, 1])."""
         return 1.0 - 2.0 * self.value(j)
+
+    @cached_property
+    def _closed_form_devs(self) -> tuple[float, ...]:
+        closed = (_hazard_closed_form(self.p, j) for j in range(2, self.depth + 1))
+        return tuple(abs(c - b) for c, b in zip(closed, self.values) if c is not None)
+
+    @property
+    def closed_form_checked(self) -> int:
+        return len(self._closed_form_devs)
+
+    @property
+    def closed_form_max_dev(self) -> float:
+        return max(self._closed_form_devs, default=0.0)
 
     @property
     def closed_form_agrees(self) -> bool:
@@ -345,14 +360,7 @@ def run_hazards(p: float, depth: int) -> RunHazards:
     for _ in range(3, depth + 1):
         prev = values[-1]
         values.append(0.5 * (1.0 - (1.0 + p) * prev) / (1.0 - prev))
-    checked = 0
-    max_dev = 0.0
-    for j in range(2, depth + 1):
-        closed = _hazard_closed_form(p, j)
-        if closed is not None:
-            checked += 1
-            max_dev = max(max_dev, abs(closed - values[j - 2]))
-    return RunHazards(p, depth, tuple(values), checked, max_dev)
+    return RunHazards(p, depth, tuple(values))
 
 
 def _output_entropy_partial(p: float, depth: int) -> tuple[float, float]:

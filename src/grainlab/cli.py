@@ -226,32 +226,17 @@ def cmd_sir(args) -> int:
     return 0
 
 
+_CAPACITY_COLUMNS = ("p", "sir", "capacity_lower", "capacity_upper", "error_bound")
+
+
 def cmd_capacity(args) -> int:
+    """capacity and fig3: the args.columns of capacity_curves."""
     rows, crossing = channel.capacity_curves(_float_grid(args.grid), args.J)
     manifest = RunManifest(
-        "capacity",
-        {"grid": args.grid, "J": args.J, "sir_below_half_at": crossing},
+        args.command, {"grid": args.grid, "J": args.J, "sir_below_half_at": crossing}
     )
-    _emit(
-        args,
-        ["p", "capacity_lower", "capacity_upper"],
-        [(p, lo, up) for p, _, lo, up, _ in rows],
-        manifest,
-    )
-    return 0
-
-
-def cmd_fig3(args) -> int:
-    rows, crossing = channel.capacity_curves(_float_grid(args.grid), args.J)
-    manifest = RunManifest(
-        "fig3", {"grid": args.grid, "J": args.J, "sir_below_half_at": crossing}
-    )
-    _emit(
-        args,
-        ["p", "sir", "capacity_lower", "capacity_upper", "error_bound"],
-        rows,
-        manifest,
-    )
+    keep = [_CAPACITY_COLUMNS.index(name) for name in args.columns]
+    _emit(args, args.columns, [[row[i] for i in keep] for row in rows], manifest)
     return 0
 
 
@@ -380,14 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=int, default=64)
     p.add_argument("--out")
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_capacity)
+    p.set_defaults(func=cmd_capacity, columns=("p", "capacity_lower", "capacity_upper"))
 
     p = sub.add_parser("fig3", help="capacity bound curves with SIR")
     p.add_argument("--grid", required=True)
     p.add_argument("--J", type=int, default=15)
     p.add_argument("--out")
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_fig3)
+    p.set_defaults(func=cmd_capacity, columns=_CAPACITY_COLUMNS)
 
     p = sub.add_parser("simulate", help="simulate one channel pass")
     p.add_argument("--n", type=int, default=100)

@@ -14,13 +14,20 @@ Three constructions are provided:
 
 Arbitrary codes can be loaded from text files (one 0/1 word per line,
 '#' comments) and run through the verifiers.
+
+Word and Code are the API types; the verifiers and the decoder run on
+Code.values, the sorted packed codewords, through model's closed-form
+image kernel or the grain operator applied to the whole array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .config import get_caps
 from .errors import CapExceeded, GrainlabError, PreconditionError
@@ -28,10 +35,12 @@ from .model import (
     ErrorVector,
     Word,
     _apply_mask,
-    _support_masks,
-    apply_grains,
-    grain_images,
+    _check_image_cap,
+    _mask_array,
+    image_values,
 )
+
+_KERNEL_BLOCK = 1 << 20  # codewords x support masks per kernel call
 
 
 @dataclass(frozen=True)
@@ -51,8 +60,17 @@ class Code:
     def size(self) -> int:
         return len(self.words)
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The codewords' packed values in ascending order, read-only;
+        int64, or Python ints past the 63 bits int64 holds."""
+        dtype = np.int64 if self.n < 64 else object
+        values = np.array(sorted(w.value for w in self.words), dtype=dtype)
+        values.flags.writeable = False
+        return values
+
     def sorted_words(self) -> list[Word]:
-        return sorted(self.words)
+        return [Word(self.n, v) for v in self.values.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +207,7 @@ def construct_greedy_known(
         raise CapExceeded(f"n={n} exceeds greedy_code_n={caps.greedy_code_n}")
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
-    masks = _support_masks(n, min(t, n // 2))
+    masks = _mask_array(n, t)
     total = 1 << n
     if order is None:
         candidates: Iterable[int] = range(total)
@@ -197,14 +215,13 @@ def construct_greedy_known(
         if sorted(order) != list(range(total)):
             raise PreconditionError("order must be a permutation of 0..2^n-1")
         candidates = order
-    forbidden = bytearray(total)
+    forbidden = np.zeros(total, dtype=bool)
     words = []
     for xv in candidates:
         if forbidden[xv]:
             continue
         words.append(Word(n, xv))
-        for mask in masks:
-            forbidden[xv ^ mask] = 1
+        forbidden[xv ^ masks] = True
     return Code(n, frozenset(words), "greedy-known")
 
 
@@ -214,34 +231,31 @@ def construct_greedy_known(
 
 
 def verify_grain_correcting(code: Code, t: int) -> bool:
-    """True iff no two distinct codewords are t-confusable.
-
-    Checked by hashing every codeword's image set: a collision between
-    different codewords is exactly a shared image.
-    """
-    owner: dict[Word, Word] = {}
-    for c in code.sorted_words():
-        for y in grain_images(c, t):
-            prev = owner.get(y)
-            if prev is not None and prev != c:
-                return False
-            owner[y] = c
-    return True
+    """True iff no two distinct codewords are t-confusable: no image is
+    shared, i.e. the code is list-decodable with lists of size 1."""
+    return verify_list_decodable(code, t, 1)
 
 
 def verify_list_decodable(code: Code, t: int, list_size: int) -> bool:
     """True iff every word of {0,1}^n is an image of at most list_size
-    codewords (so a decoder can always answer with a list that long)."""
+    codewords (so a decoder can always answer with a list that long).
+
+    The kernel lists each codeword's images without repeats, so a value
+    occurring k times is an image of k codewords.  Blocks of codewords
+    bound the kernel's temporaries; over list_size * 2^n images fail.
+    """
     if list_size < 1:
         raise PreconditionError("list size must be >= 1")
-    hits: dict[Word, int] = {}
-    for c in code.words:
-        for y in grain_images(c, t):
-            count = hits.get(y, 0) + 1
-            if count > list_size:
-                return False
-            hits[y] = count
-    return True
+    _check_image_cap(code.n)
+    step = max(1, _KERNEL_BLOCK // _mask_array(code.n, t).size)
+    blocks, total = [np.zeros(0, dtype=np.int64)], 0
+    for i in range(0, code.size, step):
+        blocks.append(image_values(code.values[i : i + step], code.n, t))
+        total += blocks[-1].size
+        if total > list_size << code.n:
+            return False
+    counts = np.unique(np.concatenate(blocks), return_counts=True)[1]
+    return int(counts.max(initial=0)) <= list_size
 
 
 def verify_known_pattern(code: Code, t: int) -> bool:
@@ -252,14 +266,10 @@ def verify_known_pattern(code: Code, t: int) -> bool:
     *different* patterns too); sufficient when the decoder is told the
     pattern.
     """
-    n = code.n
-    caps = get_caps()
-    if n > caps.error_enum_n:
-        raise CapExceeded(f"n={n} exceeds error_enum_n={caps.error_enum_n}")
-    values = [c.value for c in code.sorted_words()]
-    for mask in _support_masks(n, min(t, n // 2)):
-        seen = {_apply_mask(v, mask) for v in values}
-        if len(seen) != len(values):
+    _check_image_cap(code.n)
+    for mask in _mask_array(code.n, t).tolist():
+        images = np.sort(_apply_mask(code.values, mask))
+        if (images[1:] == images[:-1]).any():
             return False
     return True
 
@@ -273,15 +283,15 @@ def decode_known_pattern(code: Code, y: Word, e: ErrorVector) -> Word:
     """
     if y.n != code.n or e.n != code.n:
         raise PreconditionError("length mismatch between code, word and pattern")
-    matches = [c for c in code.sorted_words() if apply_grains(c, e) == y]
-    if not matches:
+    matches = code.values[_apply_mask(code.values, e.mask) == y.value]
+    if not matches.size:
         raise GrainlabError("no codeword maps to the received word under e")
-    if len(matches) > 1:
+    if matches.size > 1:
         raise GrainlabError(
             "multiple codewords map to the received word: code is not "
             "known-pattern decodable for this pattern"
         )
-    return matches[0]
+    return Word(code.n, int(matches[0]))
 
 
 # ---------------------------------------------------------------------------

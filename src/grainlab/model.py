@@ -230,9 +230,7 @@ def enumerate_error_vectors(n: int, t: int) -> list[ErrorVector]:
     t is clamped to floor(n/2), past which no new vectors exist (the
     densest support is {2, 4, ...}).
     """
-    caps = get_caps()
-    if n > caps.error_enum_n:
-        raise CapExceeded(f"n={n} exceeds error_enum_n={caps.error_enum_n}")
+    _check_image_cap(n)
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
     t = min(t, n // 2)
@@ -250,22 +248,18 @@ def _check_image_cap(n: int) -> None:
         raise CapExceeded(f"n={n} exceeds error_enum_n={caps.error_enum_n}")
 
 
-def grain_image_list(x: Word, t: int) -> list[Word]:
-    """Images of x under all grain patterns with <= t length-2 grains,
-    de-duplicated, in first-occurrence (enumeration) order."""
+def _images(x: Word, t: int) -> np.ndarray:
     _check_image_cap(x.n)
     if t < 0:
         raise PreconditionError("t must be >= 0")
-    t = min(t, x.n // 2)
-    seen: set[int] = set()
-    out: list[Word] = []
-    v = x.value
-    for mask in _support_masks(x.n, t):
-        y = _apply_mask(v, mask)
-        if y not in seen:
-            seen.add(y)
-            out.append(Word(x.n, y))
-    return out
+    return image_values(x.value, x.n, t)
+
+
+def grain_image_list(x: Word, t: int) -> list[Word]:
+    """Images of x under at most t length-2 grains, without repeats: x
+    first, then one per support mask inside the run-boundary mask of x,
+    in enumeration order (closed form (a) of image_values)."""
+    return [Word(x.n, y) for y in _images(x, t).tolist()]
 
 
 def grain_images(x: Word, t: int) -> frozenset[Word]:
@@ -303,7 +297,7 @@ def confusable(x1: Word, x2: Word, t: int) -> bool:
     # can never collide
     if x1.bit(1) != x2.bit(1):
         return False
-    return bool(grain_images(x1, t) & grain_images(x2, t))
+    return bool(np.isin(_images(x1, t), _images(x2, t)).any())
 
 
 def image_count_lower_bound(r: int, t: int) -> int:

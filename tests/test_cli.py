@@ -1,11 +1,15 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from grainlab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +152,45 @@ class TestCsvCommands:
         assert code == 0
         content = svg.read_text()
         assert content.startswith("<svg") and "polyline" in content
+
+
+class TestGoldenArtifacts:
+    """The paper's artifacts, regenerated, byte for byte.  The
+    .manifest.json sidecars carry a timestamp and are not compared."""
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("fig1", ["fig1", "--tau-grid", "0.002:0.5:0.002"]),
+            ("fig3", ["fig3", "--grid", "0:1:0.005", "--J", "15"]),
+        ],
+    )
+    def test_figures_match_out(self, capsys, tmp_path, name, argv):
+        csv, svg = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(csv), "--svg", str(svg))
+        assert code == 0
+        assert csv.read_bytes() == (ROOT / "out" / f"{name}.csv").read_bytes()
+        assert svg.read_bytes() == (ROOT / "out" / f"{name}.svg").read_bytes()
+
+    # sha256 of the whole CSV text, manifest trailer included
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["bounds", "--tau-grid", "0.002:0.5:0.002"],
+                "8b183f478a6c0ac15fdbae670e07d909d1c74bcc6d56b2112d24b8cb4b5fa9eb",
+            ),
+            (
+                ["capacity", "--grid", "0:1:0.01"],
+                "907dd2bfea125bdf8d78ca6a58866014a8a5c872e60f5ff1ac32faed292664b1",
+            ),
+        ],
+    )
+    def test_tables_match_digest(self, capsys, tmp_path, argv, digest):
+        csv = tmp_path / "table.csv"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(csv))
+        assert code == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
 
 class TestCodesCommands:

@@ -21,10 +21,12 @@ from grainlab.codes import (
 )
 from grainlab.errors import CapExceeded, GrainlabError, PreconditionError
 from grainlab.model import (
+    ErrorVector,
     Word,
     apply_grains,
     count_error_vectors,
     enumerate_error_vectors,
+    grain_image_list,
 )
 
 
@@ -220,6 +222,41 @@ class TestVerifiers:
         if verify_grain_correcting(code, 1):
             assert verify_known_pattern(code, 1)
 
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    def test_int_routes_match_word_level_references(self, n, t, data):
+        # references: the owner-dict and hit-count verifiers on image
+        # sets from literal ErrorVector application
+        chosen = data.draw(
+            st.lists(st.sampled_from(words(n)), min_size=1, max_size=12, unique=True)
+        )
+        code = Code(n, frozenset(chosen))
+        vectors = enumerate_error_vectors(n, t)
+        images = {c: {apply_grains(c, e) for e in vectors} for c in chosen}
+        for c in chosen:
+            listed = grain_image_list(c, t)
+            assert listed[0] == c
+            assert len(set(listed)) == len(listed)
+            assert set(listed) == images[c]
+
+        owner, correcting = {}, True
+        for c in sorted(chosen):
+            for y in images[c]:
+                if owner.setdefault(y, c) != c:
+                    correcting = False
+        assert verify_grain_correcting(code, t) == correcting
+
+        hits = {}
+        for c in chosen:
+            for y in images[c]:
+                hits[y] = hits.get(y, 0) + 1
+        for list_size in (1, 2):
+            expected = max(hits.values()) <= list_size
+            assert verify_list_decodable(code, t, list_size) == expected
+
 
 # ---------------------------------------------------------------------------
 # known-pattern decoding
@@ -264,6 +301,18 @@ class TestCodeFiles:
         loaded = load_code(path)
         assert loaded.words == code.words
         assert loaded.n == code.n
+
+    def test_words_past_int64_round_trip_and_decode(self, tmp_path):
+        a, b = "1" + "0" * 69, "1" * 70
+        path = tmp_path / "long.txt"
+        path.write_text(f"{b}\n{a}\n")
+        code = load_code(path)
+        assert [str(w) for w in code.sorted_words()] == [a, b]
+        save_code(code, path)
+        assert load_code(path).words == code.words
+        e = ErrorVector(70, (2, 70))
+        for c in code.words:
+            assert decode_known_pattern(code, apply_grains(c, e), e) == c
 
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\n0011  # trailing comment\n1100\n"
