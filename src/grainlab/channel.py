@@ -19,9 +19,10 @@ the symmetric information rate (SIR): the information rate under
 i.i.d. uniform inputs, computed here as the difference of two
 convergent series.
 
-Exact finite-n oracles (output-entropy brackets, mutual information,
-conditional error entropy) are provided for validating every series
-against brute-force enumeration at desk scale.
+The chain law is stated once, in _indicator_law (valid indicator
+masks, closed-form probabilities), which every exact finite-n oracle
+(output laws, mutual information, conditional error entropy) reads to
+validate the series by brute-force enumeration at desk scale.
 """
 
 from __future__ import annotations
@@ -40,6 +41,72 @@ from .errors import CapExceeded, PreconditionError
 from .model import Word
 
 ERASURE = "e"
+
+
+def _check(p: float | None = None, depth: int | None = None) -> None:
+    """Reject a grain probability outside [0, 1] and a series depth
+    below 2 (each checked when given)."""
+    if p is not None and not 0.0 <= p <= 1.0:
+        raise PreconditionError(f"p={p} outside [0, 1]")
+    if depth is not None and depth < 2:
+        raise PreconditionError("depth must be >= 2")
+
+
+# ---------------------------------------------------------------------------
+# the indicator chain
+# ---------------------------------------------------------------------------
+
+
+def _stationary_weights(p: float) -> tuple[float, float]:
+    return 1.0 / (1.0 + p), p / (1.0 + p)
+
+
+@lru_cache(maxsize=32)
+def _indicator_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All u_1..u_n with no two adjacent 1s, packed MSB-first and
+    ascending, with their numbers of 1s.  Fibonacci recurrence: the
+    k-cell masks are the (k-1)-cell ones followed by the (k-2)-cell
+    ones with bit k-1 set (bit k-2 is then forced to 0)."""
+    short = masks = short_ones = ones = np.zeros(1, np.int64)
+    for k in range(n):
+        short, masks = masks, np.concatenate([masks, short | (1 << k)])
+        short_ones, ones = ones, np.concatenate([ones, short_ones + 1])
+    masks.setflags(write=False)
+    ones.setflags(write=False)
+    return masks, ones
+
+
+@lru_cache(maxsize=128)
+def _indicator_law(n: int, p: float, u0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of u_1..u_n given u0: every valid mask (as in
+    _indicator_masks) with its probability, zero included.
+
+    Each step from u_{i-1} = 0 contributes p for u_i = 1 and 1 - p for
+    u_i = 0; each step from u_{i-1} = 1 is forced to 0 (factor 1) and
+    impossible to 1.  With k ones in the mask, the steps from state 1
+    number u0 + k - u_n (the 1s among u_0..u_{n-1}), so the steps from
+    state 0 number n - u0 - k + u_n, of which k go to 1:
+        q = p^k (1-p)^(n - u0 - 2k + u_n),
+    and q = 0 when u0 = 1 = u_1.  Only that excluded case makes the
+    exponent negative; it is clamped to 0 there so that p = 1 does not
+    raise 0 to a negative power.
+    """
+    p = float(p)
+    masks, ones = _indicator_masks(n)
+    free = n - u0 - 2 * ones + (masks & 1)
+    probs = p**ones * (1.0 - p) ** np.maximum(free, 0)
+    if u0:
+        probs[masks >> (n - 1) == 1] = 0.0
+    probs.setflags(write=False)
+    return masks, probs
+
+
+def _grains(x, u, x0: int, n: int):
+    """Grains output of the packed input x under the packed indicator u
+    (ints or int arrays): y_i = x_i, or x_{i-1} (x0 at i = 1) where
+    u_i = 1."""
+    return (x & ~u) | ((((x0 << n) | x) >> 1) & u)
+
 
 # ---------------------------------------------------------------------------
 # channel specification
@@ -60,8 +127,7 @@ class ChannelSpec:
     depth: int = 64
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise PreconditionError(f"p={self.p} outside [0, 1]")
+        _check(self.p)
         if self.depth < 2:
             raise PreconditionError("series depth must be >= 2")
         if self.initial != "stationary":
@@ -72,7 +138,7 @@ class ChannelSpec:
     @property
     def stationary_weights(self) -> tuple[float, float]:
         """(P(u=0), P(u=1)) under the stationary indicator law."""
-        return 1.0 / (1.0 + self.p), self.p / (1.0 + self.p)
+        return _stationary_weights(self.p)
 
     def initial_states(self) -> list[tuple[int, int, float]]:
         """(u0, x0, probability) triples of the initial state."""
@@ -117,19 +183,21 @@ def sample_indicator(
     n: int, spec: ChannelSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, int, int]:
     """Draw (u_1..u_n, u0, x0).  After a 1 the next indicator is forced
-    to 0; otherwise it is Bernoulli(p)."""
+    to 0; otherwise it is Bernoulli(p).  So inside each maximal run of
+    uniforms below p (hits) the indicators alternate 1, 0, 1, ...; u0 = 1
+    counts as a hit in front of position 1."""
     u0, x0 = _draw_initial(spec, rng)
-    uni = rng.random(n)
-    u = np.zeros(n, dtype=np.uint8)
-    prev = u0
-    p = spec.p
-    for i in range(n):
-        if prev == 0 and uni[i] < p:
-            u[i] = 1
-            prev = 1
-        else:
-            prev = 0
-    return u, u0, x0
+    hit = np.empty(n + 1, dtype=bool)
+    hit[0] = u0 == 1
+    np.less(rng.random(n), spec.p, out=hit[1:])
+    starts = hit.copy()
+    starts[1:] &= ~hit[:-1]
+    idx = np.arange(n + 1, dtype=np.int32 if n < 2**31 - 1 else np.int64)
+    run_start = np.where(starts, idx, 0)
+    np.maximum.accumulate(run_start, out=run_start)
+    idx -= run_start
+    u = hit[1:] & ((idx[1:] & 1) == 0)
+    return u.view(np.uint8), u0, x0
 
 
 def simulate_grains(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) -> Word:
@@ -137,10 +205,8 @@ def simulate_grains(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) -> W
     u_i = 0, otherwise the previous input bit (x0 at i = 1)."""
     rng = make_rng(seed, stream)
     u, _, x0 = sample_indicator(x.n, spec, rng)
-    bits = np.array(x.bits(), dtype=np.uint8)
-    prev = np.concatenate(([x0], bits[:-1])).astype(np.uint8)
-    y = np.where(u == 1, prev, bits)
-    return Word.from_bits(int(b) for b in y)
+    packed = int.from_bytes(np.packbits(u).tobytes(), "big") >> (-x.n % 8)
+    return Word(x.n, _grains(x.value, packed, x0, x.n))
 
 
 def simulate_erasures(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) -> str:
@@ -148,15 +214,17 @@ def simulate_erasures(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) ->
     erased.  The output never contains two adjacent erasures."""
     rng = make_rng(seed, stream)
     u, _, _ = sample_indicator(x.n, spec, rng)
-    bits = x.render()
-    return "".join(ERASURE if u[i] else bits[i] for i in range(x.n))
+    out = np.frombuffer(x.render().encode("ascii"), dtype=np.uint8).copy()
+    out[u == 1] = ord(ERASURE)
+    return out.tobytes().decode("ascii")
 
 
-def _fill(kept: int, erased: int, n: int, y0: int) -> int:
+def _fill(kept, erased, n: int, y0: int):
     """Fill the packed NAE output (kept bits, 0 where erased; erasure
-    mask) of length n: each erasure copies the bit to its left, y0 left
-    of position 1.  Adjacent erasures would copy an erasure."""
-    if erased & (erased >> 1):
+    mask) of length n, ints or int arrays: each erasure copies the bit
+    to its left, y0 left of position 1.  Adjacent erasures would copy
+    an erasure."""
+    if np.any(erased & (erased >> 1)):
         raise PreconditionError("adjacent erasures cannot be filled")
     return kept | ((((y0 << n) | kept) >> 1) & erased)
 
@@ -185,13 +253,11 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
     rng = make_rng(seed, stream)
     xbits = rng.integers(0, 2, size=n, dtype=np.uint8)
     u, u0, x0 = sample_indicator(n, spec, rng)
-    prev = np.concatenate(([x0], xbits[:-1])).astype(np.uint8)
+    prev = np.insert(xbits[:-1], 0, x0)
     z = (u == 1) & (prev != xbits)
-    trans = {"00": 0, "01": 0, "10": 0, "11": 0}
-    full = np.concatenate(([u0], u))
-    for a, b in zip(full[:-1], full[1:]):
-        trans[f"{a}{b}"] += 1
-    adjacent_ones = int(((full[:-1] == 1) & (full[1:] == 1)).sum())
+    full = np.insert(u, 0, u0)
+    counts = np.bincount(2 * full[:-1] + full[1:], minlength=4)
+    trans = {f"{k >> 1}{k & 1}": int(c) for k, c in enumerate(counts)}
     return {
         "n": n,
         "p": p,
@@ -200,7 +266,7 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
         "indicator_rate": float(u.mean()),
         "error_rate": float(z.mean()),
         "transitions": trans,
-        "adjacent_indicator_pairs": adjacent_ones,
+        "adjacent_indicator_pairs": trans["11"],
     }
 
 
@@ -209,59 +275,22 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _valid_indicator_masks(n: int) -> tuple[int, ...]:
-    """All u_1..u_n with no two adjacent 1s, packed MSB-first."""
-    out: list[int] = []
-
-    def rec(i: int, mask: int, prev: int) -> None:
-        if i == n:
-            out.append(mask)
-            return
-        rec(i + 1, mask, 0)
-        if prev == 0:
-            rec(i + 1, mask | (1 << (n - 1 - i)), 1)
-
-    rec(0, 0, 0)
-    return tuple(out)
-
-
-def _indicator_prob(mask: int, n: int, p: float, u0: int) -> float:
-    prob = 1.0
-    prev = u0
-    for i in range(n):
-        b = (mask >> (n - 1 - i)) & 1
-        if prev == 1:
-            if b == 1:
-                return 0.0
-        else:
-            prob *= p if b else (1.0 - p)
-            if prob == 0.0:
-                return 0.0
-        prev = b
-    return prob
-
-
-@lru_cache(maxsize=128)
-def _indicator_law(n: int, p: float, u0: int) -> tuple[tuple[int, float], ...]:
-    law = []
-    for mask in _valid_indicator_masks(n):
-        q = _indicator_prob(mask, n, p, u0)
-        if q > 0.0:
-            law.append((mask, q))
-    return tuple(law)
+def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[Word, float]:
+    """Exact output law when channel(masks, x0) maps every indicator
+    sequence to its packed output, mixed over the initial states."""
+    outputs, weights = [], []
+    for u0, x0, w in spec.initial_states():
+        masks, probs = _indicator_law(x.n, spec.p, u0)
+        outputs.append(channel(masks, x0))
+        weights.append(w * probs)
+    ys, inverse = np.unique(np.concatenate(outputs), return_inverse=True)
+    law = np.bincount(inverse, weights=np.concatenate(weights))
+    return {Word(x.n, int(y)): float(q) for y, q in zip(ys, law) if q > 0.0}
 
 
 def grains_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]:
     """Exact output distribution of the grains channel for input x."""
-    n = x.n
-    law: dict[int, float] = {}
-    for u0, x0, w in spec.initial_states():
-        shifted = (x.value >> 1) | (x0 << (n - 1))
-        for mask, q in _indicator_law(n, spec.p, u0):
-            y = (x.value & ~mask) | (shifted & mask)
-            law[y] = law.get(y, 0.0) + w * q
-    return {Word(n, y): q for y, q in sorted(law.items())}
+    return _output_law(x, spec, lambda u, x0: _grains(x.value, u, x0, x.n))
 
 
 def cascaded_erasure_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]:
@@ -270,13 +299,7 @@ def cascaded_erasure_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]
     previous bit.  Computed along the literal two-stage route so the
     result can be compared against grains_output_law; the fill sees
     only the NAE output (kept bits and erasure mask), never x."""
-    n = x.n
-    law: dict[int, float] = {}
-    for u0, x0, w in spec.initial_states():
-        for mask, q in _indicator_law(n, spec.p, u0):
-            filled = _fill(x.value & ~mask, mask, n, x0)
-            law[filled] = law.get(filled, 0.0) + w * q
-    return {Word(n, y): q for y, q in sorted(law.items())}
+    return _output_law(x, spec, lambda u, x0: _fill(x.value & ~u, u, x.n, x0))
 
 
 def total_variation(law1: dict[Word, float], law2: dict[Word, float]) -> float:
@@ -352,10 +375,7 @@ def _hazard_closed_form(p: float, j: int) -> float | None:
 
 
 def run_hazards(p: float, depth: int) -> RunHazards:
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"p={p} outside [0, 1]")
-    if depth < 2:
-        raise PreconditionError("depth must be >= 2")
+    _check(p, depth)
     values = [0.5 * (1.0 - p)]
     for _ in range(3, depth + 1):
         prev = values[-1]
@@ -388,15 +408,10 @@ def error_entropy_series(p: float, depth: int) -> float:
     """Partial sum S_J of the error-sequence entropy rate given the
     input: ((1 + p/2)/(1 + p)) sum_j 2^-j h((1 - (-p)^j)/(1 + p)),
     with the alternating power computed sign-tracked."""
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"p={p} outside [0, 1]")
-    if depth < 2:
-        raise PreconditionError("depth must be >= 2")
+    _check(p, depth)
     terms = []
     for j in range(2, depth + 1):
-        signed = p**j if j % 2 == 0 else -(p**j)
-        arg = (1.0 - signed) / (1.0 + p)
-        terms.append(math.ldexp(binary_entropy(arg), -j))
+        terms.append(math.ldexp(binary_entropy(indicator_stay_prob(j, p)), -j))
     return math.fsum(terms) * (1.0 + p / 2.0) / (1.0 + p)
 
 
@@ -414,10 +429,7 @@ def truncation_error(p: float, depth: int) -> float:
     certified_bound is the proven bound; truncation_error_safe is its
     a-priori worst case.
     """
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"p={p} outside [0, 1]")
-    if depth < 2:
-        raise PreconditionError("depth must be >= 2")
+    _check(p, depth)
     return (
         (1.0 + p / 2.0) * math.ldexp(1.0, -depth)
         + math.ldexp(1.0, -((depth + 1) // 2))
@@ -427,8 +439,7 @@ def truncation_error(p: float, depth: int) -> float:
 def truncation_error_pfree(depth: int) -> float:
     """p-independent form 2^-J + 2^-floor((J+1)/2) of the reported
     bound (its value at p = 0)."""
-    if depth < 2:
-        raise PreconditionError("depth must be >= 2")
+    _check(depth=depth)
     return math.ldexp(1.0, -depth) + math.ldexp(1.0, -((depth + 1) // 2))
 
 
@@ -436,10 +447,7 @@ def truncation_error_safe(p: float, depth: int) -> float:
     """Conservative truncation bound: the pairwise survival-product
     argument gives (1/(1+p)) [(1+p/2) 2^-J + 4 * 2^-floor((J+1)/2)];
     this dominates the observed series tail for every p."""
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"p={p} outside [0, 1]")
-    if depth < 2:
-        raise PreconditionError("depth must be >= 2")
+    _check(p, depth)
     return (
         (1.0 + p / 2.0) * math.ldexp(1.0, -depth)
         + 4.0 * math.ldexp(1.0, -((depth + 1) // 2))
@@ -519,8 +527,7 @@ def sir(p: float, depth: int = 64) -> SirResult:
 def erasure_capacity(p: float) -> float:
     """Capacity 1/(1+p) of the NAE channel: one minus the stationary
     erasure frequency p/(1+p)."""
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"p={p} outside [0, 1]")
+    _check(p)
     return 1.0 / (1.0 + p)
 
 
@@ -531,8 +538,7 @@ def nonadjacent_error_capacity(p: float) -> float:
     Not a valid bound for the grains channel in either direction; it is
     reported for reference only and flagged as such by the CLI.
     """
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"p={p} outside [0, 1]")
+    _check(p)
     return 1.0 - binary_entropy(p) / (1.0 + p)
 
 
@@ -554,25 +560,22 @@ def erasure_mi_exact(n: int, p: float) -> float:
         raise CapExceeded(f"n={n} exceeds channel_exact_n={caps.channel_exact_n}")
     if n < 1 or not 0.0 <= p <= 1.0:
         raise PreconditionError("need n >= 1 and p in [0, 1]")
-    weights = (1.0 / (1.0 + p), p / (1.0 + p))
+    kept = n - _indicator_masks(n)[1]  # non-erased positions
     mi = 0.0
-    for u0, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        h_y = 0.0
-        h_u = 0.0
-        for mask, q in _indicator_law(n, p, u0):
-            kept = n - mask.bit_count()  # non-erased positions
-            h_u += -q * math.log2(q)
-            h_y += q * (-math.log2(q) + kept)
-        mi += w * (h_y - h_u)
+    for u0, w in enumerate(_stationary_weights(p)):
+        q = _indicator_law(n, p, u0)[1]
+        live = q > 0.0
+        q, log_q = q[live], np.log2(q[live])
+        h_u = -(q * log_q).sum()
+        h_y = (q * (kept[live] - log_q)).sum()
+        mi += w * float(h_y - h_u)
     return mi / n
 
 
 def _state_transition_matrices(p: float) -> tuple[np.ndarray, np.ndarray]:
     """M[b][s', s] = P(next state s, output b | state s') with states
     s = 2u + x, input bits uniform."""
-    pu = ((1.0 - p, p), (1.0, 0.0))
+    pu = indicator_transition_matrix(p)
     mats = [np.zeros((4, 4)) for _ in range(2)]
     for up in range(2):
         for xp in range(2):
@@ -581,11 +584,6 @@ def _state_transition_matrices(p: float) -> tuple[np.ndarray, np.ndarray]:
                     y = x if u == 0 else xp
                     mats[y][2 * up + xp, 2 * u + x] += pu[up][u] * 0.5
     return mats[0], mats[1]
-
-
-def _stationary_state(p: float) -> np.ndarray:
-    w0, w1 = 1.0 / (1.0 + p), p / (1.0 + p)
-    return np.array([w0 / 2, w0 / 2, w1 / 2, w1 / 2])
 
 
 def _output_entropy_profile(p: float, n: int, alpha0: np.ndarray) -> list[float]:
@@ -615,7 +613,7 @@ def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
         raise CapExceeded(f"n={n} exceeds channel_exact_n={caps.channel_exact_n}")
     if n < 2 or not 0.0 <= p <= 1.0:
         raise PreconditionError("need n >= 2 and p in [0, 1]")
-    stationary = _stationary_state(p)
+    stationary = np.repeat(_stationary_weights(p), 2) / 2.0
     profile = _output_entropy_profile(p, n, stationary)
     upper = profile[-1] - profile[-2]
     lower = 0.0
@@ -623,9 +621,7 @@ def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
         w = stationary[s]
         if w <= 0.0:
             continue
-        point = np.zeros(4)
-        point[s] = 1.0
-        cond = _output_entropy_profile(p, n, point)
+        cond = _output_entropy_profile(p, n, np.eye(4)[s])
         lower += w * (cond[-1] - cond[-2])
     return lower, upper
 
@@ -637,7 +633,7 @@ def all_zero_output_prob(n: int, p: float) -> float:
     if n < 1 or not 0.0 <= p <= 1.0:
         raise PreconditionError("need n >= 1 and p in [0, 1]")
     m0, _ = _state_transition_matrices(p)
-    alpha = _stationary_state(p)
+    alpha = np.repeat(_stationary_weights(p), 2) / 2.0
     for _ in range(n):
         alpha = alpha @ m0
     return float(alpha.sum())
@@ -659,22 +655,15 @@ def error_entropy_exact(n: int, p: float) -> float:
         raise CapExceeded(f"n={n} exceeds error_entropy_n={caps.error_entropy_n}")
     if n < 1 or not 0.0 <= p <= 1.0:
         raise PreconditionError("need n >= 1 and p in [0, 1]")
-    w0, w1 = 1.0 / (1.0 + p), p / (1.0 + p)
-    masks = []
-    probs = []
-    for mask in _valid_indicator_masks(n):
-        q = w0 * _indicator_prob(mask, n, p, 0) + w1 * _indicator_prob(mask, n, p, 1)
-        if q > 0.0:
-            masks.append(mask)
-            probs.append(q)
-    mask_arr = np.array(masks, dtype=np.int64)
-    prob_arr = np.array(probs)
-    half_prob = np.concatenate([prob_arr, prob_arr]) * 0.5
+    w0, w1 = _stationary_weights(p)
+    masks, q0 = _indicator_law(n, p, 0)
+    probs = w0 * q0 + w1 * _indicator_law(n, p, 1)[1]
+    half_prob = np.concatenate([probs, probs]) * 0.5
 
     top = 1 << (n - 1)
     total = 0.0
     for tail in range(top):
-        keys = np.concatenate([mask_arr & tail, mask_arr & (tail | top)])
+        keys = np.concatenate([masks & tail, masks & (tail | top)])
         _, inverse = np.unique(keys, return_inverse=True)
         agg = np.bincount(inverse, weights=half_prob)
         agg = agg[agg > 1e-300]
@@ -710,8 +699,7 @@ def indecomposability_check(p: float) -> IndecomposabilityResult:
     """Single-step check that the initial state washes out: the state
     (0, x_1) is reached in one step with probability min_u0 P(u_1=0|u0)
     = 1 - p from every initial state, positive exactly when p < 1."""
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"p={p} outside [0, 1]")
+    _check(p)
     witness = 1.0 - p
     return IndecomposabilityResult(p, witness > 0.0, witness)
 

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, bounds as bounds_mod, channel, codes, graph, model
-from .config import get_caps, parse_cap_string
+from .config import caps_override, parse_cap_string
 from .errors import CapExceeded, GrainlabError, PreconditionError
 from .manifest import RunManifest, emit_csv, fmt, render_svg
 
@@ -396,14 +396,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        pairs = {}
         if args.config:
-            pairs = {}
             for line in Path(args.config).read_text().splitlines():
                 line = line.split("#", 1)[0].strip()
                 if line:
                     pairs.update(parse_cap_string(line))
-            get_caps().update_from_pairs(pairs)
-        return args.func(args)
+        with caps_override(**pairs):
+            return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

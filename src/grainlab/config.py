@@ -7,8 +7,10 @@ truncated.  Caps can be overruled (raised or lowered) via:
 
   * the environment variable GRAINLAB_CAPS, e.g.
       GRAINLAB_CAPS="error_enum_n=26,graph_n=14"
-  * a key=value config file passed to the CLI (--config), and
-  * direct calls to set_caps() (tests, embedding code).
+  * a key=value config file passed to the CLI (--config), which holds
+    for that one CLI call, and
+  * a `with caps_override(...)` block (tests, embedding code), which
+    restores the previous values when the block exits.
 
 CLI flags always win over file/env settings.
 """
@@ -17,12 +19,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import PreconditionError
 
 #: hard ceiling on word length; anything longer is rejected at parse time
-#: (words pack into ints, so long simulation blocks are still cheap)
+#: (a word's bit conversions go through strings and take time linear in
+#: its length; the channel simulators work on the packed int directly)
 WORD_LEN_MAX = 1_000_000
 
 
@@ -84,7 +89,14 @@ def get_caps() -> Caps:
     return _caps
 
 
-def set_caps(**kwargs) -> Caps:
-    """Override selected caps in place; returns the active Caps object."""
-    _caps.update_from_pairs({k: str(v) for k, v in kwargs.items()})
-    return _caps
+@contextmanager
+def caps_override(**kwargs) -> Iterator[Caps]:
+    """Override selected caps inside a with block, validated as the
+    GRAINLAB_CAPS pairs are; the previous values come back on exit,
+    also when the block (or the validation) raises."""
+    saved = dataclasses.asdict(_caps)
+    try:
+        _caps.update_from_pairs({k: str(v) for k, v in kwargs.items()})
+        yield _caps
+    finally:
+        vars(_caps).update(saved)

@@ -54,11 +54,8 @@ class Word:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Word":
-        bits = list(bits)
-        value = 0
-        for b in bits:
-            value = (value << 1) | (b & 1)
-        return cls(len(bits), value)
+        text = "".join("01"[b & 1] for b in bits)
+        return cls(len(text), int(text or "0", 2))
 
     def bit(self, i: int) -> int:
         """Bit at 1-indexed position i (1 = leftmost)."""
@@ -67,7 +64,7 @@ class Word:
         return (self.value >> (self.n - i)) & 1
 
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.n - i)) & 1 for i in range(1, self.n + 1))
+        return tuple(map(int, self.render()))
 
     def render(self) -> str:
         return format(self.value, f"0{self.n}b")

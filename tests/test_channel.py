@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from grainlab.bounds import binary_entropy
 from grainlab.channel import (
     ChannelSpec,
+    _indicator_law,
     IndecomposabilityResult,
     all_zero_output_prob,
     capacity_curves,
@@ -207,6 +208,92 @@ class TestSimulators:
         q = p / (1 + p) / 2  # stationary indicator rate times input-change rate
         sigma = math.sqrt(q * (1 - q) / n)
         assert stats["error_rate"] == pytest.approx(q, abs=3 * sigma)
+
+
+INITIALS = ["stationary", (0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def sample_indicator_loop(n, spec, rng):
+    """Per-symbol reference sampler: the same draws in the same order,
+    and a 1 only after a 0, when the uniform is below p."""
+    if spec.initial == "stationary":
+        u0 = 1 if rng.random() < spec.stationary_weights[1] else 0
+        x0 = int(rng.integers(2))
+    else:
+        u0, x0 = spec.initial
+    uni = rng.random(n)
+    u = np.zeros(n, dtype=np.uint8)
+    prev = u0
+    for i in range(n):
+        if prev == 0 and uni[i] < spec.p:
+            u[i] = 1
+            prev = 1
+        else:
+            prev = 0
+    return u, u0, x0
+
+
+class TestIndicatorKernel:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("initial", INITIALS)
+    def test_sampler_matches_per_symbol_loop(self, p, initial):
+        spec = ChannelSpec(p, initial=initial)
+        for seed in range(20):
+            for n in (0, 1, 2, 3, 257):
+                u, u0, x0 = sample_indicator(n, spec, make_rng(seed, 1))
+                ref, ref_u0, ref_x0 = sample_indicator_loop(n, spec, make_rng(seed, 1))
+                assert (u0, x0) == (ref_u0, ref_x0)
+                assert u.dtype == np.uint8 and np.array_equal(u, ref), (seed, n)
+
+    @pytest.mark.parametrize("u0", [0, 1])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
+    def test_law_matches_sequential_product(self, p, u0):
+        for n in range(1, 13):
+            ref_masks = [m for m in range(1 << n) if not m & (m >> 1)]
+            ref_probs = []
+            for mask in ref_masks:
+                prob, prev = 1.0, u0
+                for i in range(n):
+                    b = (mask >> (n - 1 - i)) & 1
+                    prob *= (0.0 if b else 1.0) if prev else (p if b else 1.0 - p)
+                    prev = b
+                ref_probs.append(prob)
+            masks, probs = _indicator_law(n, p, u0)
+            assert masks.tolist() == ref_masks
+            ref_probs = np.array(ref_probs)
+            assert np.array_equal(probs == 0.0, ref_probs == 0.0)
+            np.testing.assert_allclose(
+                probs, ref_probs, rtol=n * np.finfo(float).eps, atol=0.0
+            )
+
+    @pytest.mark.parametrize("initial", INITIALS)
+    def test_simulators_match_per_bit_reference(self, initial):
+        spec = ChannelSpec(0.4, initial=initial)
+        for seed in range(5):
+            n = 257
+            xb = "".join(map(str, make_rng(seed, 9).integers(0, 2, size=n)))
+            x = Word.parse(xb)
+            u, _, x0 = sample_indicator(n, spec, make_rng(seed, 3))
+            prev = str(x0) + xb[:-1]
+            grains = "".join(prev[i] if u[i] else xb[i] for i in range(n))
+            erasures = "".join("e" if u[i] else xb[i] for i in range(n))
+            assert str(simulate_grains(x, spec, seed, stream=3)) == grains
+            assert simulate_erasures(x, spec, seed, stream=3) == erasures
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_stats_transitions_match_pair_count(self, p):
+        n, seed = 3000, 21
+        stats = simulation_stats(n, p, seed)
+        rng = make_rng(seed)
+        rng.integers(0, 2, size=n, dtype=np.uint8)
+        u, u0, _ = sample_indicator(n, ChannelSpec(p), rng)
+        full = [u0] + u.tolist()
+        ref = {a + b: 0 for a in "01" for b in "01"}
+        for a, b in zip(full[:-1], full[1:]):
+            ref[f"{a}{b}"] += 1
+        assert stats["transitions"] == ref
+        assert all(type(c) is int for c in stats["transitions"].values())
+        assert stats["adjacent_indicator_pairs"] == ref["11"] == 0
 
 
 class TestCascadeFill:

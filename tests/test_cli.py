@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from grainlab.cli import main
+from grainlab.config import caps_override, get_caps
+from grainlab.errors import PreconditionError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -286,10 +289,47 @@ class TestErrorPaths:
             capsys, "--config", str(cfg), "phi", "--x", "0" * 30, "--t", "1"
         )
         assert code == 0
-        # restore the default for the rest of the session
-        from grainlab.config import set_caps
 
-        set_caps(error_enum_n=24)
+    def test_config_file_caps_end_with_the_call(self, capsys, tmp_path):
+        before = dataclasses.asdict(get_caps())
+        cfg = tmp_path / "caps.cfg"
+        cfg.write_text("error_enum_n=30\ngraph_n=12\n")
+        code, _, _ = run_cli(
+            capsys, "--config", str(cfg), "phi", "--x", "0" * 30, "--t", "1"
+        )
+        assert code == 0
+        assert dataclasses.asdict(get_caps()) == before
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("graph_n=12\nnot_a_cap=1\n")
+        code, _, err = run_cli(
+            capsys, "--config", str(bad), "phi", "--x", "01", "--t", "1"
+        )
+        assert code == 2 and "unknown cap name: 'not_a_cap'" in err
+        assert dataclasses.asdict(get_caps()) == before
+
+
+class TestCapsOverride:
+    def test_scoped_and_restored_on_exception(self):
+        before = dataclasses.asdict(get_caps())
+        with pytest.raises(RuntimeError):
+            with caps_override(error_enum_n=30, exact_m_time_limit=2.5) as caps:
+                assert caps.error_enum_n == 30 and caps.exact_m_time_limit == 2.5
+                raise RuntimeError
+        assert dataclasses.asdict(get_caps()) == before
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"graph_n": 12, "bogus": 1}, "unknown cap name: 'bogus'"),
+            ({"graph_n": "twelve"}, "bad cap value graph_n='twelve'"),
+        ],
+    )
+    def test_validation_messages_and_no_partial_update(self, kwargs, message):
+        before = dataclasses.asdict(get_caps())
+        with pytest.raises(PreconditionError, match=message):
+            with caps_override(**kwargs):
+                pass
+        assert dataclasses.asdict(get_caps()) == before
 
 
 class TestEnvCaps:

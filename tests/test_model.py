@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from grainlab.config import set_caps
+from grainlab.config import caps_override
 from grainlab.errors import CapExceeded, PreconditionError
 from grainlab.model import (
     ErrorVector,
@@ -104,6 +104,19 @@ class TestWord:
 
     def test_length_cap_is_at_least_32(self):
         Word.parse("0" * 32)  # must be accepted
+
+    def test_bits_round_trip_long(self):
+        n = 100_000
+        bits = tuple(int(b) for b in np.random.default_rng(5).integers(0, 2, size=n))
+        w = Word.from_bits(bits)
+        assert w.n == n and w.bits() == bits
+        assert w.render() == "".join(map(str, bits))
+        assert Word.from_bits(iter(bits)) == w
+
+    def test_from_bits_keeps_low_bit_and_rejects_empty(self):
+        assert Word.from_bits([3, 2, True, -1, np.uint8(0)]) == Word.parse("10110")
+        with pytest.raises(PreconditionError):
+            Word.from_bits([])
 
 
 class TestErrorVector:
@@ -225,8 +238,7 @@ class TestEnumeration:
                 assert mine == set(supports_ref(n, t))
 
     def test_cap(self):
-        set_caps(error_enum_n=24)
-        with pytest.raises(CapExceeded):
+        with caps_override(error_enum_n=24), pytest.raises(CapExceeded):
             enumerate_error_vectors(25, 1)
 
 
