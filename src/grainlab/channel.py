@@ -41,6 +41,7 @@ from .errors import CapExceeded, PreconditionError
 from .model import Word
 
 ERASURE = "e"
+_STAR_LEAF = 9  # axes one numpy pass of _star_entropy expands: 3^9 floats
 
 
 def _check(p: float | None = None, depth: int | None = None) -> None:
@@ -50,6 +51,15 @@ def _check(p: float | None = None, depth: int | None = None) -> None:
         raise PreconditionError(f"p={p} outside [0, 1]")
     if depth is not None and depth < 2:
         raise PreconditionError("depth must be >= 2")
+
+
+def _check_n(n: int, p: float, cap: str, least: int = 1) -> None:
+    """Reject n above the named cap, then n < least or p outside [0, 1]."""
+    limit = getattr(get_caps(), cap)
+    if n > limit:
+        raise CapExceeded(f"n={n} exceeds {cap}={limit}")
+    if n < least or not 0.0 <= p <= 1.0:
+        raise PreconditionError(f"need n >= {least} and p in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +153,8 @@ class ChannelSpec:
     def initial_states(self) -> list[tuple[int, int, float]]:
         """(u0, x0, probability) triples of the initial state."""
         if self.initial == "stationary":
-            w0, w1 = self.stationary_weights
-            out = []
-            for u0, w in ((0, w0), (1, w1)):
-                if w > 0.0:
-                    out.extend([(u0, 0, w / 2.0), (u0, 1, w / 2.0)])
-            return out
+            weights = enumerate(self.stationary_weights)
+            return [(u0, x0, w / 2.0) for u0, w in weights if w > 0.0 for x0 in (0, 1)]
         u0, x0 = self.initial  # type: ignore[misc]
         return [(u0, x0, 1.0)]
 
@@ -205,8 +211,7 @@ def simulate_grains(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) -> W
     u_i = 0, otherwise the previous input bit (x0 at i = 1)."""
     rng = make_rng(seed, stream)
     u, _, x0 = sample_indicator(x.n, spec, rng)
-    packed = int.from_bytes(np.packbits(u).tobytes(), "big") >> (-x.n % 8)
-    return Word(x.n, _grains(x.value, packed, x0, x.n))
+    return Word(x.n, _grains(x.value, Word.from_array(u).value, x0, x.n))
 
 
 def simulate_erasures(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) -> str:
@@ -555,11 +560,7 @@ def erasure_mi_exact(n: int, p: float) -> float:
     reveals u exactly, so H(y|x,u0) = H(u|u0), and conditioned on u the
     non-erased outputs are uniform.  Comes out to 1/(1+p) for every n.
     """
-    caps = get_caps()
-    if n > caps.channel_exact_n:
-        raise CapExceeded(f"n={n} exceeds channel_exact_n={caps.channel_exact_n}")
-    if n < 1 or not 0.0 <= p <= 1.0:
-        raise PreconditionError("need n >= 1 and p in [0, 1]")
+    _check_n(n, p, "channel_exact_n")
     kept = n - _indicator_masks(n)[1]  # non-erased positions
     mi = 0.0
     for u0, w in enumerate(_stationary_weights(p)):
@@ -576,27 +577,22 @@ def _state_transition_matrices(p: float) -> tuple[np.ndarray, np.ndarray]:
     """M[b][s', s] = P(next state s, output b | state s') with states
     s = 2u + x, input bits uniform."""
     pu = indicator_transition_matrix(p)
-    mats = [np.zeros((4, 4)) for _ in range(2)]
-    for up in range(2):
-        for xp in range(2):
-            for u in range(2):
-                for x in range(2):
-                    y = x if u == 0 else xp
-                    mats[y][2 * up + xp, 2 * u + x] += pu[up][u] * 0.5
+    mats = np.zeros((2, 4, 4))
+    for up, xp, u, x in np.ndindex(2, 2, 2, 2):
+        y = x if u == 0 else xp
+        mats[y, 2 * up + xp, 2 * u + x] = pu[up][u] * 0.5
     return mats[0], mats[1]
 
 
 def _output_entropy_profile(p: float, n: int, alpha0: np.ndarray) -> list[float]:
     """H(y^1), ..., H(y^n) by a forward sweep that keeps the joint
-    probability vector over (output prefix, state)."""
-    m0, m1 = _state_transition_matrices(p)
+    probability vector over (output prefix, state).  Row i of alpha @
+    [M0 | M1] holds prefix i extended by 0, then by 1, in one array."""
+    m01 = np.hstack(_state_transition_matrices(p))
     alpha = alpha0.reshape(1, 4)
     entropies = []
     for _ in range(n):
-        nxt = np.empty((alpha.shape[0] * 2, 4))
-        nxt[0::2] = alpha @ m0
-        nxt[1::2] = alpha @ m1
-        alpha = nxt
+        alpha = (alpha @ m01).reshape(-1, 4)
         prefix = alpha.sum(axis=1)
         mass = prefix[prefix > 1e-300]
         entropies.append(float(-(mass * np.log2(mass)).sum()))
@@ -607,23 +603,19 @@ def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
     """(lower, upper) bracket for the output entropy rate:
     H(y_n | y^{n-1}, s0) <= rate <= H(y_n | y^{n-1}), both exact under
     the stationary initial state.  The output-entropy series partial
-    sums converge inside this bracket."""
-    caps = get_caps()
-    if n > caps.channel_exact_n:
-        raise CapExceeded(f"n={n} exceeds channel_exact_n={caps.channel_exact_n}")
-    if n < 2 or not 0.0 <= p <= 1.0:
-        raise PreconditionError("need n >= 2 and p in [0, 1]")
-    stationary = np.repeat(_stationary_weights(p), 2) / 2.0
-    profile = _output_entropy_profile(p, n, stationary)
-    upper = profile[-1] - profile[-2]
+    sums converge inside this bracket.  The lower end takes two
+    conditional sweeps, not four: complementing x0 and every input bit
+    complements every output and leaves u and the uniform input law
+    alone, so state (u, 1) has the profile of (u, 0)."""
+    _check_n(n, p, "channel_exact_n", least=2)
+    w0, w1 = _stationary_weights(p)
+    profile = _output_entropy_profile(p, n, np.repeat([w0, w1], 2) / 2.0)
     lower = 0.0
-    for s in range(4):
-        w = stationary[s]
-        if w <= 0.0:
-            continue
-        cond = _output_entropy_profile(p, n, np.eye(4)[s])
-        lower += w * (cond[-1] - cond[-2])
-    return lower, upper
+    for s, w in ((0, w0), (2, w1)):  # s = 2u + x0; x0 = 1 mirrors x0 = 0
+        if w > 0.0:
+            cond = _output_entropy_profile(p, n, np.eye(4)[s])
+            lower += w * (cond[-1] - cond[-2])
+    return lower, profile[-1] - profile[-2]
 
 
 def all_zero_output_prob(n: int, p: float) -> float:
@@ -639,36 +631,45 @@ def all_zero_output_prob(n: int, p: float) -> float:
     return float(alpha.sum())
 
 
+def _star_entropy(f: np.ndarray, k: int) -> float:
+    """Sum of -q log2 q over the star transform of f (k binary axes,
+    MSB-first): f at every string in {0, 1, *}^k, a * summing its axis.
+    Recurses on (f|0, f|1, f|0 + f|1) above 3^_STAR_LEAF floats."""
+    if k > _STAR_LEAF:
+        lo, hi = np.split(f, 2)
+        return sum(_star_entropy(g, k - 1) for g in (lo, hi, lo + hi))
+    g = f.reshape(1, -1)
+    for _ in range(k):
+        g = g.reshape(len(g), 2, -1)
+        g = np.concatenate([g, g[:, :1] + g[:, 1:]], axis=1).reshape(3 * len(g), -1)
+    g = g[g > 0.0]
+    return float(-(g * np.log2(g)).sum())
+
+
 def error_entropy_exact(n: int, p: float) -> float:
     """Exact H(z^n | x^n) with z the error indicator sequence, the
     input uniform, and the initial state (u0, x0) hidden stationary.
 
-    z_i is the indicator at i masked by whether the input changed at i,
-    so the law of z given x depends only on the input's change pattern;
-    the hidden x0 averages the laws for both values of the first change
-    bit.  Enumerates all valid indicator sequences (numpy-aggregated),
-    all change patterns, and both u0 values.  Successive differences of
-    this quantity converge to the error-entropy series limit.
-    """
-    caps = get_caps()
-    if n > caps.error_entropy_n:
-        raise CapExceeded(f"n={n} exceeds error_entropy_n={caps.error_entropy_n}")
-    if n < 1 or not 0.0 <= p <= 1.0:
-        raise PreconditionError("need n >= 1 and p in [0, 1]")
+    Identity.  z = u & c, c_i = [x_i != x_{i-1}] the change pattern of
+    x0 x^n, u independent of the input.  c_2..c_n is a function of x^n
+    and c_1 is uniform and independent of it (x0 is), so H(z|x) is
+    2^-(n-1) times the sum over tails c_2..c_n of H(Z|c), c_1 mixed at
+    1/2.  On positions 2..n each pair (c, z <= c) is one string over
+    {0, 1, *}, * where c_i = 0, and P(z|c) is the law f of u_1..u_n
+    summed over u_i at every *; so that sum is the sum of -g log2 g
+    over the star transform g of f on axes 2..n.  Axis 1 mixes c_1:
+    z_1 = 0 has f|0 + f|1 / 2 and z_1 = 1 has f|1 / 2.  f holds every
+    valid mask of _indicator_law with its closed-form probability, so
+    this is a brute-force enumeration, independent of the series it
+    checks, whose limit the successive differences approach."""
+    _check_n(n, p, "error_entropy_n")
     w0, w1 = _stationary_weights(p)
     masks, q0 = _indicator_law(n, p, 0)
-    probs = w0 * q0 + w1 * _indicator_law(n, p, 1)[1]
-    half_prob = np.concatenate([probs, probs]) * 0.5
-
-    top = 1 << (n - 1)
-    total = 0.0
-    for tail in range(top):
-        keys = np.concatenate([masks & tail, masks & (tail | top)])
-        _, inverse = np.unique(keys, return_inverse=True)
-        agg = np.bincount(inverse, weights=half_prob)
-        agg = agg[agg > 1e-300]
-        total += float(-(agg * np.log2(agg)).sum())
-    return total / top
+    f = np.zeros(1 << n)
+    f[masks] = w0 * q0 + w1 * _indicator_law(n, p, 1)[1]
+    f0, f1 = np.split(f, 2)
+    total = _star_entropy(f0 + 0.5 * f1, n - 1) + _star_entropy(0.5 * f1, n - 1)
+    return total / (1 << (n - 1))
 
 
 def indicator_stay_prob(j: int, p: float) -> float:

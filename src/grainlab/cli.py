@@ -257,9 +257,7 @@ def cmd_simulate(args) -> int:
         x = model.Word.parse(args.x)
     else:
         rng = channel.make_rng(args.seed, args.stream + 1)
-        x = model.Word.from_bits(
-            int(b) for b in rng.integers(0, 2, size=args.n, dtype=int)
-        )
+        x = model.Word.from_array(rng.integers(0, 2, size=args.n, dtype=int))
     spec = channel.ChannelSpec(args.p)
     if args.channel == "grains":
         print(channel.simulate_grains(x, spec, args.seed, args.stream))

@@ -59,11 +59,6 @@ class ConfusabilityGraph:
     def degree(self, x: Word) -> int:
         return len(self.neighbors(x))
 
-    def edge(self, x1: Word, x2: Word) -> bool:
-        if x1.n != self.n or x2.n != self.n:
-            raise PreconditionError("word length does not match graph")
-        return x2 in self.neighbors(x1)
-
     def edges(self):
         """All edges as sorted Word pairs (deterministic order)."""
         for xv in range(self.vertex_count):

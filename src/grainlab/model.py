@@ -57,6 +57,12 @@ class Word:
         text = "".join("01"[b & 1] for b in bits)
         return cls(len(text), int(text or "0", 2))
 
+    @classmethod
+    def from_array(cls, bits: np.ndarray) -> "Word":
+        """The word of a 0/1 array (nonzero counts as 1), packed by numpy."""
+        packed = int.from_bytes(np.packbits(bits).tobytes(), "big")
+        return cls(len(bits), packed >> (-len(bits) % 8))
+
     def bit(self, i: int) -> int:
         """Bit at 1-indexed position i (1 = leftmost)."""
         if not 1 <= i <= self.n:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from grainlab.bounds import binary_entropy
 from grainlab.channel import (
     ChannelSpec,
     _indicator_law,
+    _output_entropy_profile,
     IndecomposabilityResult,
     all_zero_output_prob,
     capacity_curves,
@@ -541,6 +543,15 @@ class TestOutputEntropyBracket:
         w2 = np.subtract(*reversed(output_entropy_bracket(12, 0.5)))
         assert abs(w2) <= abs(w1)
 
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
+    def test_complement_symmetry_of_conditional_profiles(self, p):
+        """The lower end sweeps only x0 = 0: the profile from state
+        (u, 1) equals the one from (u, 0), for every prefix n <= 12."""
+        for u in (0, 1):
+            from_x0 = _output_entropy_profile(p, 12, np.eye(4)[2 * u])
+            from_x1 = _output_entropy_profile(p, 12, np.eye(4)[2 * u + 1])
+            np.testing.assert_allclose(from_x1, from_x0, rtol=0.0, atol=1e-12)
+
 
 class TestAllZeroOutputProb:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
@@ -552,7 +563,42 @@ class TestAllZeroOutputProb:
         assert all_zero_output_prob(5, 0.0) == pytest.approx(2**-5)
 
 
+def error_entropy_loop(n: int, p: float) -> float:
+    """Per-change-pattern reference: for each tail c_2..c_n, the law of
+    z = u & c with both values of c_1 mixed at weight 1/2, aggregated
+    by np.unique, and its entropy averaged over the tails."""
+    w0, w1 = ChannelSpec(p).stationary_weights
+    masks, q0 = _indicator_law(n, p, 0)
+    probs = w0 * q0 + w1 * _indicator_law(n, p, 1)[1]
+    half_prob = np.concatenate([probs, probs]) * 0.5
+    top = 1 << (n - 1)
+    total = 0.0
+    for tail in range(top):
+        keys = np.concatenate([masks & tail, masks & (tail | top)])
+        _, inverse = np.unique(keys, return_inverse=True)
+        agg = np.bincount(inverse, weights=half_prob)
+        agg = agg[agg > 1e-300]
+        total += float(-(agg * np.log2(agg)).sum())
+    return total / top
+
+
 class TestErrorEntropyExact:
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
+    def test_matches_per_pattern_loop(self, p):
+        for n in range(1, 13):
+            want = error_entropy_loop(n, p)
+            assert error_entropy_exact(n, p) == pytest.approx(want, rel=1e-12), n
+
+    def test_traced_memory_stays_flat_at_cap(self):
+        error_entropy_exact(14, 0.5)  # warm the _indicator_law cache
+        tracemalloc.start()
+        try:
+            error_entropy_exact(14, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_p0_zero(self):
         assert error_entropy_exact(6, 0.0) == 0.0
 

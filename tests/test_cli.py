@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from grainlab.channel import ChannelSpec, make_rng, simulate_grains
 from grainlab.cli import main
 from grainlab.config import caps_override, get_caps
 from grainlab.errors import PreconditionError
+from grainlab.model import Word
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -261,6 +264,20 @@ class TestSimulate:
         assert "indicator_rate" in out
         assert "adjacent_indicator_pairs = 0" in out
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+    def test_random_input_matches_per_symbol_word(self, capsys, n):
+        """The packed random input is the word the per-symbol generator
+        built from the same draw, so the printed output is unchanged."""
+        seed, stream = 42, 2
+        bits = make_rng(seed, stream + 1).integers(0, 2, size=n, dtype=int)
+        old = Word.from_bits(int(b) for b in bits)
+        assert Word.from_array(bits) == old
+        _, out, _ = run_cli(
+            capsys, "simulate", "--n", str(n), "--p", "0.3",
+            "--seed", str(seed), "--stream", str(stream),
+        )
+        assert out.strip() == str(simulate_grains(old, ChannelSpec(0.3), seed, stream))
+
 
 class TestErrorPaths:
     def test_precondition_exit_2(self, capsys):
@@ -358,3 +375,44 @@ class TestEnvCaps:
             },
         )
         assert proc.returncode == 3
+
+
+class TestBenchRecord:
+    def test_medians_ratios_wins_and_environment(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "bench_record", ROOT / "scripts" / "bench_record.py"
+        )
+        bench_record = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_record)
+
+        def run(seed, wall, env, trace=False):
+            return {
+                "kind": "run", "workload": "channel", "seed": seed, "trace": trace,
+                "smoke": False, "attempted": 10, "failed": 0, "env": env,
+                "metrics": {"wall_s": wall, "setup_s": 0.2, "peak_rss_mb": 50.0},
+            }
+
+        env_a, env_b = {"src_sha256": "a"}, {"src_sha256": "b"}
+        sides = {
+            "parent": [run(1, 2.0, env_a), run(2, 2.2, env_a), run(3, 1.0, env_a, True)],
+            "change": [run(1, 0.5, env_b), run(2, 2.3, env_b), run(3, 0.3, env_b, True),
+                       {"kind": "tier1", "passed": 5, "failed": 0}],
+        }
+        paths = []
+        for side, records in sides.items():
+            path = tmp_path / f"{side}.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in records))
+            paths.append(str(path))
+        out = tmp_path / "BENCH.json"
+        assert bench_record.main([*paths, "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        wall = record["compare"]["channel"]["wall_s"]
+        assert wall["parent"]["median"] == pytest.approx(2.1)
+        assert wall["change"]["n"] == 2 and wall["change"]["median"] == pytest.approx(1.4)
+        assert wall["ratio"] == pytest.approx(1.4 / 2.1)
+        assert (wall["pairs"], wall["change_wins"]) == (2, 1)
+        assert record["compare"]["channel"]["error_rate"]["change"]["median"] == 0.0
+        assert record["traced"]["change"]["channel"]["wall_s"] == 0.3
+        assert record["seeds"] == {"parent": [1, 2, 3], "change": [1, 2, 3]}
+        assert record["environment"] == {"parent": [env_a], "change": [env_b]}
+        assert record["tier1"]["change"] == [{"kind": "tier1", "passed": 5, "failed": 0}]
