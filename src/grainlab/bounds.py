@@ -25,7 +25,6 @@ Bounds implemented:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -239,18 +238,6 @@ def informed_rate_bounds(tau: float) -> tuple[float, float]:
 
 #: tau <= 0.0706 is where the run-count asymptotic upper bound applies
 ASYMPTOTIC_UPPER_TAU_MAX = 0.0706
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    tau: float
-    value: float
-    kind: str
-    validity: str = ""
-
-    def __post_init__(self):
-        if not -1e-9 <= self.value <= 1 + 1e-9:
-            raise PreconditionError(f"rate {self.value} outside [0, 1]")
 
 
 def clique_rate_min(tau: float, chi_entries=None) -> float:

@@ -125,21 +125,18 @@ def _grains(x, u, x0: int, n: int):
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Grain probability p, initial-state convention, and series depth.
+    """Grain probability p and initial-state convention.
 
     initial is either the string "stationary" (indicator drawn from its
     stationary law, previous bit x0 uniform) or an explicit pair
-    (u0, x0).  depth is the truncation index J of the SIR series.
+    (u0, x0).
     """
 
     p: float
     initial: str | tuple[int, int] = "stationary"
-    depth: int = 64
 
     def __post_init__(self):
         _check(self.p)
-        if self.depth < 2:
-            raise PreconditionError("series depth must be >= 2")
         if self.initial != "stationary":
             u0, x0 = self.initial  # type: ignore[misc]
             if u0 not in (0, 1) or x0 not in (0, 1):

@@ -6,7 +6,7 @@ default.  Exceeding a cap raises CapExceeded; nothing is ever silently
 truncated.  Caps can be overruled (raised or lowered) via:
 
   * the environment variable GRAINLAB_CAPS, e.g.
-      GRAINLAB_CAPS="error_enum_n=26,graph_n=14"
+      GRAINLAB_CAPS="error_enum_n=26,partition_m=14"
   * a key=value config file passed to the CLI (--config), which holds
     for that one CLI call, and
   * a `with caps_override(...)` block (tests, embedding code), which
@@ -21,6 +21,7 @@ import dataclasses
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import PreconditionError
@@ -35,12 +36,9 @@ WORD_LEN_MAX = 1_000_000
 class Caps:
     # listing all error vectors of length n (grows like phi^n)
     error_enum_n: int = 24
-    # grain_preimages and the greedy clique partition (2^m vertices)
-    preimage_m: int = 16
+    # the greedy clique partition (2^m vertices)
     partition_m: int = 16
     partition_s: int = 4
-    # confusability graph construction
-    graph_n: int = 16
     # exact maximum-code-size search
     exact_m_n: int = 10
     exact_m_n_multi: int = 8          # applies when t >= 2
@@ -80,13 +78,14 @@ def parse_cap_string(text: str) -> dict[str, str]:
     return pairs
 
 
-_caps = Caps()
-if os.environ.get("GRAINLAB_CAPS"):
-    _caps.update_from_pairs(parse_cap_string(os.environ["GRAINLAB_CAPS"]))
-
-
+@lru_cache(maxsize=1)
 def get_caps() -> Caps:
-    return _caps
+    """The process-wide caps: the defaults updated from GRAINLAB_CAPS on
+    first use, so a bad entry raises PreconditionError at a call (the
+    CLI exits 2), not at import."""
+    caps = Caps()
+    caps.update_from_pairs(parse_cap_string(os.environ.get("GRAINLAB_CAPS", "")))
+    return caps
 
 
 @contextmanager
@@ -94,9 +93,10 @@ def caps_override(**kwargs) -> Iterator[Caps]:
     """Override selected caps inside a with block, validated as the
     GRAINLAB_CAPS pairs are; the previous values come back on exit,
     also when the block (or the validation) raises."""
-    saved = dataclasses.asdict(_caps)
+    caps = get_caps()
+    saved = dataclasses.asdict(caps)
     try:
-        _caps.update_from_pairs({k: str(v) for k, v in kwargs.items()})
-        yield _caps
+        caps.update_from_pairs({k: str(v) for k, v in kwargs.items()})
+        yield caps
     finally:
-        vars(_caps).update(saved)
+        vars(caps).update(saved)

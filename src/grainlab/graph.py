@@ -1,14 +1,16 @@
-"""Confusability graph, exact maximum code sizes, and clique partitions.
+"""Exact maximum code sizes and clique partitions of the confusability graph.
 
 The confusability graph on {0,1}^n joins two distinct words iff they are
 t-confusable.  The largest t-grain-correcting code is exactly a maximum
 independent set of this graph.  Clique partitions of the graph yield the
 cardinality upper bounds evaluated in grainlab.bounds.
 
-Images and preimage cliques B(y) come from the closed-form kernel of
-grainlab.model, so the graph is never stored, and the greedy partition
-keeps an int32 count array of |B(y)| over the uncovered words.  Internals
-work on raw word values (ints, numpy arrays); the public types carry Words.
+The graph is never built as an object: images and preimage cliques B(y)
+come from the closed-form kernel of grainlab.model.  The exact search
+holds adjacency bitmasks of one half-space, the greedy partition an int32
+count array of |B(y)| over the uncovered words, and a CliquePartition
+the packed word values themselves.  Only the witness code of
+max_code_size carries Words.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import CapExceeded, PreconditionError
 from .model import (
     Word,
     _apply_mask,
-    _support_masks,
+    _mask_array,
     image_values,
     preimage_counts,
     preimage_values,
@@ -35,46 +37,6 @@ def _neighbor_values(xv: int, n: int, t: int) -> set[int]:
     """Values of the words sharing an image with xv: the union of the
     preimage cliques of its images, xv itself excluded."""
     return set(preimage_values(image_values(xv, n, t), n, t).tolist()) - {xv}
-
-
-@dataclass(frozen=True)
-class ConfusabilityGraph:
-    """Graph on {0,1}^n with edges between t-confusable words.
-
-    Stored implicitly: neighbours come from the closed-form kernel on
-    demand.  (An explicit 2^n x 2^n structure would be hopeless at the
-    cap.)
-    """
-
-    n: int
-    t: int
-
-    @property
-    def vertex_count(self) -> int:
-        return 1 << self.n
-
-    def neighbors(self, x: Word) -> frozenset[Word]:
-        return frozenset(Word(self.n, v) for v in _neighbor_values(x.value, self.n, self.t))
-
-    def degree(self, x: Word) -> int:
-        return len(self.neighbors(x))
-
-    def edges(self):
-        """All edges as sorted Word pairs (deterministic order)."""
-        for xv in range(self.vertex_count):
-            x = Word(self.n, xv)
-            for other in sorted(self.neighbors(x)):
-                if other > x:
-                    yield (x, other)
-
-
-def build_graph(n: int, t: int) -> ConfusabilityGraph:
-    caps = get_caps()
-    if n > caps.graph_n:
-        raise CapExceeded(f"n={n} exceeds graph_n={caps.graph_n}")
-    if n < 1 or t < 0:
-        raise PreconditionError("need n >= 1 and t >= 0")
-    return ConfusabilityGraph(n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +176,23 @@ def max_code_size(n: int, t: int, time_limit: float | None = None) -> MaxCodeRes
 class CliquePartition:
     """Ordered partition of {0,1}^m into cliques of the confusability
     graph, each part generated as the surviving preimage set of its
-    witness word."""
+    witness word.  Members and witnesses are packed word values."""
 
     m: int
     s: int
-    parts: tuple[tuple[Word, ...], ...]
-    witnesses: tuple[Word, ...]
+    parts: tuple[tuple[int, ...], ...]
+    witnesses: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.parts)
 
     def render(self) -> str:
+        spec = f"0{self.m}b"
         lines = []
         for k, (y, part) in enumerate(zip(self.witnesses, self.parts), start=1):
-            members = " ".join(str(x) for x in part)
-            lines.append(f"{k}: {y} : {members}")
+            members = " ".join(format(x, spec) for x in part)
+            lines.append(f"{k}: {format(y, spec)} : {members}")
         return "\n".join(lines)
 
 
@@ -258,8 +221,8 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     counts = preimage_counts(m, s)
     alive = np.ones(1 << m, dtype=bool)
     left = 1 << m
-    parts: list[tuple[Word, ...]] = []
-    witnesses: list[Word] = []
+    parts: list[tuple[int, ...]] = []
+    witnesses: list[int] = []
     while left:
         # argmax returns the first maximum: the smallest y among the largest
         y = int(counts.argmax())
@@ -268,8 +231,8 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
         alive[part] = False
         np.subtract.at(counts, image_values(part, m, s), 1)
         left -= part.size
-        parts.append(tuple(Word(m, xv) for xv in part.tolist()))
-        witnesses.append(Word(m, y))
+        parts.append(tuple(part.tolist()))
+        witnesses.append(y)
     return CliquePartition(m, s, tuple(parts), tuple(witnesses))
 
 
@@ -285,16 +248,16 @@ def verify_clique_partition(partition: CliquePartition) -> bool:
     """
     m, s = partition.m, partition.s
     parts = partition.parts
-    members = [x.value if x.n == m else -1 for part in parts for x in part]
+    members = [x for part in parts for x in part]
     if sorted(members) != list(range(1 << m)):
         return False
     values = np.array(members, dtype=np.int64)
 
-    witness = [w.value if w.n == m else -1 for w in partition.witnesses[: len(parts)]]
+    witness = list(partition.witnesses[: len(parts)])
     witness += [-1] * (len(parts) - len(witness))
     sizes = [len(part) for part in parts]
     target = np.repeat(witness, sizes)
-    masks = _support_masks(m, min(s, m // 2))
+    masks = _mask_array(m, s).tolist()
     hit = np.zeros(values.size, dtype=bool)
     for mask in masks:
         hit |= _apply_mask(values, mask) == target
@@ -303,7 +266,7 @@ def verify_clique_partition(partition: CliquePartition) -> bool:
     for k in np.unique(part_of[~hit]).tolist():
         if sizes[k] <= 1:
             continue
-        image_sets = [{_apply_mask(x.value, mask) for mask in masks} for x in parts[k]]
+        image_sets = [{_apply_mask(x, mask) for mask in masks} for x in parts[k]]
         if set.intersection(*image_sets):
             continue
         if not all(a & b for a, b in itertools.combinations(image_sets, 2)):

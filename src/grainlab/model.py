@@ -75,9 +75,6 @@ class Word:
     def render(self) -> str:
         return format(self.value, f"0{self.n}b")
 
-    def complement(self) -> "Word":
-        return Word(self.n, self.value ^ ((1 << self.n) - 1))
-
     def __str__(self) -> str:
         return self.render()
 
@@ -219,14 +216,6 @@ def _iter_supports(n: int, t: int) -> Iterator[tuple[int, ...]]:
     yield from rec(2)
 
 
-@lru_cache(maxsize=256)
-def _support_masks(n: int, t: int) -> tuple[int, ...]:
-    """Masks (Word packing) of all error vectors, enumeration order."""
-    return tuple(
-        sum(1 << (n - j) for j in supp) for supp in _iter_supports(n, t)
-    )
-
-
 def enumerate_error_vectors(n: int, t: int) -> list[ErrorVector]:
     """All error vectors of length n, weight <= t, support-lex order.
 
@@ -336,9 +325,12 @@ def image_count_lower_bound(r: int, t: int) -> int:
 
 @lru_cache(maxsize=256)
 def _mask_array(n: int, t: int) -> np.ndarray:
+    """Masks (Word packing) of all error vectors of length n and weight
+    <= t, in enumeration order, as a read-only int64 array."""
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
-    masks = np.array(_support_masks(n, min(t, n // 2)), dtype=np.int64)
+    supports = _iter_supports(n, min(t, n // 2))
+    masks = np.array([sum(1 << (n - j) for j in supp) for supp in supports], dtype=np.int64)
     masks.flags.writeable = False
     return masks
 
@@ -385,17 +377,3 @@ def preimage_counts(n: int, t: int) -> np.ndarray:
         counts += (d & mask) == 0
     return counts
 
-
-def grain_preimages(m: int, s: int) -> dict[Word, frozenset[Word]]:
-    """For every y in {0,1}^m, the set of words x whose image set
-    (budget s) contains y.  The union of these sets is all of {0,1}^m,
-    since every word is its own image under the empty pattern."""
-    caps = get_caps()
-    if m > caps.preimage_m:
-        raise CapExceeded(f"m={m} exceeds preimage_m={caps.preimage_m}")
-    if m < 1 or s < 0:
-        raise PreconditionError("need m >= 1 and s >= 0")
-    return {
-        Word(m, y): frozenset(Word(m, x) for x in preimage_values(y, m, s).tolist())
-        for y in range(1 << m)
-    }

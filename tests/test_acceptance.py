@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grainlab.bounds import (
@@ -60,6 +61,7 @@ from grainlab.graph import (
 from grainlab.model import (
     ErrorVector,
     Word,
+    _mask_array,
     apply_grains,
     count_error_vectors,
     enumerate_error_vectors,
@@ -96,6 +98,15 @@ def words(n):
     return (Word(n, v) for v in range(1 << n))
 
 
+def image_counts(n, t):
+    """len(grain_images(x, t)) for every x of length n, in one numpy
+    pass: the number of support masks inside the run-boundary mask
+    d(x) = x ^ (x >> 1) (closed form (a) of model.image_values)."""
+    xs = np.arange(1 << n, dtype=np.int64)
+    d = xs ^ (xs >> 1)
+    return ((_mask_array(n, t) & ~d[:, None]) == 0).sum(axis=1).tolist()
+
+
 def test_criterion_1_grain_operator_fidelity():
     with criterion(1, "grain-operator worked examples", limit=None):
         e = ErrorVector(15, (4, 7, 9, 14))
@@ -114,14 +125,17 @@ def test_criterion_1_grain_operator_fidelity():
 def test_criterion_2_image_counts_and_lower_bound():
     with criterion(2, "image-count identities (n<=16) and worst-case bound "
                       "(n<=12, t<=3)", limit=60):
+        # the bulk counts are the sizes grain_images returns
+        for n in range(1, 9):
+            for t in range(0, 4):
+                assert image_counts(n, t) == [len(grain_images(w, t)) for w in words(n)]
         for n in range(1, 17):
-            for w in words(n):
-                assert len(grain_images(w, 1)) == run_count(w)
+            assert image_counts(n, 1) == [run_count(w) for w in words(n)]
         for n in range(1, 13):
-            for w in words(n):
-                r = run_count(w)
-                for t in range(0, 4):
-                    assert image_count_lower_bound(r, t) <= len(grain_images(w, t))
+            runs = [run_count(w) for w in words(n)]
+            for t in range(0, 4):
+                for r, count in zip(runs, image_counts(n, t)):
+                    assert image_count_lower_bound(r, t) <= count
 
 
 def test_criterion_3_error_vector_count_formula():

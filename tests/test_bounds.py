@@ -8,7 +8,6 @@ from grainlab.bounds import (
     ASYMPTOTIC_UPPER_TAU_MAX,
     INFORMED_TAU_MAX,
     REFERENCE_PARTITION_SIZES,
-    RatePoint,
     asymptotic_upper_rate,
     asymptotic_upper_root,
     binary_entropy,
@@ -317,10 +316,6 @@ class TestRateCurves:
         }
         rows = rate_curves([0.1, 0.25], entries)
         assert all(0 <= row[3] <= 1 for row in rows)
-
-    def test_rate_point_validation(self):
-        with pytest.raises(PreconditionError):
-            RatePoint(0.1, 1.5, "gv")
 
 
 class TestSandwichAgainstExact:

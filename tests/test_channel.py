@@ -125,8 +125,6 @@ class TestChannelSpec:
         with pytest.raises(PreconditionError):
             ChannelSpec(1.5)
         with pytest.raises(PreconditionError):
-            ChannelSpec(0.5, depth=1)
-        with pytest.raises(PreconditionError):
             ChannelSpec(0.5, initial=(2, 0))
 
 

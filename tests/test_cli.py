@@ -103,6 +103,22 @@ class TestCsvCommands:
         )
         assert code == 2 and "single" in err
 
+    @pytest.mark.parametrize(
+        "m,s,digest",
+        [
+            (8, 1, "d26af6529a0580e50fc74e94417529386c195672f7c142ad95aae274e50ba39e"),
+            (8, 2, "42a7f248e66b3399656e8985a1053d31392cbb62ea8154d45641a107c6100f07"),
+            (10, 3, "21cfd01c028a396211981af90c79db57e4ec951a42010967652eb625a134d348"),
+        ],
+    )
+    def test_clique_table_parts_digest(self, capsys, tmp_path, m, s, digest):
+        parts = tmp_path / "partition.txt"
+        code, _, _ = run_cli(
+            capsys, "clique-table", "--m", str(m), "--s", str(s), "--parts", str(parts)
+        )
+        assert code == 0
+        assert hashlib.sha256(parts.read_bytes()).hexdigest() == digest
+
     def test_byte_identical_rerun(self, capsys):
         argv = ["fig3", "--grid", "0:1:0.25", "--J", "15"]
         _, first, _ = run_cli(capsys, *argv)
@@ -310,14 +326,14 @@ class TestErrorPaths:
     def test_config_file_caps_end_with_the_call(self, capsys, tmp_path):
         before = dataclasses.asdict(get_caps())
         cfg = tmp_path / "caps.cfg"
-        cfg.write_text("error_enum_n=30\ngraph_n=12\n")
+        cfg.write_text("error_enum_n=30\npartition_m=12\n")
         code, _, _ = run_cli(
             capsys, "--config", str(cfg), "phi", "--x", "0" * 30, "--t", "1"
         )
         assert code == 0
         assert dataclasses.asdict(get_caps()) == before
         bad = tmp_path / "bad.cfg"
-        bad.write_text("graph_n=12\nnot_a_cap=1\n")
+        bad.write_text("partition_m=12\nnot_a_cap=1\n")
         code, _, err = run_cli(
             capsys, "--config", str(bad), "phi", "--x", "01", "--t", "1"
         )
@@ -337,8 +353,8 @@ class TestCapsOverride:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"graph_n": 12, "bogus": 1}, "unknown cap name: 'bogus'"),
-            ({"graph_n": "twelve"}, "bad cap value graph_n='twelve'"),
+            ({"partition_m": 12, "bogus": 1}, "unknown cap name: 'bogus'"),
+            ({"partition_m": "twelve"}, "bad cap value partition_m='twelve'"),
         ],
     )
     def test_validation_messages_and_no_partial_update(self, kwargs, message):
@@ -375,6 +391,20 @@ class TestEnvCaps:
             },
         )
         assert proc.returncode == 3
+
+    def test_env_unknown_cap_exits_2(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "grainlab.cli", "phi", "--x", "01", "--t", "1"],
+            capture_output=True,
+            text=True,
+            env={
+                "PATH": "",
+                "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+                "GRAINLAB_CAPS": "graph_n=12",
+            },
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unknown cap name: 'graph_n'\n"
 
 
 class TestBenchRecord:

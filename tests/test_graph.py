@@ -6,7 +6,7 @@ from grainlab.errors import CapExceeded
 from grainlab.graph import (
     CliquePartition,
     _half_adjacency,
-    build_graph,
+    _neighbor_values,
     greedy_clique_partition,
     max_code_size,
     partition_size_table,
@@ -78,8 +78,8 @@ def greedy_partition_scan(m, s):
         for x in part:
             for y in images[x]:
                 buckets[y].discard(x)
-        parts.append(tuple(Word(m, x) for x in part))
-        witnesses.append(Word(m, best_y))
+        parts.append(tuple(part))
+        witnesses.append(best_y)
     return tuple(parts), tuple(witnesses)
 
 
@@ -93,43 +93,44 @@ def half_adjacency_ref(n, t):
     ]
 
 
+def edges_kernel(n, t):
+    """Edges from the kernel's neighbour relation, as sorted Word pairs."""
+    return {
+        (Word(n, x), Word(n, o))
+        for x in range(1 << n)
+        for o in _neighbor_values(x, n, t)
+        if o > x
+    }
+
+
 # ---------------------------------------------------------------------------
 # graph construction
 # ---------------------------------------------------------------------------
 
 
 class TestBuildGraph:
+    """The edge relation the exact search builds from the kernel
+    (_neighbor_values), over the whole space."""
+
     def test_edges_2_1(self):
-        g = build_graph(2, 1)
-        got = set(g.edges())
-        assert got == {
+        assert edges_kernel(2, 1) == {
             (Word.parse("00"), Word.parse("01")),
             (Word.parse("10"), Word.parse("11")),
         }
 
     def test_budget_zero_no_edges(self):
-        g = build_graph(4, 0)
-        assert list(g.edges()) == []
-
-    def test_vertex_count(self):
-        assert build_graph(5, 1).vertex_count == 32
+        assert edges_kernel(4, 0) == set()
 
     @pytest.mark.parametrize("n,t", [(3, 1), (4, 1), (4, 2), (5, 1)])
     def test_matches_pairwise_oracle(self, n, t):
-        g = build_graph(n, t)
-        assert set(g.edges()) == edges_brute(n, t)
+        assert edges_kernel(n, t) == edges_brute(n, t)
 
     def test_degree_of_010(self):
-        g = build_graph(3, 1)
         w = Word.parse("010")
         expected = sum(
             1 for other in words(3) if other != w and confusable(w, other, 1)
         )
-        assert g.degree(w) == expected
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            build_graph(17, 1)
+        assert len(_neighbor_values(w.value, 3, 1)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +232,21 @@ class TestGreedyPartition:
             part = greedy_clique_partition(m, s)
             assert (part.parts, part.witnesses) == greedy_partition_scan(m, s), s
 
+    def test_builds_no_word(self, monkeypatch):
+        built = []
+        post_init = Word.__post_init__
+
+        def counting(word):
+            built.append(word)
+            post_init(word)
+
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        part = greedy_clique_partition(10, 2)
+        assert verify_clique_partition(part)
+        assert built == []
+        Word(3, 5)  # the probe itself counts
+        assert len(built) == 1
+
     def test_deterministic(self):
         a = greedy_clique_partition(6, 1)
         b = greedy_clique_partition(6, 1)
@@ -253,49 +269,40 @@ class TestGreedyPartition:
 
 class TestVerifyPartition:
     def test_invalid_pair_part_rejected(self):
-        bad = CliquePartition(
-            2,
-            1,
-            (
-                (Word.parse("00"), Word.parse("11")),
-                (Word.parse("01"), Word.parse("10")),
-            ),
-            (Word.parse("00"), Word.parse("01")),
-        )
+        bad = CliquePartition(2, 1, ((0b00, 0b11), (0b01, 0b10)), (0b00, 0b01))
         assert not verify_clique_partition(bad)
 
     def test_singleton_partition_accepted(self):
-        parts = tuple((w,) for w in words(3))
-        part = CliquePartition(3, 1, parts, tuple(words(3)))
+        parts = tuple((v,) for v in range(8))
+        part = CliquePartition(3, 1, parts, tuple(range(8)))
         assert verify_clique_partition(part)
 
     def test_part_without_witness_still_checked(self):
         # witnesses shorter than parts: the unwitnessed non-clique part
         # must still fail the pairwise check
-        part = CliquePartition(
-            2,
-            1,
-            (
-                (Word.parse("01"),),
-                (Word.parse("00"), Word.parse("11")),
-                (Word.parse("10"),),
-            ),
-            (Word.parse("01"),),
-        )
+        part = CliquePartition(2, 1, ((0b01,), (0b00, 0b11), (0b10,)), (0b01,))
         assert not verify_clique_partition(part)
 
     def test_missing_coverage_rejected(self):
-        part = CliquePartition(
-            2, 1, ((Word.parse("00"), Word.parse("01")),), (Word.parse("00"),)
-        )
+        part = CliquePartition(2, 1, ((0b00, 0b01),), (0b00,))
+        assert not verify_clique_partition(part)
+
+    def test_member_out_of_range_rejected(self):
+        # 0b111 agrees with 0b11 in the low m bits
+        for parts in (((0, 1), (2, 3), (4,)), ((0, 1), (2, 0b111))):
+            part = CliquePartition(2, 1, parts, (0, 3, 4)[: len(parts)])
+            assert not verify_clique_partition(part), parts
+
+    def test_member_repeated_across_parts_rejected(self):
+        part = CliquePartition(2, 1, ((0, 1), (1,), (2, 3)), (0, 1, 3))
         assert not verify_clique_partition(part)
 
     def test_clique_without_common_witness_accepted(self):
         # a genuine clique whose members share no single image: the
         # verifier must fall back to the pairwise check and accept it
-        clique = (Word.parse("0001"), Word.parse("0010"), Word.parse("0011"))
-        assert not frozenset.intersection(*(grain_images(w, 1) for w in clique))
-        rest = tuple((w,) for w in words(4) if w not in clique)
+        clique = (0b0001, 0b0010, 0b0011)
+        assert not frozenset.intersection(*(grain_images(Word(4, v), 1) for v in clique))
+        rest = tuple((v,) for v in range(16) if v not in clique)
         part = CliquePartition(4, 1, (clique,) + rest, ())
         assert verify_clique_partition(part)
 
