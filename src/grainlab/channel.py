@@ -19,10 +19,12 @@ the symmetric information rate (SIR): the information rate under
 i.i.d. uniform inputs, computed here as the difference of two
 convergent series.
 
-The chain law is stated once, in _indicator_law (valid indicator
-masks, closed-form probabilities), which every exact finite-n oracle
-(output laws, mutual information, conditional error entropy) reads to
-validate the series by brute-force enumeration at desk scale.
+The indicators u_1..u_n are an error vector of the word x0 x_1..x_n,
+so model's kernel serves: every output is its grain operator on x0 x,
+x0 dropped.  The chain law is stated once, in _indicator_law (model's
+masks of length n + 1, closed-form probabilities), which every exact
+finite-n oracle (output laws, mutual information, conditional error
+entropy) reads to validate the series by enumeration at desk scale.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .bounds import binary_entropy
 from .config import get_caps
 from .errors import CapExceeded, PreconditionError
-from .model import Word
+from .model import Word, _apply_mask, _error_masks
 
 ERASURE = "e"
 _STAR_LEAF = 9  # axes one numpy pass of _star_entropy expands: 3^9 floats
@@ -72,24 +74,19 @@ def _stationary_weights(p: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=32)
-def _indicator_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All u_1..u_n with no two adjacent 1s, packed MSB-first and
-    ascending, with their numbers of 1s.  Fibonacci recurrence: the
-    k-cell masks are the (k-1)-cell ones followed by the (k-2)-cell
-    ones with bit k-1 set (bit k-2 is then forced to 0)."""
-    short = masks = short_ones = ones = np.zeros(1, np.int64)
-    for k in range(n):
-        short, masks = masks, np.concatenate([masks, short | (1 << k)])
-        short_ones, ones = ones, np.concatenate([ones, short_ones + 1])
-    masks.setflags(write=False)
-    ones.setflags(write=False)
-    return masks, ones
+def _indicator_rows(n: int) -> np.ndarray:
+    """Rows (u, ones): model's error vectors of x0 x_1..x_n, ascending,
+    and their weights; sorted once per n, for the laws of every p."""
+    rows = _error_masks(n + 1, n)
+    rows = rows[:, np.argsort(rows[0])]
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=128)
 def _indicator_law(n: int, p: float, u0: int) -> tuple[np.ndarray, np.ndarray]:
     """The law of u_1..u_n given u0: every valid mask (as in
-    _indicator_masks) with its probability, zero included.
+    _indicator_rows) with its probability, zero included.
 
     Each step from u_{i-1} = 0 contributes p for u_i = 1 and 1 - p for
     u_i = 0; each step from u_{i-1} = 1 is forced to 0 (factor 1) and
@@ -102,20 +99,13 @@ def _indicator_law(n: int, p: float, u0: int) -> tuple[np.ndarray, np.ndarray]:
     raise 0 to a negative power.
     """
     p = float(p)
-    masks, ones = _indicator_masks(n)
+    masks, ones = _indicator_rows(n)
     free = n - u0 - 2 * ones + (masks & 1)
     probs = p**ones * (1.0 - p) ** np.maximum(free, 0)
     if u0:
         probs[masks >> (n - 1) == 1] = 0.0
     probs.setflags(write=False)
     return masks, probs
-
-
-def _grains(x, u, x0: int, n: int):
-    """Grains output of the packed input x under the packed indicator u
-    (ints or int arrays): y_i = x_i, or x_{i-1} (x0 at i = 1) where
-    u_i = 1."""
-    return (x & ~u) | ((((x0 << n) | x) >> 1) & u)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +198,8 @@ def simulate_grains(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) -> W
     u_i = 0, otherwise the previous input bit (x0 at i = 1)."""
     rng = make_rng(seed, stream)
     u, _, x0 = sample_indicator(x.n, spec, rng)
-    return Word(x.n, _grains(x.value, Word.from_array(u).value, x0, x.n))
+    y = _apply_mask((x0 << x.n) | x.value, Word.from_array(u).value)
+    return Word(x.n, y & ((1 << x.n) - 1))
 
 
 def simulate_erasures(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) -> str:
@@ -228,7 +219,7 @@ def _fill(kept, erased, n: int, y0: int):
     an erasure."""
     if np.any(erased & (erased >> 1)):
         raise PreconditionError("adjacent erasures cannot be filled")
-    return kept | ((((y0 << n) | kept) >> 1) & erased)
+    return _apply_mask((y0 << n) | kept, erased) & ((1 << n) - 1)
 
 
 def cascade_fill(y: str | Sequence[str], y0: int) -> Word:
@@ -292,7 +283,8 @@ def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[Word, float]:
 
 def grains_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]:
     """Exact output distribution of the grains channel for input x."""
-    return _output_law(x, spec, lambda u, x0: _grains(x.value, u, x0, x.n))
+    cells = (1 << x.n) - 1
+    return _output_law(x, spec, lambda u, x0: _apply_mask((x0 << x.n) | x.value, u) & cells)
 
 
 def cascaded_erasure_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]:
@@ -558,7 +550,7 @@ def erasure_mi_exact(n: int, p: float) -> float:
     non-erased outputs are uniform.  Comes out to 1/(1+p) for every n.
     """
     _check_n(n, p, "channel_exact_n")
-    kept = n - _indicator_masks(n)[1]  # non-erased positions
+    kept = n - _indicator_rows(n)[1]  # non-erased positions
     mi = 0.0
     for u0, w in enumerate(_stationary_weights(p)):
         q = _indicator_law(n, p, u0)[1]

@@ -34,19 +34,22 @@ from .manifest import RunManifest, emit_csv, fmt, render_svg
 
 def _int_range(text: str) -> range:
     lo, _, hi = text.partition(":")
-    if not hi:
-        value = int(lo)
-        return range(value, value + 1)
-    return range(int(lo), int(hi) + 1)
+    try:
+        return range(int(lo), int(hi or lo) + 1)
+    except ValueError:
+        raise PreconditionError(f"bad range {text!r}, want a or a:b") from None
 
 
 def _float_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    try:
+        values = [float(p) for p in text.split(":")]
+    except ValueError:
+        values = []  # reported as a bad grid below
+    if len(values) == 1:
+        return values
+    if len(values) != 3:
         raise PreconditionError(f"bad grid {text!r}, want start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = values
     if step <= 0:
         raise PreconditionError("grid step must be positive")
     out = []
@@ -66,7 +69,10 @@ def _load_chi_table(path: str) -> dict[tuple[int, int], int]:
         line = raw.split("#", 1)[0].strip()
         if not line or line.lower().startswith("m,"):
             continue
-        m, s, parts = (int(tok) for tok in line.split(","))
+        try:
+            m, s, parts = (int(tok) for tok in line.split(","))
+        except ValueError:
+            raise PreconditionError(f"bad row {raw!r} in {path}, want m,s,parts") from None
         entries[(m, s)] = parts
     if not entries:
         raise PreconditionError(f"no (m,s,parts) rows in {path}")
@@ -166,6 +172,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.list < 1:
+        raise PreconditionError("--list must be >= 1")
     taus = _float_grid(args.tau_grid)
     chi = _load_chi_table(args.table) if args.table else None
     rows = []
@@ -241,6 +249,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise PreconditionError("--n must be >= 1")
     if args.stats:
         stats = channel.simulation_stats(args.n, args.p, args.seed, args.stream)
         for key in ("n", "p", "seed", "stream"):
@@ -408,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GrainlabError as exc:
+    except (GrainlabError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,8 @@ the recorded value at cell j+1 becomes a copy of the value at cell j.
 Grains of length 1 never corrupt anything, and length-2 grains cannot
 overlap, so the entire effect of a medium is captured by the set of
 second cells of its length-2 grains: an *error vector* with no 1 in
-position 1 and no two adjacent 1s.
+position 1 and no two adjacent 1s.  The channel's indicators are the
+error vectors of x0 x_1..x_n, so it reads these masks and operator.
 
 Everything here is pure and deterministic.  Words pack their bits into
 a Python int (leftmost bit = most significant) so the grain operator is
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -200,33 +201,13 @@ def count_error_vectors(n: int, t: int) -> int:
     return sum(math.comb(n - i, i) for i in range(0, t + 1) if n - i >= i)
 
 
-def _iter_supports(n: int, t: int) -> Iterator[tuple[int, ...]]:
-    """All valid supports in lexicographic order of the support tuple."""
-    stack: list[int] = []
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(stack)
-        if len(stack) == t:
-            return
-        for j in range(start, n + 1):
-            stack.append(j)
-            yield from rec(j + 2)
-            stack.pop()
-
-    yield from rec(2)
-
-
 def enumerate_error_vectors(n: int, t: int) -> list[ErrorVector]:
-    """All error vectors of length n, weight <= t, support-lex order.
-
-    t is clamped to floor(n/2), past which no new vectors exist (the
-    densest support is {2, 4, ...}).
-    """
+    """All error vectors of length n, weight <= t, support-lex order."""
     _check_image_cap(n)
-    if n < 1 or t < 0:
-        raise PreconditionError("need n >= 1 and t >= 0")
-    t = min(t, n // 2)
-    return [ErrorVector(n, supp) for supp in _iter_supports(n, t)]
+    return [
+        ErrorVector(n, tuple(j for j in range(2, n + 1) if mask >> (n - j) & 1))
+        for mask in _mask_array(n, t).tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +305,30 @@ def image_count_lower_bound(r: int, t: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _mask_array(n: int, t: int) -> np.ndarray:
-    """Masks (Word packing) of all error vectors of length n and weight
-    <= t, in enumeration order, as a read-only int64 array."""
+def _error_masks(n: int, t: int) -> np.ndarray:
+    """Rows (masks, weights) of all error vectors of length n and weight
+    <= t, masks in Word packing and support-lex order, as a read-only
+    int64 array.  With P_k the masks of length k, P_0 = P_1 = [0] and
+        P_k = [0] ++ (bit k-2 + the masks of P_{k-2} of weight < t)
+                  ++ P_{k-1}[1:]:
+    the empty support, then {2} u S for S a support on positions 4..k
+    (a length-(k-2) mask, all below bit k-2), then the nonempty supports
+    on 3..k (a length-(k-1) mask).  No mask of weight > t is built.
+    """
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
-    supports = _iter_supports(n, min(t, n // 2))
-    masks = np.array([sum(1 << (n - j) for j in supp) for supp in supports], dtype=np.int64)
-    masks.flags.writeable = False
-    return masks
+    empty = np.zeros((2, 1), np.int64)
+    short = rows = empty
+    for k in range(2, n + 1):
+        grown = short[:, short[1] < t] + [[1 << (k - 2)], [1]]
+        short, rows = rows, np.concatenate([empty, grown, rows[:, 1:]], axis=1)
+    rows.setflags(write=False)
+    return rows
+
+
+def _mask_array(n: int, t: int) -> np.ndarray:
+    """The masks row of _error_masks(n, t), read-only."""
+    return _error_masks(n, t)[0]
 
 
 def image_values(x, n: int, t: int) -> np.ndarray:

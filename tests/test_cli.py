@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import grainlab
 from grainlab.channel import ChannelSpec, make_rng, simulate_grains
 from grainlab.cli import main
 from grainlab.config import caps_override, get_caps
@@ -16,6 +17,8 @@ from grainlab.errors import PreconditionError
 from grainlab.model import Word
 
 ROOT = Path(__file__).resolve().parent.parent
+# the directory holding the imported grainlab package, for subprocesses
+PACKAGE_PATH = str(Path(grainlab.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +39,14 @@ class TestBasicCommands:
         )
         assert code == 0
         assert out.strip() == "100001100010000"
+
+    def test_phi_image_order_t2(self, capsys):
+        code, out, _ = run_cli(capsys, "phi", "--x", "01101001", "--t", "2")
+        assert code == 0
+        assert out == (
+            "01101001 00101001 00111001 00100001 00101101 00101000 01111001 "
+            "01111101 01111000 01100001 01100000 01101101 01101100 01101000\n"
+        )
 
     def test_phi_needs_t_or_e(self, capsys):
         code, _, err = run_cli(capsys, "phi", "--x", "01")
@@ -310,6 +321,35 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "verify-code", "--file", str(path), "--t", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--tau-grid", "0.1:x:0.1"],
+            ["clique-table", "--m", "2:x", "--s", "1"],
+            ["fig1", "--tau-grid", "0.1", "--table", "{tmp}/chi.csv"],
+            ["verify-code", "--file", "{tmp}/missing.txt", "--t", "1"],
+            ["verify-code", "--file", "{tmp}/binary.txt", "--t", "1"],
+            ["--config", "{tmp}/missing.cfg", "phi", "--x", "01", "--t", "1"],
+            ["simulate", "--n", "-3", "--p", "0.3", "--seed", "1"],
+            ["simulate", "--stats", "--n", "0", "--p", "0.3", "--seed", "1"],
+            ["bounds", "--tau-grid", "0.3", "--list", "0"],
+        ],
+        ids=["grid", "range", "chi-row", "code-file", "binary-file", "config-file",
+             "sim-n", "stats-n", "list"],
+    )
+    def test_malformed_input_exit_2(self, capsys, tmp_path, argv):
+        """Malformed text, a missing or undecodable input file or an
+        out-of-range count is a precondition violation: exit 2 with one
+        error line.  An uncaught exception fails this test before its
+        asserts."""
+        (tmp_path / "chi.csv").write_text("m,s,parts\n2,1\n")
+        (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["phi", "--x", "01", "--t", "1", "--bogus"])
@@ -373,7 +413,7 @@ class TestEnvCaps:
             text=True,
             env={
                 "PATH": "",
-                "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+                "PYTHONPATH": PACKAGE_PATH,
                 "GRAINLAB_CAPS": "error_enum_n=28",
             },
         )
@@ -386,7 +426,7 @@ class TestEnvCaps:
             text=True,
             env={
                 "PATH": "",
-                "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+                "PYTHONPATH": PACKAGE_PATH,
                 "GRAINLAB_CAPS": "error_enum_n=3",
             },
         )
@@ -399,7 +439,7 @@ class TestEnvCaps:
             text=True,
             env={
                 "PATH": "",
-                "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+                "PYTHONPATH": PACKAGE_PATH,
                 "GRAINLAB_CAPS": "graph_n=12",
             },
         )

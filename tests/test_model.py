@@ -11,6 +11,7 @@ from grainlab.model import (
     ErrorVector,
     GrainPattern,
     Word,
+    _mask_array,
     apply_grains,
     confusable,
     count_error_vectors,
@@ -218,6 +219,16 @@ class TestEnumeration:
     def test_deterministic_support_lex_order(self):
         got = [e.support for e in enumerate_error_vectors(5, 2)]
         assert got == sorted(got)
+        for n in range(1, 17):
+            for t in range(0, 5):
+                supports = sorted(
+                    supp
+                    for i in range(t + 1)
+                    for supp in itertools.combinations(range(2, n + 1), i)
+                    if all(b - a > 1 for a, b in zip(supp, supp[1:]))
+                )
+                masks = [sum(1 << (n - j) for j in supp) for supp in supports]
+                assert _mask_array(n, t).tolist() == masks, (n, t)
 
     def test_count_formula_n15_t4(self):
         expected = sum(math.comb(15 - i, i) for i in range(5))
@@ -229,10 +240,14 @@ class TestEnumeration:
         assert count_error_vectors(9, 0) == 1
         assert count_error_vectors(4, 1) == 1 + math.comb(3, 1)
 
-    @pytest.mark.parametrize("n", range(1, 21))
+    @pytest.mark.parametrize("n", [*range(1, 21), 32, 40])
     def test_count_matches_enumeration(self, n):
-        for t in range(0, 7):
-            assert len(enumerate_error_vectors(n, t)) == count_error_vectors(n, t)
+        # past the enumeration cap only the mask kernel runs; it is bounded
+        # by t, so n = 40 builds 743 masks, not the F(41) unbounded ones
+        for t in range(0, 7 if n <= 20 else 3):
+            if n <= 20:
+                assert len(enumerate_error_vectors(n, t)) == count_error_vectors(n, t)
+            assert _mask_array(n, t).size == count_error_vectors(n, t)
 
     def test_matches_brute_force_supports(self):
         for n in range(1, 10):
