@@ -105,6 +105,10 @@ def fixed_budget_upper(n: int, t: int) -> int:
     return math.ceil(value)
 
 
+#: tau <= 0.0706 is where the run-count asymptotic upper bound applies
+ASYMPTOTIC_UPPER_TAU_MAX = 0.0706
+
+
 def _root_equation(x: float, tau: float) -> float:
     return (
         binary_entropy((1.0 - x) / 2.0)
@@ -113,16 +117,17 @@ def _root_equation(x: float, tau: float) -> float:
     )
 
 
-def asymptotic_upper_root(tau: float, scan_step: float = 1e-4, tol: float = 1e-10) -> float:
+def asymptotic_upper_root(tau: float) -> float:
     """Smallest positive root x* of h((1-x)/2) + ((1-x)/4) h(4tau/(1-x)) = 1.
 
     The equation balances the two regimes of the run-count argument; a
     root in (0, 1-8 tau] exists exactly when h(4 tau) + 2 tau <= 1,
     i.e. for tau <= 0.0706.  Located by a sign-change scan from 0
-    (step scan_step, right endpoint included) followed by bisection.
+    (step 1e-4, right endpoint included) followed by bisection to 1e-10.
     """
-    if not 0 < tau <= 0.0706:
-        raise PreconditionError("tau outside (0, 0.0706]")
+    if not 0 < tau <= ASYMPTOTIC_UPPER_TAU_MAX:
+        raise PreconditionError(f"tau outside (0, {ASYMPTOTIC_UPPER_TAU_MAX}]")
+    scan_step, tol = 1e-4, 1e-10
     hi = 1.0 - 8.0 * tau
     lo = 0.0
     prev_x, prev_f = 0.0, _root_equation(0.0, tau)
@@ -235,9 +240,6 @@ def informed_rate_bounds(tau: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # curve generation
 # ---------------------------------------------------------------------------
-
-#: tau <= 0.0706 is where the run-count asymptotic upper bound applies
-ASYMPTOTIC_UPPER_TAU_MAX = 0.0706
 
 
 def clique_rate_min(tau: float, chi_entries=None) -> float:

@@ -23,6 +23,7 @@ are byte-identical across reruns of the same invocation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -35,9 +36,12 @@ from .manifest import RunManifest, emit_csv, fmt, render_svg
 def _int_range(text: str) -> range:
     lo, _, hi = text.partition(":")
     try:
-        return range(int(lo), int(hi or lo) + 1)
+        lo, hi = int(lo), int(hi or lo)
     except ValueError:
         raise PreconditionError(f"bad range {text!r}, want a or a:b") from None
+    if lo > hi:
+        raise PreconditionError(f"reversed range {text!r}, want a <= b")
+    return range(lo, hi + 1)
 
 
 def _float_grid(text: str) -> list[float]:
@@ -45,6 +49,8 @@ def _float_grid(text: str) -> list[float]:
         values = [float(p) for p in text.split(":")]
     except ValueError:
         values = []  # reported as a bad grid below
+    if not all(map(math.isfinite, values)):
+        raise PreconditionError(f"bad grid {text!r}, values must be finite")
     if len(values) == 1:
         return values
     if len(values) != 3:
@@ -52,6 +58,8 @@ def _float_grid(text: str) -> list[float]:
     start, stop, step = values
     if step <= 0:
         raise PreconditionError("grid step must be positive")
+    if start > stop:
+        raise PreconditionError(f"reversed grid {text!r}, want start <= stop")
     out = []
     i = 0
     while True:
@@ -166,8 +174,7 @@ def cmd_construct(args) -> int:
         codes.save_code(code, args.out, header=header)
         print(f"wrote {code.size} words of length {code.n} to {args.out}")
     else:
-        for w in code.sorted_words():
-            print(w)
+        print("\n".join(code.render()))
     return 0
 
 

@@ -15,21 +15,22 @@ Three constructions are provided:
 Arbitrary codes can be loaded from text files (one 0/1 word per line,
 '#' comments) and run through the verifiers.
 
-Word and Code are the API types; the verifiers and the decoder run on
-Code.values, the sorted packed codewords, through model's closed-form
-image kernel or the grain operator applied to the whole array.
+A Code is its sorted packed codewords (Code.values) and nothing else:
+the constructions and the code files produce and read ints, and Words
+are built only for the API (Code.words, Code.sorted_words() and the
+decoders' answers).  The verifiers and the decoder run on Code.values
+through model's closed-form image kernel or the grain operator applied
+to the whole array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import get_caps
+from .config import WORD_LEN_MAX, get_caps
 from .errors import CapExceeded, GrainlabError, PreconditionError
 from .model import (
     ErrorVector,
@@ -43,39 +44,55 @@ from .model import (
 _KERNEL_BLOCK = 1 << 20  # codewords x support masks per kernel call
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Code:
+    """A code of length n, held as its codewords' packed values.
+
+    The constructor takes a sequence or array of ints and keeps them as
+    one sorted, read-only array: int64, or Python ints past the 63 bits
+    int64 holds.  Every value must fit in n bits and none may repeat.
+    `words` and `sorted_words()` build the Word views on request.
+    """
+
     n: int
-    words: frozenset[Word]
+    values: np.ndarray
     provenance: str = "file"
 
     def __post_init__(self):
-        for w in self.words:
-            if w.n != self.n:
-                raise PreconditionError(
-                    f"codeword {w} has length {w.n}, expected {self.n}"
-                )
+        if not 1 <= self.n <= WORD_LEN_MAX:
+            raise PreconditionError(f"code length {self.n} outside 1..{WORD_LEN_MAX}")
+        values = np.sort(np.asarray(self.values, np.int64 if self.n < 64 else object))
+        if values.size and not 0 <= values[0] <= values[-1] < 1 << self.n:
+            raise PreconditionError(f"a codeword does not fit in {self.n} bits")
+        if (values[1:] == values[:-1]).any():
+            raise PreconditionError(f"duplicate codewords in {self.provenance}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return self.values.size
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The codewords' packed values in ascending order, read-only;
-        int64, or Python ints past the 63 bits int64 holds."""
-        dtype = np.int64 if self.n < 64 else object
-        values = np.array(sorted(w.value for w in self.words), dtype=dtype)
-        values.flags.writeable = False
-        return values
+    @property
+    def words(self) -> frozenset[Word]:
+        return frozenset(self.sorted_words())
 
     def sorted_words(self) -> list[Word]:
         return [Word(self.n, v) for v in self.values.tolist()]
+
+    def render(self) -> list[str]:
+        """The codewords as 0/1 strings, in ascending order."""
+        return [format(v, f"0{self.n}b") for v in self.values.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
+
+
+def _prefix_free_bit(values: np.ndarray, n: int) -> np.ndarray:
+    """Length-(n-1) values with a free bit prefixed at position 1."""
+    return np.concatenate([values, values + (1 << (n - 1))])
 
 
 def construct_doubling(n: int) -> Code:
@@ -85,28 +102,13 @@ def construct_doubling(n: int) -> Code:
     identical bit, and position 1 plus all even positions can never be
     overwritten otherwise, so every grain pattern fixes each codeword's
     even positions.  Size 2^ceil(n/2); odd lengths prefix a free bit.
+    Message bit i (from the right) becomes the pair 3 << 2i.
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
-    if n % 2 == 0:
-        half = n // 2
-        words = []
-        for msg in range(1 << half):
-            v = 0
-            for i in range(half):
-                b = (msg >> (half - 1 - i)) & 1
-                v = (v << 2) | (b << 1) | b
-            words.append(Word(n, v))
-    else:
-        if n == 1:
-            words = [Word(1, 0), Word(1, 1)]
-        else:
-            inner = construct_doubling(n - 1)
-            words = []
-            for w in inner.words:
-                words.append(Word(n, w.value))
-                words.append(Word(n, w.value | (1 << (n - 1))))
-    return Code(n, frozenset(words), "doubling")
+    half = np.arange(n // 2)
+    pairs = ((np.arange(1 << half.size)[:, None] >> half) & 1) @ (3 << 2 * half)
+    return Code(n, _prefix_free_bit(pairs, n) if n % 2 else pairs, "doubling")
 
 
 def decode_doubling(y: Word) -> Word | None:
@@ -116,14 +118,17 @@ def decode_doubling(y: Word) -> Word | None:
     For even n the duplicated pairs sit at (1,2), (3,4), ... and the
     even positions pass through every grain pattern unchanged.  For odd
     n the free prefix bit shifts the pairs to (2,3), (4,5), ..., so the
-    protected positions are 3, 5, ..., n instead.  Returns None for
-    n = 1 (empty message).
+    protected positions are 3, 5, ..., n instead.  Either way they are
+    bits 0, 2, 4, ... of the packed value, last message bit first.
+    Returns None for n = 1 (empty message).
     """
-    start = 2 if y.n % 2 == 0 else 3
-    bits = [y.bit(i) for i in range(start, y.n + 1, 2)]
-    if not bits:
+    k = y.n // 2
+    if not k:
         return None
-    return Word.from_bits(bits)
+    msg = 0
+    for i in range(k):
+        msg |= (y.value >> 2 * i & 1) << i
+    return Word(k, msg)
 
 
 def hamming_prefix_size(m: int) -> int:
@@ -134,32 +139,6 @@ def hamming_prefix_size(m: int) -> int:
     return (1 << n) // n
 
 
-def _hamming_encode(msg_bits: Sequence[int], m: int) -> int:
-    """Encode into the [2^m - 1, 2^m - 1 - m] Hamming code.
-
-    Parity-check columns are the numbers 1..2^m-1 in binary, so parity
-    bits live at power-of-two positions and message bits fill the rest
-    in natural order.  Returned as a packed int, position 1 = MSB.
-    """
-    length = (1 << m) - 1
-    bits = [0] * (length + 1)  # 1-indexed
-    it = iter(msg_bits)
-    for pos in range(1, length + 1):
-        if pos & (pos - 1):  # not a power of two: data position
-            bits[pos] = next(it)
-    for a in range(m):
-        parity_pos = 1 << a
-        parity = 0
-        for pos in range(1, length + 1):
-            if pos != parity_pos and (pos >> a) & 1:
-                parity ^= bits[pos]
-        bits[parity_pos] = parity
-    value = 0
-    for pos in range(1, length + 1):
-        value = (value << 1) | bits[pos]
-    return value
-
-
 def construct_hamming_prefix(m: int) -> Code:
     """Prefix a free bit to every word of the [2^m-1, 2^m-1-m] Hamming
     code, yielding n = 2^m and 2^n/n codewords.
@@ -167,6 +146,10 @@ def construct_hamming_prefix(m: int) -> Code:
     The prefix bit is never corrupted (position 1), and a single grain
     error in positions 2..n is a single substitution there, which the
     Hamming code corrects; hence the code corrects one grain error.
+    Parity-check columns are the numbers 1..2^m-1 in binary, so each
+    data position p (not a power of two) together with the parity
+    positions 2^a summing to p is a codeword, and the code is the XOR
+    span of these 2^m-1-m generators.
     Materializing the codebook is capped (caps.hamming_m, default 4):
     m = 5 already means 2^27 words.
     """
@@ -178,29 +161,24 @@ def construct_hamming_prefix(m: int) -> Code:
             f"m={m} would materialize {hamming_prefix_size(m)} words; "
             f"cap hamming_m={caps.hamming_m}"
         )
-    length = (1 << m) - 1
-    k = length - m
     n = 1 << m
-    words = []
-    for msg in range(1 << k):
-        msg_bits = [(msg >> (k - 1 - i)) & 1 for i in range(k)]
-        inner = _hamming_encode(msg_bits, m)
-        words.append(Word(n, inner))
-        words.append(Word(n, inner | (1 << (n - 1))))
-    return Code(n, frozenset(words), "hamming-prefix")
+    span = np.zeros(1, dtype=np.int64)
+    for p in range(3, n):
+        if p & (p - 1):  # not a power of two: data position
+            positions = [p] + [1 << a for a in range(m) if p >> a & 1]
+            gen = sum(1 << (n - 1 - q) for q in positions)
+            span = np.concatenate([span, span ^ gen])
+    return Code(n, _prefix_free_bit(span, n), "hamming-prefix")
 
 
-def construct_greedy_known(
-    n: int, t: int, order: Sequence[int] | None = None
-) -> Code:
+def construct_greedy_known(n: int, t: int) -> Code:
     """Greedy code for grain locations known to the decoder.
 
-    Sweeps candidates (numeric ascending unless an order permutation is
-    given) and keeps any word not reachable from a kept word by XOR
-    with an error vector.  When the sweep ends, the XOR balls cover
-    {0,1}^n, so the result has at least 2^n / #error-vectors words, and
-    no two codewords can ever map to the same recorded word under a
-    common pattern.
+    Sweeps candidates in numeric order and keeps any word not reachable
+    from a kept word by XOR with an error vector.  When the sweep ends,
+    the XOR balls cover {0,1}^n, so the result has at least
+    2^n / #error-vectors words, and no two codewords can ever map to
+    the same recorded word under a common pattern.
     """
     caps = get_caps()
     if n > caps.greedy_code_n:
@@ -208,21 +186,13 @@ def construct_greedy_known(
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
     masks = _mask_array(n, t)
-    total = 1 << n
-    if order is None:
-        candidates: Iterable[int] = range(total)
-    else:
-        if sorted(order) != list(range(total)):
-            raise PreconditionError("order must be a permutation of 0..2^n-1")
-        candidates = order
-    forbidden = np.zeros(total, dtype=bool)
-    words = []
-    for xv in candidates:
-        if forbidden[xv]:
-            continue
-        words.append(Word(n, xv))
-        forbidden[xv ^ masks] = True
-    return Code(n, frozenset(words), "greedy-known")
+    forbidden = np.zeros(1 << n, dtype=bool)
+    kept = []
+    for xv in range(1 << n):
+        if not forbidden[xv]:
+            kept.append(xv)
+            forbidden[xv ^ masks] = True
+    return Code(n, kept, "greedy-known")
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +272,24 @@ def decode_known_pattern(code: Code, y: Word, e: ErrorVector) -> Word:
 def parse_code_text(text: str) -> Code:
     """Code file format: one 0/1 word per line; '#' starts a comment;
     blank lines ignored; all words must share one length."""
-    words = []
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            words.append(Word.parse(line))
-        except PreconditionError as exc:
-            raise PreconditionError(f"line {lineno}: {exc}") from exc
-    if not words:
+        if line.strip("01"):
+            raise PreconditionError(f"line {lineno}: not a 0/1 string: {line!r}")
+        if len(line) > WORD_LEN_MAX:
+            raise PreconditionError(
+                f"line {lineno}: word length {len(line)} outside 1..{WORD_LEN_MAX}"
+            )
+        lines.append(line)
+    if not lines:
         raise PreconditionError("code file contains no words")
-    n = words[0].n
-    if any(w.n != n for w in words):
+    n = len(lines[0])
+    if any(len(line) != n for line in lines):
         raise PreconditionError("codewords have mixed lengths")
-    if len(set(words)) != len(words):
-        raise PreconditionError("duplicate codewords in file")
-    return Code(n, frozenset(words), "file")
+    return Code(n, [int(line, 2) for line in lines], "file")
 
 
 def load_code(path: str | Path) -> Code:
@@ -330,5 +301,5 @@ def save_code(code: Code, path: str | Path, header: str | None = None) -> None:
     if header:
         lines.extend(f"# {line}" for line in header.splitlines())
     lines.append(f"# length {code.n}, {code.size} words, provenance {code.provenance}")
-    lines.extend(str(w) for w in code.sorted_words())
+    lines.extend(code.render())
     Path(path).write_text("\n".join(lines) + "\n")

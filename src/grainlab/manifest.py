@@ -93,12 +93,10 @@ def emit_csv(
     return text
 
 
-def render_svg(
-    header: Sequence[str], rows: Sequence[Sequence], width: int = 640, height: int = 480
-) -> str:
-    """Bare-bones polyline rendering of a CSV table: column 0 is x,
-    every other numeric column becomes one polyline.  Convenience only;
-    the CSV is the contract."""
+def render_svg(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Bare-bones 640x480 polyline rendering of a CSV table: column 0 is
+    x, every other numeric column becomes one polyline.  Convenience
+    only; the CSV is the contract."""
     xs = [float(r[0]) for r in rows]
     if not xs:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>\n"
@@ -114,7 +112,7 @@ def render_svg(
     all_y = [y for _, pts in series for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(all_y + [0.0]), max(all_y + [1.0])
-    pad = 40
+    width, height, pad = 640, 480, 40
 
     def sx(x):
         return pad + (x - x_lo) / (x_hi - x_lo or 1.0) * (width - 2 * pad)

@@ -250,6 +250,25 @@ class TestCodesCommands:
         )
         assert "false" in out
 
+    def test_construct_doubling_stdout_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "--kind", "doubling", "--n", "8")
+        assert code == 0
+        assert out == "".join(f"{w}\n" for w in [
+            "00000000", "00000011", "00001100", "00001111",
+            "00110000", "00110011", "00111100", "00111111",
+            "11000000", "11000011", "11001100", "11001111",
+            "11110000", "11110011", "11111100", "11111111",
+        ])
+
+    def test_construct_greedy_known_stdout_pinned(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "construct", "--kind", "greedy-known", "--n", "10", "--t", "1"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1339523a6682a271ad557e01827e103f7066fc86254fd2638e3abf929f8a2887"
+        )
+
     def test_construct_greedy_known_stdout(self, capsys):
         code, out, _ = run_cli(
             capsys, "construct", "--kind", "greedy-known", "--n", "5", "--t", "1"
@@ -333,9 +352,14 @@ class TestErrorPaths:
             ["simulate", "--n", "-3", "--p", "0.3", "--seed", "1"],
             ["simulate", "--stats", "--n", "0", "--p", "0.3", "--seed", "1"],
             ["bounds", "--tau-grid", "0.3", "--list", "0"],
+            ["clique-table", "--m", "5:2", "--s", "1"],
+            ["fig1", "--tau-grid", "0.3:0.1:0.1"],
+            ["capacity", "--grid", "0:inf:0.1"],
+            ["fig3", "--grid", "0.1:0.2:nan"],
         ],
         ids=["grid", "range", "chi-row", "code-file", "binary-file", "config-file",
-             "sim-n", "stats-n", "list"],
+             "sim-n", "stats-n", "list", "reversed-range", "reversed-grid",
+             "inf-grid", "nan-step"],
     )
     def test_malformed_input_exit_2(self, capsys, tmp_path, argv):
         """Malformed text, a missing or undecodable input file or an

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -35,6 +36,27 @@ def words(n):
 
 
 # ---------------------------------------------------------------------------
+# the Code type
+# ---------------------------------------------------------------------------
+
+
+class TestCode:
+    def test_values_sorted_and_read_only(self):
+        code = Code(3, [0b111, 0b000, 0b010])
+        assert code.values.tolist() == [0b000, 0b010, 0b111]
+        assert code.size == 3 and not code.values.flags.writeable
+        assert [str(w) for w in code.sorted_words()] == ["000", "010", "111"]
+        assert code.words == {Word(3, 0), Word(3, 2), Word(3, 7)}
+
+    @pytest.mark.parametrize(
+        "n,values", [(2, [0b100]), (2, [-1]), (70, [1 << 70]), (0, []), (3, [5, 1, 5])]
+    )
+    def test_rejects_bad_values(self, n, values):
+        with pytest.raises(PreconditionError):
+            Code(n, values)
+
+
+# ---------------------------------------------------------------------------
 # bit-doubling construction
 # ---------------------------------------------------------------------------
 
@@ -62,6 +84,16 @@ class TestDoubling:
     def test_corrects_any_budget(self, n):
         code = construct_doubling(n)
         assert verify_grain_correcting(code, n // 2)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_pair_filter(self, n):
+        # reference: every word whose protected pairs hold equal bits
+        first = n % 2
+        expected = [
+            x for x in range(1 << n)
+            if format(x, f"0{n}b")[first::2] == format(x, f"0{n}b")[first + 1::2]
+        ]
+        assert construct_doubling(n).values.tolist() == expected
 
     def test_even_positions_pairwise_equal(self):
         for w in construct_doubling(8).words:
@@ -116,6 +148,23 @@ class TestHammingPrefix:
         for a, b in itertools.combinations(inner, 2):
             assert sum(x != y for x, y in zip(a, b)) >= 3
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_parity_check_filter(self, m):
+        # reference: the inner words whose set positions XOR to 0, which
+        # is the Hamming parity check with columns 1..2^m-1 in binary
+        n = 1 << m
+
+        def syndrome(x):
+            s = 0
+            for pos in range(1, n):
+                if x >> (n - 1 - pos) & 1:
+                    s ^= pos
+            return s
+
+        inner = [x for x in range(1 << (n - 1)) if syndrome(x) == 0]
+        expected = inner + [x | 1 << (n - 1) for x in inner]
+        assert construct_hamming_prefix(m).values.tolist() == expected
+
     def test_m_range(self):
         with pytest.raises(PreconditionError):
             construct_hamming_prefix(1)
@@ -159,17 +208,6 @@ class TestGreedyKnown:
         assert code.size * count_error_vectors(n, t) >= 2**n
         assert verify_known_pattern(code, t)
 
-    def test_custom_order_changes_code_but_not_validity(self):
-        base = construct_greedy_known(6, 1)
-        reordered = construct_greedy_known(6, 1, order=list(reversed(range(64))))
-        assert verify_known_pattern(reordered, 1)
-        assert reordered.size * count_error_vectors(6, 1) >= 64
-        assert base.words != reordered.words
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(PreconditionError):
-            construct_greedy_known(3, 1, order=[0, 1, 2])
-
     def test_cap(self):
         with pytest.raises(CapExceeded):
             construct_greedy_known(21, 1)
@@ -182,11 +220,11 @@ class TestGreedyKnown:
 
 class TestVerifiers:
     def test_shared_image_pair_rejected(self):
-        code = Code(2, frozenset({Word.parse("00"), Word.parse("01")}))
+        code = Code(2, [0b00, 0b01])
         assert not verify_grain_correcting(code, 1)
 
     def test_single_word_code(self):
-        code = Code(6, frozenset({Word.parse("010101")}))
+        code = Code(6, [0b010101])
         assert verify_grain_correcting(code, 3)
 
     def test_grain_correcting_implies_list_1(self):
@@ -196,17 +234,17 @@ class TestVerifiers:
             assert verify_list_decodable(code, t, 1)
 
     def test_list_2_accepts_the_pair(self):
-        code = Code(2, frozenset({Word.parse("00"), Word.parse("01")}))
+        code = Code(2, [0b00, 0b01])
         assert verify_list_decodable(code, 1, 2)
         assert not verify_list_decodable(code, 1, 1)
 
     def test_known_pattern_pair_counterexample(self):
         # the pattern with support {2} maps both 00 and 01 to 00
-        code = Code(2, frozenset({Word.parse("00"), Word.parse("01")}))
+        code = Code(2, [0b00, 0b01])
         assert not verify_known_pattern(code, 1)
 
     def test_known_pattern_budget_zero(self):
-        code = Code(3, frozenset({Word.parse("000"), Word.parse("111")}))
+        code = Code(3, [0b000, 0b111])
         assert verify_known_pattern(code, 0)
 
     @given(st.integers(min_value=2, max_value=7), st.data())
@@ -218,7 +256,7 @@ class TestVerifiers:
                 st.sampled_from(pool), min_size=size, max_size=size, unique=True
             )
         )
-        code = Code(n, frozenset(chosen))
+        code = Code(n, [c.value for c in chosen])
         if verify_grain_correcting(code, 1):
             assert verify_known_pattern(code, 1)
 
@@ -233,7 +271,7 @@ class TestVerifiers:
         chosen = data.draw(
             st.lists(st.sampled_from(words(n)), min_size=1, max_size=12, unique=True)
         )
-        code = Code(n, frozenset(chosen))
+        code = Code(n, [c.value for c in chosen])
         vectors = enumerate_error_vectors(n, t)
         images = {c: {apply_grains(c, e) for e in vectors} for c in chosen}
         for c in chosen:
@@ -281,7 +319,7 @@ class TestDecodeKnownPattern:
             decode_known_pattern(code, outside, e0)
 
     def test_ambiguous_code_reports_failure(self):
-        code = Code(2, frozenset({Word.parse("00"), Word.parse("01")}))
+        code = Code(2, [0b00, 0b01])
         e = enumerate_error_vectors(2, 1)[1]  # support {2}
         assert e.support == (2,)
         with pytest.raises(GrainlabError):
@@ -314,6 +352,30 @@ class TestCodeFiles:
         for c in code.words:
             assert decode_known_pattern(code, apply_grains(c, e), e) == c
 
+    @pytest.mark.parametrize(
+        "make,digest",
+        [
+            (lambda: construct_doubling(15),
+             "d555716f9232d5ed4e5ef6321836de09531fbb991042ea74af683a169ecbdeb6"),
+            (lambda: construct_doubling(16),
+             "68528b47bc2c064a35fc5e656ab565467f86afc11486d5ab868e0479c63de436"),
+            (lambda: construct_hamming_prefix(4),
+             "71353589e5541456f272687f2b03332fcafe6833edfb3868f197cf4353a35c72"),
+            (lambda: construct_greedy_known(12, 2),
+             "a8474c218a6ac3cfa8c58cbba3505314abf7453e64b2b1bbba09105f4e49e2a7"),
+            (lambda: construct_greedy_known(16, 2),
+             "4c41efb069fee774b1aeb5703b8c83f1b96239a05702ee718056946c264243d8"),
+            (lambda: parse_code_text("1" * 70 + "\n1" + "0" * 69 + "\n"),
+             "1a9595eb68aea7f624c01c50f5e8ea3fb847fef23cbaf84bfdb04bf48c556f3b"),
+        ],
+        ids=["doubling-15", "doubling-16", "hamming-prefix-4", "greedy-known-12-2",
+             "greedy-known-16-2", "file-70-bit"],
+    )
+    def test_saved_bytes_pinned(self, tmp_path, make, digest):
+        path = tmp_path / "code.txt"
+        save_code(make(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\n0011  # trailing comment\n1100\n"
         code = parse_code_text(text)
@@ -330,3 +392,27 @@ class TestCodeFiles:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             parse_code_text("# nothing here\n")
+
+
+def test_builds_no_word(monkeypatch, tmp_path):
+    """The constructions and the code files work on packed ints: a Word
+    is built only when the API hands one out."""
+    built = []
+    post_init = Word.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    path = tmp_path / "code.txt"
+    for code in (
+        construct_doubling(9),
+        construct_hamming_prefix(3),
+        construct_greedy_known(10, 2),
+    ):
+        save_code(code, path)
+        load_code(path)
+    assert built == []
+    construct_doubling(4).sorted_words()
+    assert len(built) == 4  # the counter sees the API's Words
