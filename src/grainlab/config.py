@@ -42,7 +42,9 @@ class Caps:
     # exact maximum-code-size search
     exact_m_n: int = 10
     exact_m_n_multi: int = 8          # applies when t >= 2
-    exact_m_time_limit: float = 0.0   # seconds; 0 disables the limit
+    # seconds per search; n <= 8 ends far inside it, n = 9 hits it and
+    # returns a lower bound flagged exact=False; 0 means no limit
+    exact_m_time_limit: float = 60.0
     # greedy known-pattern code construction (2^n candidates)
     greedy_code_n: int = 20
     # materializing the Hamming-prefix code (2^(2^m)/2^m words)

@@ -11,6 +11,14 @@ holds adjacency bitmasks of one half-space, the greedy partition an int32
 count array of |B(y)| over the uncovered words, and a CliquePartition
 the packed word values themselves.  Only the witness code of
 max_code_size carries Words.
+
+The exact search is a maximum-clique branch and bound on the complement
+of the half graph: bit-parallel greedy colouring at every node (BBMC,
+San Segundo et al., Computers & OR 2011) bounds the set size by the
+number of colour classes, and the Re-NUMBER step of MCS (Tomita et al.,
+WALCOM 2010) moves vertices into the classes that are never expanded.
+It proves n <= 8 (t = 1, 2) in under a second; n = 9 runs into the
+exact_m_time_limit budget and returns a lower bound flagged exact=False.
 """
 
 from __future__ import annotations
@@ -77,56 +85,119 @@ def _greedy_independent(adj: list[int]) -> tuple[int, int]:
             used |= adj[v] | (1 << v)
     return count, mask
 
+
+def _renumber(v: int, cadj: list[int], classes: list[int]) -> bool:
+    """Move v into one of the colour classes (all of them below the
+    branching threshold), as the Re-NUMBER step of MCS: into a class it
+    has no conflict with, or else into a class k1 where it conflicts
+    with exactly one vertex w that can move to a later class k2 free of
+    w's conflicts.  Returns whether v was placed."""
+    bit = 1 << v
+    conflicts = cadj[v]
+    for k, cls in enumerate(classes):
+        if not conflicts & cls:
+            classes[k] = cls | bit
+            return True
+    for k1 in range(len(classes) - 1):
+        w = conflicts & classes[k1]
+        if w & (w - 1):
+            continue
+        w_conflicts = cadj[w.bit_length() - 1]
+        for k2 in range(k1 + 1, len(classes)):
+            if not w_conflicts & classes[k2]:
+                classes[k2] |= w
+                classes[k1] ^= w | bit
+                return True
+    return False
+
+
 def _max_independent_set(
     adj: list[int], seed_count: int, seed_mask: int, deadline: float | None
 ) -> tuple[int, int, bool]:
-    """Branch and bound via maximum clique in the complement graph,
-    with a greedy-colouring bound (colour classes of the complement are
-    cliques of the original graph, so #colours bounds the set size).
-    Deterministic: vertices are ranked once by complement degree."""
+    """Branch and bound via maximum clique in the complement graph.
+
+    Vertices are relabelled once so that bit i is the i-th vertex by
+    descending complement degree.  Each node colours its candidates
+    bit-parallel, as BBMC (San Segundo et al., Computers & OR 2011):
+    class k takes the lowest uncoloured vertex, drops it and its
+    complement neighbours from the pool, and repeats, one big-int
+    operation per vertex.  Colour classes are independent in the
+    complement, hence cliques of the original graph, so the number of
+    classes bounds the set size.  With kmin = best - size + 1, the
+    classes below kmin are never expanded (MCQ); a vertex that would
+    open a class >= kmin is first re-numbered into a lower class, as
+    the Re-NUMBER step of MCS (Tomita et al., WALCOM 2010), which
+    about halves the node count.  The vertices left over are coloured
+    from kmin up and branched on, highest colour first.
+
+    Returns (size, mask, exact) with the mask in the original labels;
+    exact is False when the deadline stopped the search, and the seed
+    (or a better set found) is then only a lower bound.
+    Deterministic.
+    """
     nv = len(adj)
     full = (1 << nv) - 1
-    cadj = [(~adj[v]) & full & ~(1 << v) for v in range(nv)]
-    order = sorted(range(nv), key=lambda v: -cadj[v].bit_count())
-    best = [seed_count, seed_mask]
+    order = sorted(range(nv), key=lambda v: adj[v].bit_count())
+    label = [0] * nv
+    for i, v in enumerate(order):
+        label[v] = i
+
+    def relabel(mask: int) -> int:
+        return sum(1 << label[v] for v in range(nv) if (mask >> v) & 1)
+
+    radj = [relabel(adj[v]) for v in order]
+    cadj = [full & ~radj[i] & ~(1 << i) for i in range(nv)]
+    best = [seed_count, relabel(seed_mask)]
     timed_out = [False]
 
     def expand(size: int, chosen: int, candidates: int) -> None:
-        if timed_out[0]:
-            return
         if deadline is not None and time.monotonic() > deadline:
             timed_out[0] = True
             return
-        # greedy colouring of the candidate set
-        ranked: list[tuple[int, int]] = []
+        below = best[0] - size  # classes that can never beat best
         classes: list[int] = []
-        for v in order:
-            if not (candidates >> v) & 1:
-                continue
-            for ci, cmask in enumerate(classes):
-                if not (cadj[v] & cmask):
-                    classes[ci] = cmask | (1 << v)
-                    ranked.append((v, ci + 1))
-                    break
-            else:
-                classes.append(1 << v)
-                ranked.append((v, len(classes)))
-        ranked.sort(key=lambda vc: vc[1])
-        for v, colour in reversed(ranked):
+        pool = candidates
+        while pool and len(classes) < below:
+            rest, cls = pool, 0
+            while rest:
+                low = rest & -rest
+                cls |= low
+                rest &= radj[low.bit_length() - 1]
+            classes.append(cls)
+            pool ^= cls
+        rest = pool
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if _renumber(low.bit_length() - 1, cadj, classes):
+                pool ^= low
+        # colour the rest from kmin = below + 1 up; branch on them
+        branch: list[tuple[int, int]] = []
+        colour = below
+        while pool:
+            colour += 1
+            rest = pool
+            while rest:
+                low = rest & -rest
+                branch.append((low, colour))
+                pool ^= low
+                rest &= radj[low.bit_length() - 1]
+        for bit, colour in reversed(branch):
             if size + colour <= best[0]:
                 return
             if size + 1 > best[0]:
                 best[0] = size + 1
-                best[1] = chosen | (1 << v)
-            rest = candidates & cadj[v]
+                best[1] = chosen | bit
+            rest = candidates & cadj[bit.bit_length() - 1]
             if rest:
-                expand(size + 1, chosen | (1 << v), rest)
+                expand(size + 1, chosen | bit, rest)
                 if timed_out[0]:
                     return
-            candidates &= ~(1 << v)
+            candidates ^= bit
 
     expand(0, 0, full)
-    return best[0], best[1], not timed_out[0]
+    mask = sum(1 << order[i] for i in range(nv) if (best[1] >> i) & 1)
+    return best[0], mask, not timed_out[0]
 
 
 def max_code_size(n: int, t: int, time_limit: float | None = None) -> MaxCodeResult:

@@ -1,12 +1,18 @@
 import itertools
+import random
 
 import pytest
 
+from grainlab.codes import Code, verify_grain_correcting
+from grainlab.config import Caps, caps_override
 from grainlab.errors import CapExceeded
 from grainlab.graph import (
     CliquePartition,
+    _greedy_independent,
     _half_adjacency,
+    _max_independent_set,
     _neighbor_values,
+    _renumber,
     greedy_clique_partition,
     max_code_size,
     partition_size_table,
@@ -50,6 +56,25 @@ def max_independent_brute(n, t):
         if best:
             break
     return best
+
+
+def mis_plain(adj, candidates):
+    """Maximum independent set size by include/exclude recursion over
+    adjacency bitmasks: no bound, no colouring, no ordering."""
+    if not candidates:
+        return 0
+    v = candidates.bit_length() - 1
+    rest = candidates & ~(1 << v)
+    return max(mis_plain(adj, rest), 1 + mis_plain(adj, rest & ~adj[v]))
+
+
+def random_adjacency(rng, nv, p):
+    adj = [0] * nv
+    for a, b in itertools.combinations(range(nv), 2):
+        if rng.random() < p:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
 
 
 def literal_images(n, t):
@@ -151,13 +176,55 @@ class TestMaxCodeSize:
     def test_matches_subset_oracle(self, n, t):
         assert max_code_size(n, t).size == max_independent_brute(n, t)
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize(
+        "n,t", [(n, t) for t in (1, 2, 3) for n in range(1, 7 if t == 1 else 8)]
+    )
+    def test_matches_plain_recursion(self, n, t):
+        adj = _half_adjacency(n, t)
+        assert max_code_size(n, t).size == 2 * mis_plain(adj, (1 << len(adj)) - 1)
+
+    def test_random_graphs_match_plain_recursion(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            nv = rng.randint(1, 18)
+            adj = random_adjacency(rng, nv, rng.choice([0.1, 0.3, 0.5, 0.8]))
+            size, mask, exact = _max_independent_set(adj, *_greedy_independent(adj), None)
+            assert exact and size == mask.bit_count() == mis_plain(adj, (1 << nv) - 1)
+            assert not any(adj[v] & mask for v in range(nv) if (mask >> v) & 1)
+
+    def test_renumber_keeps_classes_conflict_free(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(300):
+            nv = rng.randint(3, 14)
+            cadj = random_adjacency(rng, nv, 0.5)
+            v = nv - 1
+            classes = []
+            for u in range(v):  # sequential greedy colouring of the others
+                for k, c in enumerate(classes):
+                    if not cadj[u] & c:
+                        classes[k] = c | 1 << u
+                        break
+                else:
+                    classes.append(1 << u)
+            first_fit = any(not cadj[v] & c for c in classes)
+            placed = _renumber(v, cadj, classes)
+            outcomes.add((first_fit, placed))
+            members = [u for c in classes for u in range(nv) if (c >> u) & 1]
+            assert sorted(members) == list(range(v + placed))
+            for c in classes:
+                assert not any(cadj[u] & c for u in range(nv) if (c >> u) & 1)
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_witness_is_independent(self, n):
-        result = max_code_size(n, 1)
-        ws = result.words
-        assert len(ws) == result.size
-        for a, b in itertools.combinations(ws, 2):
-            assert not confusable(a, b, 1)
+        for t in (1, 2):
+            result = max_code_size(n, t)
+            ws = result.words
+            assert len(ws) == result.size, t
+            for a, b in itertools.combinations(ws, 2):
+                assert not confusable(a, b, t), t
+            assert verify_grain_correcting(Code(n, [w.value for w in ws]), t), t
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_at_least_doubling_code(self, n):
@@ -177,6 +244,16 @@ class TestMaxCodeSize:
         assert result.size >= 2 ** 4  # still a valid code
         for a, b in itertools.combinations(result.words, 2):
             assert not confusable(a, b, 1)
+
+    def test_default_budget_ends_n9(self):
+        assert Caps().exact_m_time_limit > 0
+        with caps_override(exact_m_time_limit=0.5):
+            result = max_code_size(9, 1)
+        assert not result.exact
+        assert result.size >= 32
+        values = [w.value for w in result.words]
+        for x in values:
+            assert not _neighbor_values(x, 9, 1) & set(values)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_half_adjacency_matches_reference(self, n):
