@@ -120,7 +120,7 @@ def cmd_confusable(args) -> int:
 
 
 def cmd_mnt(args) -> int:
-    result = graph.max_code_size(args.n, args.t, args.time_limit)
+    result = graph.max_code_size(args.n, args.t)
     status = "exact" if result.exact else "lower-bound (timed out)"
     print(f"max code size (n={args.n}, t={args.t}) = {result.size} [{status}]")
     print("witness: " + " ".join(str(w) for w in result.words))
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mnt", help="exact maximum grain-correcting code size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", help="seconds (0: no limit); sets exact_m_time_limit")
     p.set_defaults(func=cmd_mnt)
 
     p = sub.add_parser("clique-table", help="greedy clique-partition sizes")
@@ -411,12 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        pairs = {}
-        if args.config:
-            for line in Path(args.config).read_text().splitlines():
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    pairs.update(parse_cap_string(line))
+        pairs = parse_cap_string(Path(args.config).read_text()) if args.config else {}
+        if getattr(args, "time_limit", None) is not None:
+            pairs["exact_m_time_limit"] = args.time_limit  # flags win
         with caps_override(**pairs):
             return args.func(args)
     except PreconditionError as exc:

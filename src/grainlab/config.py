@@ -10,16 +10,20 @@ truncated.  Caps can be overruled (raised or lowered) via:
   * a key=value config file passed to the CLI (--config), which holds
     for that one CLI call, and
   * a `with caps_override(...)` block (tests, embedding code), which
-    restores the previous values when the block exits.
+    holds until the block exits.
 
-CLI flags always win over file/env settings.
+CLI flags always win over file/env settings.  Every source goes through
+Caps.replace, which checks each value and returns a new, frozen Caps.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
+import re
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -32,18 +36,16 @@ from .errors import PreconditionError
 WORD_LEN_MAX = 1_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Caps:
     # listing all error vectors of length n (grows like phi^n)
     error_enum_n: int = 24
     # the greedy clique partition (2^m vertices)
     partition_m: int = 16
-    partition_s: int = 4
-    # exact maximum-code-size search
+    # exact maximum-code-size search, for every t
     exact_m_n: int = 10
-    exact_m_n_multi: int = 8          # applies when t >= 2
-    # seconds per search; n <= 8 ends far inside it, n = 9 hits it and
-    # returns a lower bound flagged exact=False; 0 means no limit
+    # seconds per search; n <= 8 ends far inside it, n = 9 at t = 1 hits
+    # it and returns a lower bound flagged exact=False; 0 means no limit
     exact_m_time_limit: float = 60.0
     # greedy known-pattern code construction (2^n candidates)
     greedy_code_n: int = 20
@@ -53,52 +55,60 @@ class Caps:
     channel_exact_n: int = 20
     error_entropy_n: int = 14
 
-    def update_from_pairs(self, pairs: dict[str, str]) -> None:
-        fields = {f.name: f for f in dataclasses.fields(self)}
+    def replace(self, pairs: dict[str, str]) -> Caps:
+        """A copy with the named caps set.  Each value is parsed with
+        its default's type and must be finite and >= 0."""
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(self)}
+        values = {}
         for key, raw in pairs.items():
-            if key not in fields:
+            if key not in kinds:
                 raise PreconditionError(f"unknown cap name: {key!r}")
-            kind = fields[key].type
             try:
-                value = float(raw) if "float" in str(kind) else int(raw)
-            except ValueError as exc:
-                raise PreconditionError(f"bad cap value {key}={raw!r}") from exc
-            setattr(self, key, value)
+                values[key] = kinds[key](raw)
+            except ValueError:
+                values[key] = math.nan  # reported as a bad value below
+            if not 0 <= values[key] < math.inf:
+                raise PreconditionError(f"bad cap value {key}={raw!r}, want finite >= 0")
+        return dataclasses.replace(self, **values)
 
 
 def parse_cap_string(text: str) -> dict[str, str]:
-    """Parse 'key=value' pairs separated by commas, semicolons or whitespace."""
+    """Parse 'key=value' pairs separated by commas, semicolons, whitespace
+    or newlines; '#' starts a comment that runs to the end of its line."""
     pairs: dict[str, str] = {}
-    for chunk in text.replace(";", ",").replace(" ", ",").split(","):
-        chunk = chunk.strip()
+    for chunk in re.split(r"[,;\s]+", re.sub(r"#.*", "", text)):
         if not chunk:
             continue
         if "=" not in chunk:
             raise PreconditionError(f"malformed cap entry {chunk!r} (want key=value)")
         key, _, value = chunk.partition("=")
-        pairs[key.strip()] = value.strip()
+        pairs[key] = value
     return pairs
 
 
+_override: ContextVar[Caps | None] = ContextVar("grainlab_caps", default=None)
+
+
 @lru_cache(maxsize=1)
+def _env_caps() -> Caps:
+    return Caps().replace(parse_cap_string(os.environ.get("GRAINLAB_CAPS", "")))
+
+
 def get_caps() -> Caps:
-    """The process-wide caps: the defaults updated from GRAINLAB_CAPS on
-    first use, so a bad entry raises PreconditionError at a call (the
-    CLI exits 2), not at import."""
-    caps = Caps()
-    caps.update_from_pairs(parse_cap_string(os.environ.get("GRAINLAB_CAPS", "")))
-    return caps
+    """The caps in effect: the innermost caps_override, else the defaults
+    updated from GRAINLAB_CAPS on first use, so a bad entry raises
+    PreconditionError at a call (the CLI exits 2), not at import."""
+    return _override.get() or _env_caps()
 
 
 @contextmanager
 def caps_override(**kwargs) -> Iterator[Caps]:
-    """Override selected caps inside a with block, validated as the
-    GRAINLAB_CAPS pairs are; the previous values come back on exit,
-    also when the block (or the validation) raises."""
-    caps = get_caps()
-    saved = dataclasses.asdict(caps)
+    """The caps in effect with the given ones replaced, inside a with
+    block; the caps outside it come back on exit, also when the block
+    raises.  A bad value raises PreconditionError before the block runs."""
+    caps = get_caps().replace({k: str(v) for k, v in kwargs.items()})
+    token = _override.set(caps)
     try:
-        caps.update_from_pairs({k: str(v) for k, v in kwargs.items()})
         yield caps
     finally:
-        vars(caps).update(saved)
+        _override.reset(token)

@@ -17,8 +17,9 @@ of the half graph: bit-parallel greedy colouring at every node (BBMC,
 San Segundo et al., Computers & OR 2011) bounds the set size by the
 number of colour classes, and the Re-NUMBER step of MCS (Tomita et al.,
 WALCOM 2010) moves vertices into the classes that are never expanded.
-It proves n <= 8 (t = 1, 2) in under a second; n = 9 runs into the
-exact_m_time_limit budget and returns a lower bound flagged exact=False.
+It proves n <= 8 (t = 1, 2) in under a second and n = 9, 10 at t = 2..4
+in under 20 s; (9, 1) runs into the exact_m_time_limit budget and
+returns a lower bound flagged exact=False.
 """
 
 from __future__ import annotations
@@ -200,32 +201,30 @@ def _max_independent_set(
     return best[0], mask, not timed_out[0]
 
 
-def max_code_size(n: int, t: int, time_limit: float | None = None) -> MaxCodeResult:
+def max_code_size(n: int, t: int) -> MaxCodeResult:
     """Exact largest size of a length-n code correcting t grain errors,
     with a witness code attaining it.
 
     The search runs on the first-bit-0 half only: the halves are
     disconnected (the first bit survives every pattern) and complement
     equivariance makes them isomorphic, so the optimum is twice the
-    half optimum and the witness mirrors by complementation.  With a
-    time limit (seconds) the search may stop early; the result is then
-    flagged exact=False and is only a lower bound.
+    half optimum and the witness mirrors by complementation.  The search
+    stops after the exact_m_time_limit cap (seconds, 0 for no limit);
+    the result is then flagged exact=False and is only a lower bound.
     """
     caps = get_caps()
-    cap = caps.exact_m_n if t < 2 else caps.exact_m_n_multi
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds exact-search cap {cap} (t={t})")
+    if n > caps.exact_m_n:
+        raise CapExceeded(f"n={n} exceeds exact_m_n={caps.exact_m_n}")
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
-    if time_limit is None and caps.exact_m_time_limit > 0:
-        time_limit = caps.exact_m_time_limit
     if t == 0 or n == 1:
         words = tuple(Word(n, v) for v in range(1 << n))
         return MaxCodeResult(n, t, 1 << n, words, True)
 
     adj = _half_adjacency(n, t)
     seed_count, seed_mask = _greedy_independent(adj)
-    deadline = time.monotonic() + time_limit if time_limit else None
+    limit = caps.exact_m_time_limit
+    deadline = time.monotonic() + limit if limit else None
     half_size, half_mask, exact = _max_independent_set(
         adj, seed_count, seed_mask, deadline
     )
@@ -284,8 +283,6 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     caps = get_caps()
     if m > caps.partition_m:
         raise CapExceeded(f"m={m} exceeds partition_m={caps.partition_m}")
-    if s > caps.partition_s:
-        raise CapExceeded(f"s={s} exceeds partition_s={caps.partition_s}")
     if m < 1 or s < 0:
         raise PreconditionError("need m >= 1 and s >= 0")
 

@@ -1,9 +1,7 @@
-import dataclasses
-
 import pytest
 from hypothesis import HealthCheck, settings
 
-from grainlab.config import get_caps
+from grainlab.config import caps_override, get_caps
 
 settings.register_profile(
     "grainlab",
@@ -17,13 +15,10 @@ settings.load_profile("grainlab")
 
 @pytest.fixture(autouse=True)
 def hermetic_caps():
-    """Fail a test that leaves the process-wide caps changed, after
-    putting them back so that later tests start from the same caps."""
-    caps = get_caps()
-    before = dataclasses.asdict(caps)
-    yield
-    after = dataclasses.asdict(caps)
-    if after != before:
-        for name, value in before.items():
-            setattr(caps, name, value)
-        pytest.fail(f"test changed the caps: {before} -> {after}")
+    """Run each test in its own caps scope.  Leaving the scope undoes an
+    override the test leaked, and the test fails for the leak."""
+    with caps_override() as caps:
+        yield
+        after = get_caps()
+    if after is not caps:
+        pytest.fail(f"test changed the caps: {caps} -> {after}")

@@ -45,6 +45,7 @@ from grainlab.channel import (
     zero_error_rate,
 )
 from grainlab.codes import (
+    Code,
     construct_doubling,
     construct_greedy_known,
     construct_hamming_prefix,
@@ -364,3 +365,19 @@ def test_criterion_13_exact_sizes_sandwich_and_reference_data():
                 for m in range(2, n + 1)
             ]
             assert result.size <= min(admissible)
+
+
+@pytest.mark.parametrize("n,t,size", [(9, 2, 32), (9, 3, 32), (10, 3, 38), (10, 4, 34)])
+def test_exact_sizes_beyond_n8_sandwich(n, t, size):
+    """Exact sizes at t >= 2 past n = 8, each witness verified and under
+    every admissible clique-partition bound."""
+    result = max_code_size(n, t)
+    assert result.exact and result.size == size
+    assert verify_grain_correcting(Code(n, [w.value for w in result.words]), t)
+    admissible = [
+        clique_upper(n, t, m, s, greedy_clique_partition(m, s).size)
+        for m in range(2, n + 1)
+        for s in range(1, t + 1)
+        if t * m <= s * n
+    ]
+    assert result.size <= min(admissible)

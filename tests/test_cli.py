@@ -12,7 +12,7 @@ import pytest
 import grainlab
 from grainlab.channel import ChannelSpec, make_rng, simulate_grains
 from grainlab.cli import main
-from grainlab.config import caps_override, get_caps
+from grainlab.config import caps_override, get_caps, parse_cap_string
 from grainlab.errors import PreconditionError
 from grainlab.model import Word
 
@@ -429,17 +429,86 @@ class TestCapsOverride:
         assert dataclasses.asdict(get_caps()) == before
 
 
+class TestBadCapValues:
+    """nan, inf and a negative value are rejected by every caps source
+    before any search starts: exit 2 with one error line.  Accepted, the
+    first two would mean an unlimited search."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_time_limit_flag_and_config_file(self, capsys, tmp_path, value):
+        cfg = tmp_path / "caps.cfg"
+        cfg.write_text(f"exact_m_time_limit={value}\n")
+        # (9, 2) ends in well under a second, so an accepted value shows
+        # up as exit 0 or 3, not as a hang
+        for argv in (
+            ["mnt", "--n", "9", "--t", "2", "--time-limit", value],
+            ["--config", str(cfg), "mnt", "--n", "9", "--t", "2"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: bad cap value exact_m_time_limit=")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_caps_override(self, value):
+        with pytest.raises(PreconditionError, match="bad cap value exact_m_time_limit"):
+            with caps_override(exact_m_time_limit=value):
+                pass
+        with pytest.raises(PreconditionError, match="bad cap value partition_m"):
+            with caps_override(partition_m=value):
+                pass
+
+    @pytest.mark.parametrize(
+        "argv, caps",
+        [
+            (["--time-limit", "nan"], ""),
+            ([], "exact_m_time_limit=nan"),
+            ([], "exact_m_time_limit=inf"),
+            ([], "exact_m_time_limit=-1"),
+        ],
+        ids=["flag", "env-nan", "env-inf", "env-negative"],
+    )
+    def test_mnt_n9_exits_at_once(self, argv, caps):
+        proc = subprocess.run(
+            [sys.executable, "-m", "grainlab.cli", "mnt", "--n", "9", "--t", "1", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": PACKAGE_PATH, "GRAINLAB_CAPS": caps},
+            timeout=30,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: bad cap value exact_m_time_limit=")
+        assert proc.stderr.count("\n") == 1
+
+    def test_flag_wins_over_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "caps.cfg"
+        cfg.write_text("exact_m_time_limit=1e-9  # stop at once\n")
+        code, _, _ = run_cli(capsys, "--config", str(cfg), "mnt", "--n", "8", "--t", "2")
+        assert code == 3
+        code, out, _ = run_cli(
+            capsys, "--config", str(cfg), "mnt", "--n", "8", "--t", "2", "--time-limit", "0"
+        )
+        assert code == 0 and "= 22 [exact]" in out
+
+    def test_caps_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            get_caps().partition_m = 20
+
+    def test_parse_cap_string_comments_and_lines(self):
+        text = "# caps\nerror_enum_n=30, partition_m=12  # why\n\nhamming_m=3;exact_m_n=9\n"
+        assert parse_cap_string(text) == {
+            "error_enum_n": "30", "partition_m": "12", "hamming_m": "3", "exact_m_n": "9"
+        }
+
+
 class TestEnvCaps:
     def test_grainlab_caps_env(self):
         proc = subprocess.run(
             [sys.executable, "-m", "grainlab.cli", "phi", "--x", "0" * 26, "--t", "1"],
             capture_output=True,
             text=True,
-            env={
-                "PATH": "",
-                "PYTHONPATH": PACKAGE_PATH,
-                "GRAINLAB_CAPS": "error_enum_n=28",
-            },
+            env={**os.environ, "PYTHONPATH": PACKAGE_PATH,
+                 "GRAINLAB_CAPS": "error_enum_n=28"},
         )
         assert proc.returncode == 0
 
@@ -448,11 +517,8 @@ class TestEnvCaps:
             [sys.executable, "-m", "grainlab.cli", "phi", "--x", "0101", "--t", "1"],
             capture_output=True,
             text=True,
-            env={
-                "PATH": "",
-                "PYTHONPATH": PACKAGE_PATH,
-                "GRAINLAB_CAPS": "error_enum_n=3",
-            },
+            env={**os.environ, "PYTHONPATH": PACKAGE_PATH,
+                 "GRAINLAB_CAPS": "error_enum_n=3"},
         )
         assert proc.returncode == 3
 
@@ -461,11 +527,7 @@ class TestEnvCaps:
             [sys.executable, "-m", "grainlab.cli", "phi", "--x", "01", "--t", "1"],
             capture_output=True,
             text=True,
-            env={
-                "PATH": "",
-                "PYTHONPATH": PACKAGE_PATH,
-                "GRAINLAB_CAPS": "graph_n=12",
-            },
+            env={**os.environ, "PYTHONPATH": PACKAGE_PATH, "GRAINLAB_CAPS": "graph_n=12"},
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: unknown cap name: 'graph_n'\n"
