@@ -122,31 +122,40 @@ def asymptotic_upper_root(tau: float) -> float:
 
     The equation balances the two regimes of the run-count argument; a
     root in (0, 1-8 tau] exists exactly when h(4 tau) + 2 tau <= 1,
-    i.e. for tau <= 0.0706.  Located by a sign-change scan from 0
-    (step 1e-4, right endpoint included) followed by bisection to 1e-10.
+    i.e. for tau <= 0.0706.
+
+    The left side f is strictly decreasing on [0, 1-8 tau], so its first
+    sign change is its only one.  The term h((1-x)/2) falls because
+    (1-x)/2 falls within [4 tau, 1/2], where h rises.  With
+    a = 4 tau/(1-x), which rises with x, the second term is
+    tau h(a)/a, and h(a)/a falls because h is concave with h(0) = 0.
+    So bisection over the indices of the grid 0, step, ..., steps*step
+    (step 1e-4, then 1-8 tau if the grid stops short) finds the same
+    bracketing grid points as a scan from 0 would; a bisection of that
+    bracket to 1e-10 follows.
     """
     if not 0 < tau <= ASYMPTOTIC_UPPER_TAU_MAX:
         raise PreconditionError(f"tau outside (0, {ASYMPTOTIC_UPPER_TAU_MAX}]")
     scan_step, tol = 1e-4, 1e-10
     hi = 1.0 - 8.0 * tau
-    lo = 0.0
-    prev_x, prev_f = 0.0, _root_equation(0.0, tau)
-    if prev_f <= 0:
+    if _root_equation(0.0, tau) <= 0:
         raise PreconditionError("no positive root: equation non-positive at 0")
-    found = None
     steps = int(hi / scan_step)
-    grid = [i * scan_step for i in range(1, steps + 1)]
-    if not grid or grid[-1] < hi:
-        grid.append(hi)
-    for x in grid:
-        f = _root_equation(x, tau)
-        if f <= 0.0:
-            found = (prev_x, x)
-            break
-        prev_x = x
-    if found is None:
+    last = steps + 1 if steps == 0 or steps * scan_step < hi else steps
+
+    def grid(i: int) -> float:
+        return hi if i > steps else i * scan_step
+
+    if _root_equation(grid(last), tau) > 0.0:
         raise PreconditionError(f"no sign change in (0, {hi:.6g}]: tau outside validity")
-    lo, hi = found
+    lo_i, hi_i = 0, last
+    while hi_i - lo_i > 1:
+        mid = (lo_i + hi_i) // 2
+        if _root_equation(grid(mid), tau) > 0.0:
+            lo_i = mid
+        else:
+            hi_i = mid
+    lo, hi = grid(lo_i), grid(hi_i)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _root_equation(mid, tau) > 0.0:
@@ -253,15 +262,19 @@ def clique_rate_min(tau: float, chi_entries=None) -> float:
     return best
 
 
-def rate_curves(taus, chi_entries=None) -> list[tuple]:
-    """Rows (tau, gv_lower, prop2_upper, cor2_min, rn_lower) for each
-    grid point in (0, 1/2].
+def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
+    """Rows (tau, gv_lower, prop2_upper, cor2_min, rn_lower, list_rate,
+    informed_lower, informed_upper) for each grid point in (0, 1/2].
 
     gv_lower is 0 past tau = 1/4; prop2_upper (the run-count asymptotic
     upper bound) is empty (None) past its 0.0706 validity edge;
     cor2_min is the minimum clique-partition rate bound; rn_lower is
-    the constant 1/2 achieved by the bit-doubling code.
+    the constant 1/2 achieved by the bit-doubling code.  list_rate (for
+    lists of list_size words) and the informed pair are empty past
+    INFORMED_TAU_MAX.
     """
+    if list_size < 1:
+        raise PreconditionError("list size must be >= 1")
     rows = []
     for tau in taus:
         if not 0 < tau <= 0.5:
@@ -270,5 +283,12 @@ def rate_curves(taus, chi_entries=None) -> list[tuple]:
         upper = (
             asymptotic_upper_rate(tau) if tau <= ASYMPTOTIC_UPPER_TAU_MAX else None
         )
-        rows.append((tau, gv, upper, clique_rate_min(tau, chi_entries), 0.5))
+        if tau <= INFORMED_TAU_MAX:
+            list_rate = list_decoding_rate(tau, list_size)
+            informed = informed_rate_bounds(tau)
+        else:
+            list_rate, informed = None, (None, None)
+        rows.append(
+            (tau, gv, upper, clique_rate_min(tau, chi_entries), 0.5, list_rate, *informed)
+        )
     return rows

@@ -38,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import binary_entropy
-from .config import get_caps
-from .errors import CapExceeded, PreconditionError
+from .config import check_cap
+from .errors import PreconditionError
 from .model import Word, _apply_mask, _error_masks
 
 ERASURE = "e"
@@ -57,9 +57,7 @@ def _check(p: float | None = None, depth: int | None = None) -> None:
 
 def _check_n(n: int, p: float, cap: str, least: int = 1) -> None:
     """Reject n above the named cap, then n < least or p outside [0, 1]."""
-    limit = getattr(get_caps(), cap)
-    if n > limit:
-        raise CapExceeded(f"n={n} exceeds {cap}={limit}")
+    check_cap("n", n, cap)
     if n < least or not 0.0 <= p <= 1.0:
         raise PreconditionError(f"need n >= {least} and p in [0, 1]")
 
@@ -433,8 +431,7 @@ def truncation_error(p: float, depth: int) -> float:
 def truncation_error_pfree(depth: int) -> float:
     """p-independent form 2^-J + 2^-floor((J+1)/2) of the reported
     bound (its value at p = 0)."""
-    _check(depth=depth)
-    return math.ldexp(1.0, -depth) + math.ldexp(1.0, -((depth + 1) // 2))
+    return truncation_error(0.0, depth)
 
 
 def truncation_error_safe(p: float, depth: int) -> float:
@@ -514,7 +511,7 @@ def sir(p: float, depth: int = 64) -> SirResult:
             2.0 * survival, (1.0 + p / 2.0) * math.ldexp(1.0, -depth)
         ) / (1.0 + p),
         capacity_lower=max(0.5, value),
-        capacity_upper=1.0 / (1.0 + p),
+        capacity_upper=erasure_capacity(p),
     )
 
 

@@ -178,48 +178,20 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_bounds(args) -> int:
-    if args.list < 1:
-        raise PreconditionError("--list must be >= 1")
-    taus = _float_grid(args.tau_grid)
-    chi = _load_chi_table(args.table) if args.table else None
-    rows = []
-    for tau, gv, upper, cor2_min, rn in bounds_mod.rate_curves(taus, chi):
-        informed = (
-            bounds_mod.informed_rate_bounds(tau)
-            if tau <= bounds_mod.INFORMED_TAU_MAX
-            else (None, None)
-        )
-        list_rate = (
-            bounds_mod.list_decoding_rate(tau, args.list)
-            if tau <= bounds_mod.INFORMED_TAU_MAX
-            else None
-        )
-        rows.append(
-            (tau, gv, upper, cor2_min, rn, list_rate, informed[0], informed[1])
-        )
-    manifest = RunManifest(
-        "bounds",
-        {"tau_grid": args.tau_grid, "table": args.table or "builtin", "list": args.list},
-    )
-    _emit(
-        args,
-        ["tau", "gv_lower", "prop2_upper", "cor2_min", "rn_lower",
-         f"list_rate_L{args.list}", "informed_lower", "informed_upper"],
-        rows,
-        manifest,
-    )
-    return 0
+_RATE_COLUMNS = ("tau", "gv_lower", "prop2_upper", "cor2_min", "rn_lower",
+                 "list_rate_L{list}", "informed_lower", "informed_upper")
 
 
-def cmd_fig1(args) -> int:
-    taus = _float_grid(args.tau_grid)
+def cmd_rates(args) -> int:
+    """bounds and fig1: the first len(args.columns) columns of
+    rate_curves; the manifest records the args.params options."""
     chi = _load_chi_table(args.table) if args.table else None
-    rows = bounds_mod.rate_curves(taus, chi)
-    manifest = RunManifest(
-        "fig1", {"tau_grid": args.tau_grid, "table": args.table or "builtin"}
-    )
-    _emit(args, ["tau", "gv_lower", "prop2_upper", "cor2_min", "rn_lower"], rows, manifest)
+    rows = bounds_mod.rate_curves(_float_grid(args.tau_grid), chi, args.list)
+    table = args.table or "builtin"
+    options = {"tau_grid": args.tau_grid, "table": table, "list": args.list}
+    manifest = RunManifest(args.command, {key: options[key] for key in args.params})
+    header = [name.format(list=args.list) for name in args.columns]
+    _emit(args, header, [row[: len(header)] for row in rows], manifest)
     return 0
 
 
@@ -361,14 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", type=int, default=1, help="list size for the list bound")
     p.add_argument("--out")
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(
+        func=cmd_rates, columns=_RATE_COLUMNS, params=("tau_grid", "table", "list")
+    )
 
     p = sub.add_parser("fig1", help="asymptotic rate bound curves")
     p.add_argument("--tau-grid", required=True)
     p.add_argument("--table")
     p.add_argument("--out")
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_fig1)
+    p.set_defaults(
+        func=cmd_rates, columns=_RATE_COLUMNS[:5], params=("tau_grid", "table"), list=1
+    )
 
     p = sub.add_parser("sir", help="symmetric information rate at one p")
     p.add_argument("--p", type=float, required=True)

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import WORD_LEN_MAX, get_caps
-from .errors import CapExceeded, GrainlabError, PreconditionError
+from .config import WORD_LEN_MAX, check_cap
+from .errors import GrainlabError, PreconditionError
 from .model import (
     ErrorVector,
     Word,
@@ -155,12 +155,7 @@ def construct_hamming_prefix(m: int) -> Code:
     """
     if not 2 <= m <= 6:
         raise PreconditionError("m out of range (want 2..6)")
-    caps = get_caps()
-    if m > caps.hamming_m:
-        raise CapExceeded(
-            f"m={m} would materialize {hamming_prefix_size(m)} words; "
-            f"cap hamming_m={caps.hamming_m}"
-        )
+    check_cap("m", m, "hamming_m")
     n = 1 << m
     span = np.zeros(1, dtype=np.int64)
     for p in range(3, n):
@@ -180,9 +175,7 @@ def construct_greedy_known(n: int, t: int) -> Code:
     2^n / #error-vectors words, and no two codewords can ever map to
     the same recorded word under a common pattern.
     """
-    caps = get_caps()
-    if n > caps.greedy_code_n:
-        raise CapExceeded(f"n={n} exceeds greedy_code_n={caps.greedy_code_n}")
+    check_cap("n", n, "greedy_code_n")
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
     masks = _mask_array(n, t)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import PreconditionError
+from .errors import CapExceeded, PreconditionError
 
 #: hard ceiling on word length; anything longer is rejected at parse time
 #: (a word's bit conversions go through strings and take time linear in
@@ -99,6 +99,14 @@ def get_caps() -> Caps:
     updated from GRAINLAB_CAPS on first use, so a bad entry raises
     PreconditionError at a call (the CLI exits 2), not at import."""
     return _override.get() or _env_caps()
+
+
+def check_cap(what: str, value: int, cap: str) -> None:
+    """Raise CapExceeded when value, the size called what, exceeds the
+    named cap in effect."""
+    limit = getattr(get_caps(), cap)
+    if value > limit:
+        raise CapExceeded(f"{what}={value} exceeds {cap}={limit}")
 
 
 @contextmanager

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import get_caps
-from .errors import CapExceeded, PreconditionError
+from .config import check_cap, get_caps
+from .errors import PreconditionError
 from .model import (
     Word,
     _apply_mask,
@@ -212,9 +212,7 @@ def max_code_size(n: int, t: int) -> MaxCodeResult:
     stops after the exact_m_time_limit cap (seconds, 0 for no limit);
     the result is then flagged exact=False and is only a lower bound.
     """
-    caps = get_caps()
-    if n > caps.exact_m_n:
-        raise CapExceeded(f"n={n} exceeds exact_m_n={caps.exact_m_n}")
+    check_cap("n", n, "exact_m_n")
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
     if t == 0 or n == 1:
@@ -223,7 +221,7 @@ def max_code_size(n: int, t: int) -> MaxCodeResult:
 
     adj = _half_adjacency(n, t)
     seed_count, seed_mask = _greedy_independent(adj)
-    limit = caps.exact_m_time_limit
+    limit = get_caps().exact_m_time_limit
     deadline = time.monotonic() + limit if limit else None
     half_size, half_mask, exact = _max_independent_set(
         adj, seed_count, seed_mask, deadline
@@ -280,9 +278,7 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     it by one at each of x's images, so a step costs one arg-max plus
     work proportional to the part's images, not a rescan of every B.
     """
-    caps = get_caps()
-    if m > caps.partition_m:
-        raise CapExceeded(f"m={m} exceeds partition_m={caps.partition_m}")
+    check_cap("m", m, "partition_m")
     if m < 1 or s < 0:
         raise PreconditionError("need m >= 1 and s >= 0")
 

@@ -25,8 +25,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import WORD_LEN_MAX, get_caps
-from .errors import CapExceeded, PreconditionError
+from .config import WORD_LEN_MAX, check_cap
+from .errors import PreconditionError
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -216,9 +216,7 @@ def enumerate_error_vectors(n: int, t: int) -> list[ErrorVector]:
 
 
 def _check_image_cap(n: int) -> None:
-    caps = get_caps()
-    if n > caps.error_enum_n:
-        raise CapExceeded(f"n={n} exceeds error_enum_n={caps.error_enum_n}")
+    check_cap("n", n, "error_enum_n")
 
 
 def _images(x: Word, t: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,26 +35,57 @@ from grainlab.model import count_error_vectors
 # ---------------------------------------------------------------------------
 
 
+def balance(x, tau):
+    """Left side minus right side of the run-count balance equation."""
+    return (
+        binary_entropy((1 - x) / 2)
+        + ((1 - x) / 4) * binary_entropy(4 * tau / (1 - x))
+        - 1.0
+    )
+
+
 def root_by_grid_scan(tau, step=1e-6):
     """First sign change of the balance equation on a fine grid."""
-
-    def f(x):
-        return (
-            binary_entropy((1 - x) / 2)
-            + ((1 - x) / 4) * binary_entropy(4 * tau / (1 - x))
-            - 1.0
-        )
-
     hi = 1 - 8 * tau
     x = step
     prev_x = 0.0
     while x <= hi + step / 2:
         x_eval = min(x, hi)
-        if f(x_eval) <= 0:
+        if balance(x_eval, tau) <= 0:
             return 0.5 * (prev_x + x_eval)
         prev_x = x_eval
         x += step
     raise AssertionError("oracle found no sign change")
+
+
+def root_by_scan_then_bisection(tau, step=1e-4, tol=1e-10):
+    """The root as a linear scan would find it: the first point of the
+    grid 0, step, ..., steps*step (then 1 - 8 tau if the grid stops
+    short) where the balance equation is <= 0, then bisection of the
+    bracketing grid points to tol.  The scan is vectorised; a sign at a
+    grid point can only differ from the scalar one where |f| is within
+    a rounding error of 0."""
+    hi = 1 - 8 * tau
+    steps = int(hi / step)
+    grid = np.arange(steps + 1) * step
+    if steps == 0 or grid[-1] < hi:
+        grid = np.append(grid, hi)
+
+    def h(q):
+        return -q * np.log2(q) - (1 - q) * np.log2(1 - q)
+
+    inner = grid[1:]
+    f = h((1 - inner) / 2) + ((1 - inner) / 4) * h(4 * tau / (1 - inner)) - 1.0
+    k = int(np.argmax(f <= 0))
+    assert f[k] <= 0, "reference found no sign change"
+    lo, hi = float(grid[k]), float(grid[k + 1])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if balance(mid, tau) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def minimax_rate_by_grid(tau, steps=40000):
@@ -140,16 +172,20 @@ class TestFixedBudgetUpper:
 class TestAsymptoticUpper:
     @pytest.mark.parametrize("tau", [0.01, 0.03, 0.05, 0.0706])
     def test_residual_small(self, tau):
-        x = asymptotic_upper_root(tau)
+        assert abs(balance(asymptotic_upper_root(tau), tau)) <= 1e-9
 
-        def f(xx):
-            return (
-                binary_entropy((1 - xx) / 2)
-                + ((1 - xx) / 4) * binary_entropy(4 * tau / (1 - xx))
-                - 1.0
-            )
-
-        assert abs(f(x)) <= 1e-9
+    @pytest.mark.parametrize(
+        "taus",
+        [
+            # the fig1 grid 0.002:0.5:0.002 up to 0.0706, as the CLI builds it
+            [round(0.002 + 0.002 * i, 12) for i in range(35)],
+            [ASYMPTOTIC_UPPER_TAU_MAX * k / 2000 for k in range(1, 2001)],
+        ],
+        ids=["fig1-grid", "2000-spread"],
+    )
+    def test_bisection_matches_linear_scan_bit_for_bit(self, taus):
+        for tau in taus:
+            assert asymptotic_upper_root(tau) == root_by_scan_then_bisection(tau), tau
 
     @pytest.mark.parametrize("tau", [0.01, 0.03, 0.05, 0.0706])
     def test_agrees_with_grid_scan_oracle(self, tau):
@@ -291,9 +327,9 @@ class TestRateCurves:
 
     def test_columns_and_validity(self):
         taus = [0.01 * k for k in range(1, 51)]
-        rows = rate_curves(taus)
+        rows = rate_curves(taus, list_size=2)
         assert len(rows) == 50
-        for tau, gv, upper, cor2, rn in rows:
+        for tau, gv, upper, cor2, rn, list_rate, inf_lo, inf_hi in rows:
             assert rn == 0.5
             assert 0.0 <= cor2 <= 1.0
             if tau <= ASYMPTOTIC_UPPER_TAU_MAX:
@@ -302,6 +338,17 @@ class TestRateCurves:
                 assert upper is None
             if tau > 0.25:
                 assert gv == 0.0
+            if tau <= INFORMED_TAU_MAX:
+                assert list_rate == list_decoding_rate(tau, 2)
+                assert (inf_lo, inf_hi) == informed_rate_bounds(tau)
+            else:
+                assert list_rate is inf_lo is inf_hi is None
+
+    def test_list_size_checked_before_the_grid(self):
+        with pytest.raises(PreconditionError, match="list size"):
+            rate_curves([0.3], list_size=0)
+        with pytest.raises(PreconditionError, match="list size"):
+            rate_curves([], list_size=0)
 
     def test_gv_below_clique_min(self):
         for k in range(1, 26):
