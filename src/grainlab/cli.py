@@ -18,6 +18,9 @@ Exit codes: 0 success, 2 precondition violation (including malformed
 inputs), 3 cap exceeded or search timeout.  All floats print with 12
 significant digits.  CSV artifacts end with a '#' manifest block and
 are byte-identical across reruns of the same invocation.
+
+Each handler imports the library modules it uses, so `--version`,
+`--help` and argument errors never import numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, bounds as bounds_mod, channel, codes, graph, model
+from . import __version__
 from .config import caps_override, parse_cap_string
 from .errors import CapExceeded, GrainlabError, PreconditionError
 from .manifest import RunManifest, emit_csv, fmt, render_svg
@@ -100,6 +103,8 @@ def _emit(args, header, rows, manifest) -> None:
 
 
 def cmd_phi(args) -> int:
+    from . import model
+
     x = model.Word.parse(args.x)
     if args.e is not None:
         e = model.ErrorVector.parse(args.e)
@@ -113,6 +118,8 @@ def cmd_phi(args) -> int:
 
 
 def cmd_confusable(args) -> int:
+    from . import model
+
     x1 = model.Word.parse(args.x1)
     x2 = model.Word.parse(args.x2)
     print("true" if model.confusable(x1, x2, args.t) else "false")
@@ -120,6 +127,8 @@ def cmd_confusable(args) -> int:
 
 
 def cmd_mnt(args) -> int:
+    from . import graph
+
     result = graph.max_code_size(args.n, args.t)
     status = "exact" if result.exact else "lower-bound (timed out)"
     print(f"max code size (n={args.n}, t={args.t}) = {result.size} [{status}]")
@@ -128,6 +137,8 @@ def cmd_mnt(args) -> int:
 
 
 def cmd_clique_table(args) -> int:
+    from . import graph
+
     m_range, s_range = _int_range(args.m), _int_range(args.s)
     rows = graph.partition_size_table(m_range, s_range)
     manifest = RunManifest("clique-table", {"m": args.m, "s": args.s})
@@ -141,6 +152,8 @@ def cmd_clique_table(args) -> int:
 
 
 def cmd_verify_code(args) -> int:
+    from . import codes
+
     code = codes.load_code(args.file)
     if args.known_grain:
         verdict = codes.verify_known_pattern(code, args.t)
@@ -157,6 +170,8 @@ def cmd_verify_code(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import codes
+
     if args.kind == "doubling":
         if args.n is None:
             raise PreconditionError("doubling construction needs --n")
@@ -185,8 +200,10 @@ _RATE_COLUMNS = ("tau", "gv_lower", "prop2_upper", "cor2_min", "rn_lower",
 def cmd_rates(args) -> int:
     """bounds and fig1: the first len(args.columns) columns of
     rate_curves; the manifest records the args.params options."""
+    from . import bounds
+
     chi = _load_chi_table(args.table) if args.table else None
-    rows = bounds_mod.rate_curves(_float_grid(args.tau_grid), chi, args.list)
+    rows = bounds.rate_curves(_float_grid(args.tau_grid), chi, args.list)
     table = args.table or "builtin"
     options = {"tau_grid": args.tau_grid, "table": table, "list": args.list}
     manifest = RunManifest(args.command, {key: options[key] for key in args.params})
@@ -196,6 +213,8 @@ def cmd_rates(args) -> int:
 
 
 def cmd_sir(args) -> int:
+    from . import channel
+
     result = channel.sir(args.p, args.J)
     hazards = channel.run_hazards(args.p, args.J)
     print(f"p = {fmt(args.p)}  J = {args.J}")
@@ -218,6 +237,8 @@ _CAPACITY_COLUMNS = ("p", "sir", "capacity_lower", "capacity_upper", "error_boun
 
 def cmd_capacity(args) -> int:
     """capacity and fig3: the args.columns of capacity_curves."""
+    from . import channel
+
     rows, crossing = channel.capacity_curves(_float_grid(args.grid), args.J)
     manifest = RunManifest(
         args.command, {"grid": args.grid, "J": args.J, "sir_below_half_at": crossing}
@@ -228,6 +249,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import channel, model
+
     if args.n < 1:
         raise PreconditionError("--n must be >= 1")
     if args.stats:
@@ -256,6 +279,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_zero_error(args) -> int:
+    from . import channel
+
     initial = args.u0 if args.u0 == "stationary" else int(args.u0)
     rate = channel.zero_error_rate(args.n, initial)
     print(f"{rate.numerator}/{rate.denominator}")

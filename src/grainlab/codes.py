@@ -10,7 +10,9 @@ Three constructions are provided:
   substitution errors);
 * a greedy construction for the setting where the decoder learns the
   grain locations, packing codewords so that no two differ by an
-  error-vector XOR.
+  error-vector XOR.  The numeric-order greedy code is a linear
+  lexicode, so it is built in n steps, one coset per bit segment,
+  instead of a sweep over all 2^n words.
 
 Arbitrary codes can be loaded from text files (one 0/1 word per line,
 '#' comments) and run through the verifiers.
@@ -42,6 +44,7 @@ from .model import (
 )
 
 _KERNEL_BLOCK = 1 << 20  # codewords x support masks per kernel call
+_PARSE_BLOCK = 4096  # code-file lines joined per alphabet check (bounds the copy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,23 +172,51 @@ def construct_hamming_prefix(m: int) -> Code:
 def construct_greedy_known(n: int, t: int) -> Code:
     """Greedy code for grain locations known to the decoder.
 
-    Sweeps candidates in numeric order and keeps any word not reachable
-    from a kept word by XOR with an error vector.  When the sweep ends,
-    the XOR balls cover {0,1}^n, so the result has at least
-    2^n / #error-vectors words, and no two codewords can ever map to
-    the same recorded word under a common pattern.
+    The code is what a sweep over {0,1}^n in numeric order keeps when it
+    keeps every word that differs from no kept word by a nonzero support
+    mask (an error vector of weight <= t).  Any two codewords then differ
+    outside the mask set D, so no error pattern can make them record the
+    same word, and the XOR balls of the kept words cover {0,1}^n, so
+    there are at least 2^n / #error-vectors of them.
+
+    The sweep's code is a linear lexicode, and it is built here one bit
+    segment at a time.  With L_k the codewords below 2^k and D_k the
+    masks with top bit k: a is the least word of [2^k, 2^(k+1)) outside
+    L_k ^ D_k, and L_(k+1) is L_k plus the coset a ^ L_k (or L_k if no
+    such a exists).  n array steps replace 2^n loop steps.
+
+    The step keeps a valid code: two words of a ^ L_k differ by a
+    nonzero word of L_k, which meets D only in 0 by induction; a word of
+    L_k and one of a ^ L_k differ by a ^ l for some l in L_k, whose top
+    bit is k, and a ^ l is not in D_k because a is outside L_k ^ D_k.
+
+    The step equals the sweep.  The kept words are the P-positions of
+    the coin-turning game whose move XORs into x a nonzero mask of D
+    with its top bit set in x: the moves from x lead to exactly the
+    smaller words within D of x, and x is kept iff none of those is.
+    By the coin-turning theorem (Berlekamp, Conway and Guy, Winning
+    Ways; Conway and Sloane, "Lexicographic codes", IEEE T-IT 1986) the
+    Grundy value of x is the XOR of the values of its single bits, so
+    the P-positions, the words of Grundy value 0, form a linear space.
+    Its words in [2^k, 2^(k+1)) are then one coset of L_k or none, and
+    the least of them is the first one the sweep keeps there, when only
+    L_k is kept: the least word outside L_k ^ D_k.  The equality was
+    also checked word for word against the sweep for every n <= 20 and
+    every t.
     """
     check_cap("n", n, "greedy_code_n")
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
     masks = _mask_array(n, t)
-    forbidden = np.zeros(1 << n, dtype=bool)
-    kept = []
-    for xv in range(1 << n):
-        if not forbidden[xv]:
-            kept.append(xv)
-            forbidden[xv ^ masks] = True
-    return Code(n, kept, "greedy-known")
+    code = np.zeros(1, dtype=np.int64)
+    for k in range(n):
+        taken = np.zeros(1 << k, dtype=bool)  # L_k ^ D_k, less 2^k
+        for low in (masks[masks >> k == 1] ^ (1 << k)).tolist():
+            taken[code ^ low] = True
+        u = int(taken.argmin())
+        if not taken[u]:
+            code = np.concatenate([code, code ^ (1 << k | u)])
+    return Code(n, code, "greedy-known")
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +296,26 @@ def decode_known_pattern(code: Code, y: Word, e: ErrorVector) -> Word:
 def parse_code_text(text: str) -> Code:
     """Code file format: one 0/1 word per line; '#' starts a comment;
     blank lines ignored; all words must share one length."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.strip("01"):
-            raise PreconditionError(f"line {lineno}: not a 0/1 string: {line!r}")
-        if len(line) > WORD_LEN_MAX:
-            raise PreconditionError(
-                f"line {lineno}: word length {len(line)} outside 1..{WORD_LEN_MAX}"
-            )
-        lines.append(line)
-    if not lines:
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lengths = set(map(len, lines)) - {0}
+    # the alphabet is checked on blocks of joined lines; a line by line
+    # scan runs only to name the bad line
+    if max(lengths, default=0) > WORD_LEN_MAX or any(
+        "".join(lines[i : i + _PARSE_BLOCK]).encode(errors="replace").translate(None, b"01")
+        for i in range(0, len(lines), _PARSE_BLOCK)
+    ):
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip("01"):
+                raise PreconditionError(f"line {lineno}: not a 0/1 string: {line!r}")
+            if len(line) > WORD_LEN_MAX:
+                raise PreconditionError(
+                    f"line {lineno}: word length {len(line)} outside 1..{WORD_LEN_MAX}"
+                )
+    if not lengths:
         raise PreconditionError("code file contains no words")
-    n = len(lines[0])
-    if any(len(line) != n for line in lines):
+    if len(lengths) > 1:
         raise PreconditionError("codewords have mixed lengths")
-    return Code(n, [int(line, 2) for line in lines], "file")
+    return Code(lengths.pop(), [int(line, 2) for line in lines if line], "file")
 
 
 def load_code(path: str | Path) -> Code:

@@ -268,7 +268,7 @@ def confusable(x1: Word, x2: Word, t: int) -> bool:
     # can never collide
     if x1.bit(1) != x2.bit(1):
         return False
-    return bool(np.isin(_images(x1, t), _images(x2, t)).any())
+    return not set(_images(x1, t).tolist()).isdisjoint(_images(x2, t).tolist())
 
 
 def image_count_lower_bound(r: int, t: int) -> int:

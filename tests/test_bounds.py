@@ -44,18 +44,20 @@ def balance(x, tau):
     )
 
 
+def h(q):
+    """Binary entropy in bits, elementwise over an array, for 0 < q < 1."""
+    return -q * np.log2(q) - (1 - q) * np.log2(1 - q)
+
+
 def root_by_grid_scan(tau, step=1e-6):
-    """First sign change of the balance equation on a fine grid."""
+    """Midpoint of the first sign change of the balance equation on the
+    grid step, 2 step, ... (clipped to 1 - 8 tau), scanned with numpy."""
     hi = 1 - 8 * tau
-    x = step
-    prev_x = 0.0
-    while x <= hi + step / 2:
-        x_eval = min(x, hi)
-        if balance(x_eval, tau) <= 0:
-            return 0.5 * (prev_x + x_eval)
-        prev_x = x_eval
-        x += step
-    raise AssertionError("oracle found no sign change")
+    x = np.minimum(np.arange(1, int(hi / step + 1.5)) * step, hi)
+    f = h((1 - x) / 2) + ((1 - x) / 4) * h(4 * tau / (1 - x)) - 1.0
+    k = int(np.argmax(f <= 0))
+    assert f[k] <= 0, "oracle found no sign change"
+    return 0.5 * ((x[k - 1] if k else 0.0) + x[k])
 
 
 def root_by_scan_then_bisection(tau, step=1e-4, tol=1e-10):
@@ -70,9 +72,6 @@ def root_by_scan_then_bisection(tau, step=1e-4, tol=1e-10):
     grid = np.arange(steps + 1) * step
     if steps == 0 or grid[-1] < hi:
         grid = np.append(grid, hi)
-
-    def h(q):
-        return -q * np.log2(q) - (1 - q) * np.log2(1 - q)
 
     inner = grid[1:]
     f = h((1 - inner) / 2) + ((1 - inner) / 4) * h(4 * tau / (1 - inner)) - 1.0

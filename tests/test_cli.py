@@ -533,6 +533,27 @@ class TestEnvCaps:
         assert proc.stderr == "error: unknown cap name: 'graph_n'\n"
 
 
+def test_version_help_and_usage_errors_import_no_numpy():
+    """The handlers import the library, so argparse's own exits stay light."""
+    script = (
+        "import sys\n"
+        "from grainlab.cli import main\n"
+        "for argv in (['--version'], ['--help'], ['bogus'], ['phi']):\n"
+        "    try:\n"
+        "        main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 class TestBenchRecord:
     def test_medians_ratios_wins_and_environment(self, tmp_path, capsys):
         spec = importlib.util.spec_from_file_location(

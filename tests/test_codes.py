@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +25,7 @@ from grainlab.errors import CapExceeded, GrainlabError, PreconditionError
 from grainlab.model import (
     ErrorVector,
     Word,
+    _mask_array,
     apply_grains,
     count_error_vectors,
     enumerate_error_vectors,
@@ -193,7 +195,27 @@ class TestHammingPrefix:
 # ---------------------------------------------------------------------------
 
 
+def greedy_sweep(n, t):
+    """The numeric-order sweep: keep each word of {0,1}^n that is not
+    within an error mask of a word kept before it."""
+    masks = _mask_array(n, t)
+    forbidden = np.zeros(1 << n, dtype=bool)
+    kept = []
+    for xv in range(1 << n):
+        if not forbidden[xv]:
+            kept.append(xv)
+            forbidden[xv ^ masks] = True
+    return kept
+
+
 class TestGreedyKnown:
+    def test_equals_numeric_order_sweep(self):
+        # t past floor(n/2) + 1 adds no masks
+        for n in range(1, 17):
+            for t in range(n // 2 + 2):
+                code = construct_greedy_known(n, t)
+                assert code.values.tolist() == greedy_sweep(n, t), (n, t)
+
     def test_budget_zero_full_space(self):
         assert construct_greedy_known(4, 0).size == 16
 
