@@ -570,38 +570,62 @@ def _state_transition_matrices(p: float) -> tuple[np.ndarray, np.ndarray]:
     return mats[0], mats[1]
 
 
-def _output_entropy_profile(p: float, n: int, alpha0: np.ndarray) -> list[float]:
-    """H(y^1), ..., H(y^n) by a forward sweep that keeps the joint
-    probability vector over (output prefix, state).  Row i of alpha @
-    [M0 | M1] holds prefix i extended by 0, then by 1, in one array."""
-    m01 = np.hstack(_state_transition_matrices(p))
-    alpha = alpha0.reshape(1, 4)
-    entropies = []
-    for _ in range(n):
+def _entropy(q: np.ndarray) -> float:
+    """Sum of -q log2 q over the positive entries of q, as +0.0 (never
+    -0.0) when no entry contributes."""
+    q = q[q > 0.0]
+    terms = np.log2(q)
+    terms *= q
+    return 0.0 - float(terms.sum())
+
+
+def _prefix_masses(p: float, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(y^{n-1}) and P(y^n) from initial state s = 2u + x0, indexed by
+    the output prefix read MSB-first.  A forward sweep keeps the joint
+    vector alpha over (prefix, state): row i of alpha @ [M0 | M1] holds
+    prefix i extended by 0, then by 1, so reshaping keeps the prefixes
+    ascending.  The last step needs only P(y^{n-1} b) = alpha(y^{n-1})
+    M_b 1, one product with the (4, 2) matrix of M0 and M1 row sums, so
+    the length-n vector of 2^n x 4 floats is never built."""
+    m0, m1 = _state_transition_matrices(p)
+    m01 = np.hstack((m0, m1))
+    alpha = np.eye(4)[s : s + 1]
+    for _ in range(n - 1):
         alpha = (alpha @ m01).reshape(-1, 4)
-        prefix = alpha.sum(axis=1)
-        mass = prefix[prefix > 1e-300]
-        entropies.append(float(-(mass * np.log2(mass)).sum()))
-    return entropies
+    shorter = alpha[:, 0] + alpha[:, 1] + alpha[:, 2] + alpha[:, 3]
+    longer = alpha @ np.column_stack((m0.sum(axis=1), m1.sum(axis=1)))
+    return shorter, longer.ravel()
 
 
 def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
     """(lower, upper) bracket for the output entropy rate:
     H(y_n | y^{n-1}, s0) <= rate <= H(y_n | y^{n-1}), both exact under
     the stationary initial state.  The output-entropy series partial
-    sums converge inside this bracket.  The lower end takes two
-    conditional sweeps, not four: complementing x0 and every input bit
-    complements every output and leaves u and the uniform input law
-    alone, so state (u, 1) has the profile of (u, 0)."""
+    sums converge inside this bracket.
+
+    Both ends come from two sweeps, from s0 = (u, 0) for u = 0, 1, with
+    a_u(y) the prefix masses of _prefix_masses.  Complementing x0 and
+    every input bit complements every output and leaves u and the
+    uniform input law alone, so from (u, 1) the mass of y is a_u(ybar);
+    ybar = 2^L - 1 - y for a prefix of length L, so that is a_u in
+    reversed order.  Then
+        lower = sum_u w_u (H(a_u at n) - H(a_u at n-1)),
+    since reversal leaves an entropy alone, and by linearity of the law
+    in the initial state, which is (u, x0) with weight w_u / 2,
+        P_stat(y) = sum_u w_u / 2 (a_u(y) + a_u(ybar)) = (b(y) + b(ybar)) / 2
+    with b = sum_u w_u a_u, whose entropies at n and n - 1 give the
+    upper end."""
     _check_n(n, p, "channel_exact_n", least=2)
-    w0, w1 = _stationary_weights(p)
-    profile = _output_entropy_profile(p, n, np.repeat([w0, w1], 2) / 2.0)
     lower = 0.0
-    for s, w in ((0, w0), (2, w1)):  # s = 2u + x0; x0 = 1 mirrors x0 = 0
+    mixed = [0.0, 0.0]  # sum_u w_u a_u at n - 1 and at n
+    for u, w in enumerate(_stationary_weights(p)):
         if w > 0.0:
-            cond = _output_entropy_profile(p, n, np.eye(4)[s])
-            lower += w * (cond[-1] - cond[-2])
-    return lower, profile[-1] - profile[-2]
+            masses = _prefix_masses(p, n, 2 * u)
+            lower += w * (_entropy(masses[1]) - _entropy(masses[0]))
+            mixed = [m + w * a for m, a in zip(mixed, masses)]
+            del masses  # before the next sweep, whose arrays set the peak
+    h_short, h_long = (_entropy((m + m[::-1]) / 2.0) for m in mixed)
+    return lower, h_long - h_short
 
 
 def all_zero_output_prob(n: int, p: float) -> float:
@@ -620,16 +644,23 @@ def all_zero_output_prob(n: int, p: float) -> float:
 def _star_entropy(f: np.ndarray, k: int) -> float:
     """Sum of -q log2 q over the star transform of f (k binary axes,
     MSB-first): f at every string in {0, 1, *}^k, a * summing its axis.
-    Recurses on (f|0, f|1, f|0 + f|1) above 3^_STAR_LEAF floats."""
+    Recurses on (f|0, f|1, f|0 + f|1) above 3^_STAR_LEAF floats.
+
+    Zero half.  If f|1 = 0, the strings led by 1 carry only zeros and
+    those led by * carry f|0 + 0 = f|0, the same values as those led by
+    0, so the sum is exactly 2 * (the sum for f|0), in floats too.  The
+    indicator law has no adjacent 1s, so f|1 on one axis has a zero
+    half on the next, and the shortcut repeats down the recursion."""
     if k > _STAR_LEAF:
         lo, hi = np.split(f, 2)
+        if not hi.any():
+            return 2.0 * _star_entropy(lo, k - 1)
         return sum(_star_entropy(g, k - 1) for g in (lo, hi, lo + hi))
     g = f.reshape(1, -1)
     for _ in range(k):
         g = g.reshape(len(g), 2, -1)
         g = np.concatenate([g, g[:, :1] + g[:, 1:]], axis=1).reshape(3 * len(g), -1)
-    g = g[g > 0.0]
-    return float(-(g * np.log2(g)).sum())
+    return _entropy(g)
 
 
 def error_entropy_exact(n: int, p: float) -> float:

@@ -293,7 +293,8 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
         members = preimage_values(y, m, s)
         part = np.sort(members[alive[members]])
         alive[part] = False
-        np.subtract.at(counts, image_values(part, m, s), 1)
+        # an int32 1, like counts: a Python int sends ufunc.at down its slow path
+        np.subtract.at(counts, image_values(part, m, s), np.int32(1))
         left -= part.size
         parts.append(tuple(part.tolist()))
         witnesses.append(y)

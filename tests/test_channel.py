@@ -8,9 +8,12 @@ from hypothesis import given, strategies as st
 
 from grainlab.bounds import binary_entropy
 from grainlab.channel import (
+    _STAR_LEAF,
     ChannelSpec,
     _indicator_law,
-    _output_entropy_profile,
+    _prefix_masses,
+    _star_entropy,
+    _state_transition_matrices,
     IndecomposabilityResult,
     all_zero_output_prob,
     capacity_curves,
@@ -520,6 +523,34 @@ class TestExactMutualInformation:
         assert len(values) == 1
 
 
+def output_entropy_profile(p: float, n: int, alpha0: np.ndarray) -> list[float]:
+    """Every-step reference: H(y^1), ..., H(y^n) by a forward sweep that
+    keeps the joint vector over (output prefix, state) at every length."""
+    m01 = np.hstack(_state_transition_matrices(p))
+    alpha = alpha0.reshape(1, 4)
+    entropies = []
+    for _ in range(n):
+        alpha = (alpha @ m01).reshape(-1, 4)
+        prefix = alpha.sum(axis=1)
+        mass = prefix[prefix > 1e-300]
+        entropies.append(float(-(mass * np.log2(mass)).sum()))
+    return entropies
+
+
+def output_entropy_bracket_reference(n: int, p: float) -> tuple[float, float]:
+    """Three-sweep reference bracket: the stationary profile for the
+    upper end, the conditional profiles from (0, 0) and (1, 0) for the
+    lower end."""
+    w0, w1 = ChannelSpec(p).stationary_weights
+    profile = output_entropy_profile(p, n, np.repeat([w0, w1], 2) / 2.0)
+    lower = 0.0
+    for s, w in ((0, w0), (2, w1)):
+        if w > 0.0:
+            cond = output_entropy_profile(p, n, np.eye(4)[s])
+            lower += w * (cond[-1] - cond[-2])
+    return lower, profile[-1] - profile[-2]
+
+
 class TestOutputEntropyBracket:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_bracket_contains_series_limit(self, p):
@@ -542,13 +573,33 @@ class TestOutputEntropyBracket:
         assert abs(w2) <= abs(w1)
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
+    def test_matches_three_sweep_reference(self, p):
+        for n in range(2, 15):
+            got = output_entropy_bracket(n, p)
+            want = output_entropy_bracket_reference(n, p)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=str(n))
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
     def test_complement_symmetry_of_conditional_profiles(self, p):
-        """The lower end sweeps only x0 = 0: the profile from state
-        (u, 1) equals the one from (u, 0), for every prefix n <= 12."""
-        for u in (0, 1):
-            from_x0 = _output_entropy_profile(p, 12, np.eye(4)[2 * u])
-            from_x1 = _output_entropy_profile(p, 12, np.eye(4)[2 * u + 1])
-            np.testing.assert_allclose(from_x1, from_x0, rtol=0.0, atol=1e-12)
+        """The bracket sweeps only x0 = 0: the prefix masses conditional
+        on state (u, 1) are those conditional on (u, 0) in reversed
+        order, at every length up to 12."""
+        for n in range(2, 13):
+            for u in (0, 1):
+                from_x0 = _prefix_masses(p, n, 2 * u)
+                from_x1 = _prefix_masses(p, n, 2 * u + 1)
+                for a, b in zip(from_x0, from_x1):
+                    np.testing.assert_array_equal(b, a[::-1])
+
+    def test_traced_memory_at_n18(self):
+        output_entropy_bracket(18, 0.5)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            output_entropy_bracket(18, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestAllZeroOutputProb:
@@ -580,6 +631,15 @@ def error_entropy_loop(n: int, p: float) -> float:
     return total / top
 
 
+def star_entropy_dense(f: np.ndarray, k: int) -> float:
+    """_star_entropy without the zero-half shortcut: every blocked level
+    recurses on all three of (f|0, f|1, f|0 + f|1)."""
+    if k > _STAR_LEAF:
+        lo, hi = np.split(f, 2)
+        return sum(star_entropy_dense(g, k - 1) for g in (lo, hi, lo + hi))
+    return _star_entropy(f, k)
+
+
 class TestErrorEntropyExact:
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
     def test_matches_per_pattern_loop(self, p):
@@ -598,7 +658,21 @@ class TestErrorEntropyExact:
         assert peak < 8e6
 
     def test_p0_zero(self):
-        assert error_entropy_exact(6, 0.0) == 0.0
+        for n in (1, 6, 10, 14):
+            got = error_entropy_exact(n, 0.0)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0, n
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_zero_half_shortcut_is_exact(self, p):
+        n = 14
+        w0, w1 = ChannelSpec(p).stationary_weights
+        masks, q0 = _indicator_law(n, p, 0)
+        f = np.zeros(1 << n)
+        f[masks] = w0 * q0 + w1 * _indicator_law(n, p, 1)[1]
+        f0, f1 = np.split(f, 2)
+        halves = (f0 + 0.5 * f1, 0.5 * f1)
+        dense = sum(star_entropy_dense(g, n - 1) for g in halves)
+        assert error_entropy_exact(n, p) == dense / (1 << (n - 1))
 
     @pytest.mark.parametrize("pfrac", [Fraction(1, 4), Fraction(1, 2), Fraction(4, 5)])
     def test_matches_rational_oracle(self, pfrac):
