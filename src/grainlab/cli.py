@@ -189,7 +189,7 @@ def cmd_construct(args) -> int:
         codes.save_code(code, args.out, header=header)
         print(f"wrote {code.size} words of length {code.n} to {args.out}")
     else:
-        print("\n".join(code.render()))
+        print(code.render(), end="")
     return 0
 
 

@@ -44,7 +44,6 @@ from .model import (
 )
 
 _KERNEL_BLOCK = 1 << 20  # codewords x support masks per kernel call
-_PARSE_BLOCK = 4096  # code-file lines joined per alphabet check (bounds the copy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +82,25 @@ class Code:
     def sorted_words(self) -> list[Word]:
         return [Word(self.n, v) for v in self.values.tolist()]
 
-    def render(self) -> list[str]:
-        """The codewords as 0/1 strings, in ascending order."""
-        return [format(v, f"0{self.n}b") for v in self.values.tolist()]
+    def render(self) -> str:
+        """The file body: one 0/1 line per codeword, in ascending order,
+        each ending in a newline.
+
+        An int64 code fills one (size, n+1) byte matrix column by column,
+        a newline column last, so its only temporary is one int64 column;
+        codes past int64 format each codeword.
+        """
+        if self.values.dtype == object:
+            return "".join(format(v, f"0{self.n}b") + "\n" for v in self.values.tolist())
+        text = np.empty((self.size, self.n + 1), np.uint8)
+        text[:, self.n] = ord("\n")
+        column = np.empty(self.size, np.int64)
+        for j in range(self.n):
+            np.right_shift(self.values, self.n - 1 - j, out=column)
+            column &= 1
+            column += ord("0")
+            text[:, j] = column
+        return text.tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +274,27 @@ def verify_known_pattern(code: Code, t: int) -> bool:
     Weaker than t-grain-correcting (which forbids collisions across
     *different* patterns too); sufficient when the decoder is told the
     pattern.
+
+    Codewords c != c' collide under the support mask M iff c ^ c' lies
+    inside M.  The pattern leaves the positions outside M alone, so a
+    difference there survives; and it sets each j in M to the bit at
+    j - 1, which is outside M (no adjacent positions, never position 1),
+    so when c and c' agree outside M they agree at every j - 1 and
+    record the same word.  Every subset of a mask of weight <= t is such
+    a mask too, so the code fails iff c ^ M is a codeword for some
+    codeword c and nonzero mask M: one gather from a 2^n membership
+    array per mask.  The image cap bounds that array (16 MB at n = 24),
+    and verify_list_decodable may hold list_size * 2^n int64 already;
+    past a raised cap, a length whose array cannot be had is an error.
     """
     _check_image_cap(code.n)
+    try:
+        member = np.zeros(1 << code.n, dtype=bool)
+    except (MemoryError, ValueError) as exc:  # ValueError: 2^n past the index range
+        raise GrainlabError(f"no memory for a 2^{code.n}-entry codeword table") from exc
+    member[code.values] = True
     for mask in _mask_array(code.n, t).tolist():
-        images = np.sort(_apply_mask(code.values, mask))
-        if (images[1:] == images[:-1]).any():
+        if mask and member[code.values ^ mask].any():
             return False
     return True
 
@@ -295,27 +326,61 @@ def decode_known_pattern(code: Code, y: Word, e: ErrorVector) -> Word:
 
 def parse_code_text(text: str) -> Code:
     """Code file format: one 0/1 word per line; '#' starts a comment;
-    blank lines ignored; all words must share one length."""
-    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
-    lengths = set(map(len, lines)) - {0}
-    # the alphabet is checked on blocks of joined lines; a line by line
-    # scan runs only to name the bad line
-    if max(lengths, default=0) > WORD_LEN_MAX or any(
-        "".join(lines[i : i + _PARSE_BLOCK]).encode(errors="replace").translate(None, b"01")
-        for i in range(0, len(lines), _PARSE_BLOCK)
+    blank lines ignored; all words must share one length.
+
+    Text in the shape save_code writes ('#' header lines, then lines of
+    one width n < 63, each of 0/1 and ending in a newline) is read as
+    one byte matrix; any other text goes line by line, which also names
+    the line of a bad word.
+    """
+    code = _parse_saved(text)
+    return _parse_lines(text) if code is None else code
+
+
+def _parse_saved(text: str) -> Code | None:
+    """The code of text in the shape save_code writes, or None."""
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    head, body = text[:start], text[start:].encode(errors="replace")
+    width = body.find(b"\n")  # n, the word length
+    if (
+        not 0 < width < 63
+        or len(body) % (width + 1)
+        or len(head.splitlines()) != head.count("\n")  # no other line breaks
     ):
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip("01"):
-                raise PreconditionError(f"line {lineno}: not a 0/1 string: {line!r}")
-            if len(line) > WORD_LEN_MAX:
-                raise PreconditionError(
-                    f"line {lineno}: word length {len(line)} outside 1..{WORD_LEN_MAX}"
-                )
+        return None
+    rows = np.frombuffer(body, np.uint8).reshape(-1, width + 1)
+    # b"0" | 1 == b"1" | 1 == b"1", and no other byte maps there
+    if (rows[:, width] != ord("\n")).any() or ((rows[:, :width] | 1) != ord("1")).any():
+        return None
+    values = np.zeros(len(rows), np.int64)
+    for j in range(width):
+        values <<= 1
+        values |= rows[:, j] & 1
+    return Code(width, values, "file")
+
+
+def _parse_lines(text: str) -> Code:
+    words = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line.strip("01"):
+            raise PreconditionError(f"line {lineno}: not a 0/1 string: {line!r}")
+        if len(line) > WORD_LEN_MAX:
+            raise PreconditionError(
+                f"line {lineno}: word length {len(line)} outside 1..{WORD_LEN_MAX}"
+            )
+        if line:
+            words.append(line)
+    lengths = set(map(len, words))
     if not lengths:
         raise PreconditionError("code file contains no words")
     if len(lengths) > 1:
         raise PreconditionError("codewords have mixed lengths")
-    return Code(lengths.pop(), [int(line, 2) for line in lines if line], "file")
+    return Code(lengths.pop(), [int(word, 2) for word in words], "file")
 
 
 def load_code(path: str | Path) -> Code:
@@ -323,9 +388,6 @@ def load_code(path: str | Path) -> Code:
 
 
 def save_code(code: Code, path: str | Path, header: str | None = None) -> None:
-    lines = []
-    if header:
-        lines.extend(f"# {line}" for line in header.splitlines())
-    lines.append(f"# length {code.n}, {code.size} words, provenance {code.provenance}")
-    lines.extend(code.render())
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = "".join(f"# {line}\n" for line in (header or "").splitlines())
+    head += f"# length {code.n}, {code.size} words, provenance {code.provenance}\n"
+    Path(path).write_text(head + code.render())

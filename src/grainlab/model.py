@@ -33,7 +33,7 @@ from .errors import PreconditionError
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Word:
     """A binary word of length n; position 1 is the leftmost bit."""
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from grainlab.codes import (
     Code,
+    _parse_lines,
+    _parse_saved,
     construct_doubling,
     construct_greedy_known,
     construct_hamming_prefix,
@@ -21,10 +24,12 @@ from grainlab.codes import (
     verify_known_pattern,
     verify_list_decodable,
 )
+from grainlab.config import caps_override
 from grainlab.errors import CapExceeded, GrainlabError, PreconditionError
 from grainlab.model import (
     ErrorVector,
     Word,
+    _apply_mask,
     _mask_array,
     apply_grains,
     count_error_vectors,
@@ -240,6 +245,53 @@ class TestGreedyKnown:
 # ---------------------------------------------------------------------------
 
 
+def known_pattern_by_sort(code, t):
+    """The per-mask sort: for every support mask, sort the recorded
+    words and look for a repeat."""
+    for mask in _mask_array(code.n, t).tolist():
+        images = np.sort(_apply_mask(code.values, mask))
+        if (images[1:] == images[:-1]).any():
+            return False
+    return True
+
+
+def constructions_under_test():
+    """Every construction the tests of this file build, with the
+    budgets they are checked at."""
+    for n in range(1, 15):
+        yield construct_doubling(n), range(n // 2 + 2)
+    for m in (2, 3, 4):
+        yield construct_hamming_prefix(m), (0, 1, 2)
+    for n in range(1, 17):
+        for t in range(n // 2 + 2):
+            yield construct_greedy_known(n, t), (t, t + 1)
+
+
+class TestKnownPatternOracle:
+    def test_matches_sort_on_random_codes(self):
+        rng = np.random.default_rng(1515)
+        verdicts = set()
+        for n in range(1, 11):
+            for t in range(n // 2 + 2):
+                for size in (1, 2, 3, 5, 9, 17, 40):
+                    if size > 1 << n:
+                        continue
+                    code = Code(n, rng.choice(1 << n, size=size, replace=False))
+                    verdict = verify_known_pattern(code, t)
+                    assert verdict == known_pattern_by_sort(code, t), (n, t, code.values)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_matches_sort_on_constructions(self):
+        verdicts = set()
+        for code, budgets in constructions_under_test():
+            for t in budgets:
+                verdict = verify_known_pattern(code, t)
+                assert verdict == known_pattern_by_sort(code, t), (code.provenance, code.n, t)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
 class TestVerifiers:
     def test_shared_image_pair_rejected(self):
         code = Code(2, [0b00, 0b01])
@@ -264,6 +316,11 @@ class TestVerifiers:
         # the pattern with support {2} maps both 00 and 01 to 00
         code = Code(2, [0b00, 0b01])
         assert not verify_known_pattern(code, 1)
+
+    def test_known_pattern_table_too_large_is_an_error(self):
+        code = parse_code_text("1" * 70 + "\n1" + "0" * 69 + "\n")
+        with caps_override(error_enum_n=70), pytest.raises(GrainlabError, match="2\\^70"):
+            verify_known_pattern(code, 1)
 
     def test_known_pattern_budget_zero(self):
         code = Code(3, [0b000, 0b111])
@@ -398,6 +455,20 @@ class TestCodeFiles:
         save_code(make(), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_memory_stays_near_the_file_size(self, tmp_path):
+        # the (16,1) code has 32768 words of 16 bits: its file is 0.56 MB,
+        # and one size x n int64 bit matrix alone would take 4.2 MB
+        code = construct_greedy_known(16, 1)
+        path = tmp_path / "code.txt"
+        tracemalloc.start()
+        try:
+            save_code(code, path)
+            load_code(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\n0011  # trailing comment\n1100\n"
         code = parse_code_text(text)
@@ -414,6 +485,82 @@ class TestCodeFiles:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             parse_code_text("# nothing here\n")
+
+
+PINNED_CODES = {
+    "doubling-15": lambda: construct_doubling(15),
+    "doubling-16": lambda: construct_doubling(16),
+    "hamming-prefix-4": lambda: construct_hamming_prefix(4),
+    "greedy-known-12-2": lambda: construct_greedy_known(12, 2),
+    "greedy-known-16-2": lambda: construct_greedy_known(16, 2),
+    "file-70-bit": lambda: parse_code_text("1" * 70 + "\n1" + "0" * 69 + "\n"),
+}
+
+
+def line_path_variants(text):
+    """Text of the same code that is not in the shape save_code writes."""
+    lines = text.splitlines()
+    yield "\n".join(lines[:3] + [""] + lines[3:]) + "\n"  # a blank line
+    yield "\n".join(lines[:-1] + [lines[-1] + "  # c"]) + "\n"  # a trailing comment
+    yield "\n".join(lines[:2] + ["  " + line for line in lines[2:]]) + "\n"  # indentation
+    yield text.replace("\n", "\r\n")
+    yield text[:-1]  # no final newline
+
+
+def error_of(parse, text):
+    with pytest.raises(PreconditionError) as info:
+        parse(text)
+    return str(info.value)
+
+
+class TestParsePaths:
+    @pytest.mark.parametrize("name", PINNED_CODES)
+    def test_paths_agree_on_pinned_codes(self, tmp_path, name):
+        code = PINNED_CODES[name]()
+        path = tmp_path / "code.txt"
+        save_code(code, path, header=f"{name}\nsecond header line")
+        text = path.read_text()
+        expected = code.values.tolist()
+        assert (_parse_saved(text) is None) == (code.n >= 63)
+        assert parse_code_text(text).values.tolist() == expected
+        assert _parse_lines(text).values.tolist() == expected
+        for variant in line_path_variants(text):
+            assert _parse_saved(variant) is None
+            back = parse_code_text(variant)
+            assert back.n == code.n and back.values.tolist() == expected
+
+    def test_other_line_breaks_in_a_header(self):
+        # str.splitlines also breaks at form feeds and lone carriage
+        # returns, so the word after one in a '#' line counts
+        for sep in ("\x0c", "\r", "\u2028"):
+            text = f"# header{sep}0110\n0011\n1100\n"
+            assert parse_code_text(text).values.tolist() == [0b0011, 0b0110, 0b1100]
+
+    @pytest.mark.parametrize("name", [name for name in PINNED_CODES if "70" not in name])
+    def test_bad_fast_shape_text_reports_as_the_line_path(self, tmp_path, name):
+        path = tmp_path / "code.txt"
+        save_code(PINNED_CODES[name](), path, header=name)
+        lines = path.read_text().splitlines(keepends=True)
+        mid = len(lines) // 2
+        two = "2" + lines[mid][1:]
+        bad = {  # what replaces lines mid and mid + 1
+            "a 2": two + lines[mid + 1],
+            "a short line": lines[mid][1:] + lines[mid + 1],
+            # as many bytes as two lines, so the rows stay aligned
+            "a long line": lines[mid][:-1] + "0" + lines[mid + 1],
+            "a duplicate": lines[mid - 1] + lines[mid + 1],
+        }
+        messages = {}
+        for kind, replaced in bad.items():
+            text = "".join(lines[:mid]) + replaced + "".join(lines[mid + 2 :])
+            messages[kind] = error_of(parse_code_text, text)
+            assert messages[kind] == error_of(_parse_lines, text), kind
+        assert messages == {
+            "a 2": f"line {mid + 1}: not a 0/1 string: {two.strip()!r}",
+            "a short line": "codewords have mixed lengths",
+            "a long line": "codewords have mixed lengths",
+            "a duplicate": "duplicate codewords in file",
+        }
 
 
 def test_builds_no_word(monkeypatch, tmp_path):

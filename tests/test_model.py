@@ -122,6 +122,23 @@ class TestWord:
         with pytest.raises(PreconditionError):
             Word.from_bits([])
 
+    def test_slotted_value_semantics_match_tuples(self):
+        # a Word has no per-instance dict, and compares, hashes, sorts and
+        # prints as the (n, value) tuple it is keyed by
+        assert not hasattr(Word(5, 3), "__dict__")
+        rng = np.random.default_rng(15)
+        keys = [(int(n), int(rng.integers(1 << n))) for n in rng.integers(1, 40, size=300)]
+        keys += keys[:20]
+        ws = [Word(n, v) for n, v in keys]
+        assert [(w.n, w.value) for w in sorted(ws)] == sorted(keys)
+        for i, j in itertools.product(range(0, len(keys), 5), repeat=2):
+            assert (ws[i] == ws[j]) == (keys[i] == keys[j])
+            assert (ws[i] < ws[j]) == (keys[i] < keys[j])
+        for key, w in zip(keys, ws):
+            assert hash(w) == hash(key) and w == Word(*key) and w != key
+            assert repr(w) == "Word(n={}, value={})".format(*key)
+        assert len(set(ws)) == len(set(keys))
+
 
 class TestErrorVector:
     def test_valid_support(self):
