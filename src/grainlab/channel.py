@@ -19,6 +19,13 @@ the symmetric information rate (SIR): the information rate under
 i.i.d. uniform inputs, computed here as the difference of two
 convergent series.
 
+Under uniform input the output needs only the indicator as state:
+given the outputs so far, u_i = 0 forces x_i = y_i, and u_i = 1 leaves
+x_i a fresh uniform bit that no later output reads (y_{i+1} = x_{i+1}).
+So the derivative z_i = y_i ^ y_{i-1}, y_0 = x0, is emitted by a chain
+on u alone: from u = 0 to u' = 0 with z = 0 or 1, (1-p)/2 each, or to
+u' = 1 with z = 0, p; from u = 1 to u' = 0 with z = 0 or 1, 1/2 each.
+
 The indicators u_1..u_n are an error vector of the word x0 x_1..x_n,
 so model's kernel serves: every output is its grain operator on x0 x,
 x0 dropped.  The chain law is stated once, in _indicator_law (model's
@@ -559,15 +566,11 @@ def erasure_mi_exact(n: int, p: float) -> float:
     return mi / n
 
 
-def _state_transition_matrices(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """M[b][s', s] = P(next state s, output b | state s') with states
-    s = 2u + x, input bits uniform."""
-    pu = indicator_transition_matrix(p)
-    mats = np.zeros((2, 4, 4))
-    for up, xp, u, x in np.ndindex(2, 2, 2, 2):
-        y = x if u == 0 else xp
-        mats[y, 2 * up + xp, 2 * u + x] = pu[up][u] * 0.5
-    return mats[0], mats[1]
+def _derivative_matrices(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """D[z][u, u'] = P(next indicator u', derivative z | indicator u),
+    the chain of the module docstring."""
+    half = (1.0 - p) / 2.0
+    return np.array([[half, p], [0.5, 0.0]]), np.array([[half, 0.0], [0.5, 0.0]])
 
 
 def _entropy(q: np.ndarray) -> float:
@@ -579,21 +582,20 @@ def _entropy(q: np.ndarray) -> float:
     return 0.0 - float(terms.sum())
 
 
-def _prefix_masses(p: float, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(y^{n-1}) and P(y^n) from initial state s = 2u + x0, indexed by
-    the output prefix read MSB-first.  A forward sweep keeps the joint
-    vector alpha over (prefix, state): row i of alpha @ [M0 | M1] holds
-    prefix i extended by 0, then by 1, so reshaping keeps the prefixes
-    ascending.  The last step needs only P(y^{n-1} b) = alpha(y^{n-1})
-    M_b 1, one product with the (4, 2) matrix of M0 and M1 row sums, so
-    the length-n vector of 2^n x 4 floats is never built."""
-    m0, m1 = _state_transition_matrices(p)
-    m01 = np.hstack((m0, m1))
-    alpha = np.eye(4)[s : s + 1]
+def _prefix_masses(p: float, n: int, u0: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(z^{n-1}) and P(z^n) of the derivative chain from indicator u0,
+    indexed by the prefix read MSB-first.  A forward sweep keeps alpha
+    over (prefix, u): row i of alpha @ [D0 | D1] holds prefix i extended
+    by 0, then by 1, so reshaping keeps the prefixes ascending.  The last
+    step needs only alpha(z^{n-1}) D_b 1, one product with the row sums
+    of D0 and D1, so no 2^n x 2 array is built."""
+    d0, d1 = _derivative_matrices(p)
+    d01 = np.hstack((d0, d1))
+    alpha = np.eye(2)[u0 : u0 + 1]
     for _ in range(n - 1):
-        alpha = (alpha @ m01).reshape(-1, 4)
-    shorter = alpha[:, 0] + alpha[:, 1] + alpha[:, 2] + alpha[:, 3]
-    longer = alpha @ np.column_stack((m0.sum(axis=1), m1.sum(axis=1)))
+        alpha = (alpha @ d01).reshape(-1, 2)
+    shorter = alpha[:, 0] + alpha[:, 1]
+    longer = alpha @ np.column_stack((d0.sum(axis=1), d1.sum(axis=1)))
     return shorter, longer.ravel()
 
 
@@ -603,42 +605,35 @@ def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
     the stationary initial state.  The output-entropy series partial
     sums converge inside this bracket.
 
-    Both ends come from two sweeps, from s0 = (u, 0) for u = 0, 1, with
-    a_u(y) the prefix masses of _prefix_masses.  Complementing x0 and
-    every input bit complements every output and leaves u and the
-    uniform input law alone, so from (u, 1) the mass of y is a_u(ybar);
-    ybar = 2^L - 1 - y for a prefix of length L, so that is a_u in
-    reversed order.  Then
-        lower = sum_u w_u (H(a_u at n) - H(a_u at n-1)),
-    since reversal leaves an entropy alone, and by linearity of the law
-    in the initial state, which is (u, x0) with weight w_u / 2,
-        P_stat(y) = sum_u w_u / 2 (a_u(y) + a_u(ybar)) = (b(y) + b(ybar)) / 2
-    with b = sum_u w_u a_u, whose entropies at n and n - 1 give the
-    upper end."""
+    Both ends come from two sweeps of the derivative chain, with a_u the
+    prefix masses from u0 = u.  Lower end: given s0 = (u0, x0), y^n ->
+    z^n is a bijection and z^n's law depends on u0 alone, so
+        lower = sum_u w_u (H(a_u at n) - H(a_u at n-1)).
+    Upper end: y^n -> (y_1, z_2..z_n) is a bijection.  y_1 (x_1 or x0)
+    is uniform whatever u_1, z_2..z_n is emitted from u_1 without
+    reading y_1, and u_1 is stationary; so H(y^n) = 1 + H(b) with
+    b = sum_u w_u a_u at n - 1, and H(y^{n-1}) = 1 + H(b'), b' the
+    pairwise sums of b (the last z summed out): upper = H(b) - H(b')."""
     _check_n(n, p, "channel_exact_n", least=2)
-    lower = 0.0
-    mixed = [0.0, 0.0]  # sum_u w_u a_u at n - 1 and at n
+    lower = b = 0.0
     for u, w in enumerate(_stationary_weights(p)):
         if w > 0.0:
-            masses = _prefix_masses(p, n, 2 * u)
-            lower += w * (_entropy(masses[1]) - _entropy(masses[0]))
-            mixed = [m + w * a for m, a in zip(mixed, masses)]
-            del masses  # before the next sweep, whose arrays set the peak
-    h_short, h_long = (_entropy((m + m[::-1]) / 2.0) for m in mixed)
-    return lower, h_long - h_short
+            shorter, longer = _prefix_masses(p, n, u)
+            lower += w * (_entropy(longer) - _entropy(shorter))
+            b = b + w * shorter
+            del shorter, longer  # before the next sweep, whose arrays set the peak
+    return lower, _entropy(b) - _entropy(b[0::2] + b[1::2])
 
 
 def all_zero_output_prob(n: int, p: float) -> float:
     """Exact P(y^n = 0^n) under stationary start and uniform input;
     bounded by (3/4)^floor(n/2) since each 00 output pair rules out an
-    11 input pair."""
+    11 input pair.  It is P(y_1 = 0, z_2..z_n = 0) = (1/2) w D0^(n-1) 1,
+    w the stationary indicator law (as in output_entropy_bracket)."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise PreconditionError("need n >= 1 and p in [0, 1]")
-    m0, _ = _state_transition_matrices(p)
-    alpha = np.repeat(_stationary_weights(p), 2) / 2.0
-    for _ in range(n):
-        alpha = alpha @ m0
-    return float(alpha.sum())
+    d0 = _derivative_matrices(p)[0]
+    return 0.5 * float(np.sum(_stationary_weights(p) @ np.linalg.matrix_power(d0, n - 1)))
 
 
 def _star_entropy(f: np.ndarray, k: int) -> float:

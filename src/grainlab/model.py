@@ -216,6 +216,8 @@ def enumerate_error_vectors(n: int, t: int) -> list[ErrorVector]:
 
 
 def _check_image_cap(n: int) -> None:
+    if n > 63:  # whatever the cap: the kernels pack words into int64
+        raise PreconditionError(f"n={n}: 2^{n} words do not fit the 63-bit kernels")
     check_cap("n", n, "error_enum_n")
 
 

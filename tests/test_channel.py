@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,6 @@ from grainlab.channel import (
     _indicator_law,
     _prefix_masses,
     _star_entropy,
-    _state_transition_matrices,
     IndecomposabilityResult,
     all_zero_output_prob,
     capacity_curves,
@@ -523,10 +523,23 @@ class TestExactMutualInformation:
         assert len(values) == 1
 
 
+def output_transition_matrices(p: float) -> np.ndarray:
+    """M[y][2u' + x', 2u + x] = P(state (u, x), output y | state (u', x'))
+    for uniform input bits, from the literal rule: y = x if u = 0, else
+    the previous input bit x'; u is 1 with probability p after u' = 0
+    and 0 after u' = 1."""
+    step = [[1.0 - p, p], [1.0, 0.0]]
+    mats = np.zeros((2, 4, 4))
+    for up, xp, u, x in itertools.product((0, 1), repeat=4):
+        mats[x if u == 0 else xp, 2 * up + xp, 2 * u + x] = step[up][u] / 2.0
+    return mats
+
+
 def output_entropy_profile(p: float, n: int, alpha0: np.ndarray) -> list[float]:
-    """Every-step reference: H(y^1), ..., H(y^n) by a forward sweep that
-    keeps the joint vector over (output prefix, state) at every length."""
-    m01 = np.hstack(_state_transition_matrices(p))
+    """Every-step reference: H(y^1), ..., H(y^n) by a forward sweep over
+    the four-state (u, x) trellis that keeps the joint vector over
+    (output prefix, state) at every length."""
+    m01 = np.hstack(output_transition_matrices(p))
     alpha = alpha0.reshape(1, 4)
     entropies = []
     for _ in range(n):
@@ -549,6 +562,17 @@ def output_entropy_bracket_reference(n: int, p: float) -> tuple[float, float]:
             cond = output_entropy_profile(p, n, np.eye(4)[s])
             lower += w * (cond[-1] - cond[-2])
     return lower, profile[-1] - profile[-2]
+
+
+def derivative_law(n: int, spec: ChannelSpec, x0: int) -> np.ndarray:
+    """Law of the output derivative z^n, z_i = y_i ^ y_{i-1} with
+    y_0 = x0, indexed MSB-first: the exact output laws of all 2^n
+    inputs, each of weight 2^-n, mapped y -> z."""
+    law = np.zeros(1 << n)
+    for x in words(n):
+        for y, q in grains_output_law(x, spec).items():
+            law[y.value ^ ((x0 << (n - 1)) | (y.value >> 1))] += q
+    return law / 2**n
 
 
 class TestOutputEntropyBracket:
@@ -579,17 +603,20 @@ class TestOutputEntropyBracket:
             want = output_entropy_bracket_reference(n, p)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=str(n))
 
-    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
-    def test_complement_symmetry_of_conditional_profiles(self, p):
-        """The bracket sweeps only x0 = 0: the prefix masses conditional
-        on state (u, 1) are those conditional on (u, 0) in reversed
-        order, at every length up to 12."""
-        for n in range(2, 13):
-            for u in (0, 1):
-                from_x0 = _prefix_masses(p, n, 2 * u)
-                from_x1 = _prefix_masses(p, n, 2 * u + 1)
-                for a, b in zip(from_x0, from_x1):
-                    np.testing.assert_array_equal(b, a[::-1])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
+    def test_prefix_masses_match_enumerated_output_laws(self, p):
+        """The derivative chain from u0 gives the law of z^n (and of
+        z^{n-1}) that the exact output laws of all 2^n inputs give from
+        (u0, x0), for either x0."""
+        for n in range(1, 9):
+            for u0 in (0, 1):
+                shorter, longer = _prefix_masses(p, n, u0)
+                for x0 in (0, 1):
+                    want = derivative_law(n, ChannelSpec(p, initial=(u0, x0)), x0)
+                    np.testing.assert_allclose(longer, want, rtol=0.0, atol=1e-15)
+                    np.testing.assert_allclose(
+                        shorter, want[0::2] + want[1::2], rtol=0.0, atol=1e-15
+                    )
 
     def test_traced_memory_at_n18(self):
         output_entropy_bracket(18, 0.5)  # warm imports and caches
@@ -599,7 +626,7 @@ class TestOutputEntropyBracket:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 10e6
 
 
 class TestAllZeroOutputProb:
@@ -610,6 +637,14 @@ class TestAllZeroOutputProb:
 
     def test_p0_exact_uniform(self):
         assert all_zero_output_prob(5, 0.0) == pytest.approx(2**-5)
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
+    def test_matches_stationary_enumeration(self, p):
+        spec = ChannelSpec(p)
+        for n in range(1, 9):
+            laws = (grains_output_law(x, spec) for x in words(n))
+            mass = sum(law.get(Word(n, 0), 0.0) for law in laws) / 2**n
+            assert all_zero_output_prob(n, p) == pytest.approx(mass, rel=1e-13, abs=1e-15)
 
 
 def error_entropy_loop(n: int, p: float) -> float:

@@ -334,6 +334,24 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "phi", "--x", "0" * 30, "--t", "1")
         assert code == 3 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-code", "--file", "{tmp}/long.txt", "--t", "1"],
+            ["verify-code", "--file", "{tmp}/long.txt", "--t", "1", "--known-grain"],
+            ["phi", "--x", "01" * 35, "--t", "1"],
+            ["confusable", "--x1", "0" * 70, "--x2", "01" * 35, "--t", "1"],
+        ],
+        ids=["verify-code", "known-grain", "phi", "confusable"],
+    )
+    def test_past_63_bits_exit_2_under_a_raised_cap(self, capsys, tmp_path, argv):
+        (tmp_path / "caps.cfg").write_text("error_enum_n=70\n")
+        (tmp_path / "long.txt").write_text("1" * 70 + "\n1" + "0" * 69 + "\n")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, out, err = run_cli(capsys, "--config", str(tmp_path / "caps.cfg"), *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2^70" in err
+
     def test_malformed_code_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0011\n012x\n")

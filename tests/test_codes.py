@@ -322,6 +322,14 @@ class TestVerifiers:
         with caps_override(error_enum_n=70), pytest.raises(GrainlabError, match="2\\^70"):
             verify_known_pattern(code, 1)
 
+    def test_known_pattern_table_at_63_bits_is_an_error(self):
+        # 2^63 entries pass the ceiling but exceed numpy's largest dimension
+        code = Code(63, [0, (1 << 63) - 1])
+        with caps_override(error_enum_n=63), pytest.raises(GrainlabError, match="2\\^63"):
+            verify_known_pattern(code, 1)
+        with caps_override(error_enum_n=63):
+            assert verify_grain_correcting(code, 1)
+
     def test_known_pattern_budget_zero(self):
         code = Code(3, [0b000, 0b111])
         assert verify_known_pattern(code, 0)

@@ -276,6 +276,23 @@ class TestEnumeration:
         with caps_override(error_enum_n=24), pytest.raises(CapExceeded):
             enumerate_error_vectors(25, 1)
 
+    def test_ceiling_at_63_bits_whatever_the_cap(self):
+        for cap in (24, 70):
+            with caps_override(error_enum_n=cap):
+                with pytest.raises(PreconditionError, match="2\\^64"):
+                    enumerate_error_vectors(64, 1)
+                with pytest.raises(PreconditionError, match="2\\^70"):
+                    grain_image_list(Word(70, 1 << 69), 1)
+
+    def test_63_bits_still_enumerate_and_image(self):
+        x = "1" + "01" * 31
+        with caps_override(error_enum_n=63):
+            supports = [e.support for e in enumerate_error_vectors(63, 1)]
+            images = [str(w) for w in grain_image_list(Word.parse(x), 1)]
+        assert supports == supports_ref(63, 1)
+        assert images[0] == x and len(images) == len(set(images))
+        assert set(images) == images_ref(x, 1)
+
 
 # ---------------------------------------------------------------------------
 # images, runs, confusability
