@@ -80,7 +80,7 @@ class Code:
         return frozenset(self.sorted_words())
 
     def sorted_words(self) -> list[Word]:
-        return [Word(self.n, v) for v in self.values.tolist()]
+        return Word._unchecked(self.n, self.values.tolist())
 
     def render(self) -> str:
         """The file body: one 0/1 line per codeword, in ascending order,

@@ -17,9 +17,15 @@ of the half graph: bit-parallel greedy colouring at every node (BBMC,
 San Segundo et al., Computers & OR 2011) bounds the set size by the
 number of colour classes, and the Re-NUMBER step of MCS (Tomita et al.,
 WALCOM 2010) moves vertices into the classes that are never expanded.
-It proves n <= 8 (t = 1, 2) in under a second and n = 9, 10 at t = 2..4
-in under 20 s; (9, 1) runs into the exact_m_time_limit budget and
-returns a lower bound flagged exact=False.
+A vertex Re-NUMBER cannot place is absorbed when unit propagation over
+those classes proves that no clique takes it together with one vertex
+from each of some classes not yet used, the MaxSAT-style bound of Li &
+Quan (AAAI 2010) and San Segundo, Nikolaev & Batsyn (Computers & OR
+2015); _max_independent_set proves the bound.  On a shared 2-CPU VM it
+proves n <= 8 (t = 1, 2) in under half a second and n = 9, 10 at
+t = 2..4 in at most about 10 s, (10, 2) being the slowest; (9, 1) runs
+into the exact_m_time_limit budget and returns a lower bound flagged
+exact=False.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ class MaxCodeResult:
     size: int
     words: tuple[Word, ...]
     exact: bool  # False when the search hit its time limit
+    nodes: int  # branch-and-bound nodes expanded
+    absorbed: int  # vertices absorbed by unit propagation, summed over nodes
 
 
 def _half_adjacency(n: int, t: int) -> list[int]:
@@ -112,9 +120,111 @@ def _renumber(v: int, cadj: list[int], classes: list[int]) -> bool:
     return False
 
 
+def _absorb(v: int, cadj: list[int], classes: list[int], used: list[bool]) -> bool:
+    """Unit propagation from v over the colour classes not yet used.
+
+    Each class is cut to v's complement neighbours.  A class cut to one
+    vertex u is a unit: a clique of the complement that takes v and
+    meets the class takes u, so u's neighbours cut the other classes in
+    turn, lowest unit class first.  When a cut leaves a class empty, no
+    clique takes v and one vertex from each unit class propagated and
+    from the emptied class: these are marked used and True is returned.
+    Otherwise nothing is marked.  classes is only read.
+    """
+    reach = cadj[v]
+    units: list[tuple[int, int]] = []  # (class, its one vertex), not yet propagated
+    wide = []  # classes cut to two or more vertices
+    for k, cls in enumerate(classes):
+        if used[k]:
+            continue
+        cut = cls & reach
+        if not cut:
+            used[k] = True
+            return True
+        if cut & (cut - 1):
+            wide.append(k)
+        else:
+            units.append((k, cut))
+    done = []  # classes of the units propagated
+    while units:
+        k, bit = unit = min(units)
+        units.remove(unit)
+        done.append(k)
+        reach &= cadj[bit.bit_length() - 1]
+        empty = [j for j, u in units if not u & reach]
+        if not empty:
+            still = []
+            for j in wide:
+                cut = classes[j] & reach
+                if not cut:
+                    empty.append(j)
+                    break
+                if cut & (cut - 1):
+                    still.append(j)
+                else:
+                    units.append((j, cut))
+            wide = still
+        if empty:
+            for j in done + empty[:1]:
+                used[j] = True
+            return True
+    return False
+
+
+def _colour(
+    candidates: int, below: int, radj: list[int], cadj: list[int]
+) -> tuple[list[tuple[int, int]], int]:
+    """One node's bound, as _max_independent_set states and proves it:
+    up to below colour classes, then Re-NUMBER, then absorption, then
+    the branch vertices coloured from below + 1 up.
+
+    Returns the branch vertices as (bit, colour) in colouring order and
+    the number of vertices absorbed.  A clique of the complement within
+    candidates minus the branch vertices after entry i has at most
+    colour_i vertices; without any branch vertex, at most below.
+    """
+    classes: list[int] = []
+    pool = candidates
+    while pool and len(classes) < below:
+        rest, cls = pool, 0
+        while rest:
+            low = rest & -rest
+            cls |= low
+            rest &= radj[low.bit_length() - 1]
+        classes.append(cls)
+        pool ^= cls
+    rest = pool
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if _renumber(low.bit_length() - 1, cadj, classes):
+            pool ^= low
+    used = [False] * len(classes)
+    absorbed = 0
+    rest = pool
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if _absorb(low.bit_length() - 1, cadj, classes, used):
+            pool ^= low
+            absorbed += 1
+    # colour the rest from kmin = below + 1 up; branch on them
+    branch: list[tuple[int, int]] = []
+    colour = below
+    while pool:
+        colour += 1
+        rest = pool
+        while rest:
+            low = rest & -rest
+            branch.append((low, colour))
+            pool ^= low
+            rest &= radj[low.bit_length() - 1]
+    return branch, absorbed
+
+
 def _max_independent_set(
     adj: list[int], seed_count: int, seed_mask: int, deadline: float | None
-) -> tuple[int, int, bool]:
+) -> tuple[int, int, bool, int, int]:
     """Branch and bound via maximum clique in the complement graph.
 
     Vertices are relabelled once so that bit i is the i-th vertex by
@@ -128,13 +238,34 @@ def _max_independent_set(
     classes below kmin are never expanded (MCQ); a vertex that would
     open a class >= kmin is first re-numbered into a lower class, as
     the Re-NUMBER step of MCS (Tomita et al., WALCOM 2010), which
-    about halves the node count.  The vertices left over are coloured
-    from kmin up and branched on, highest colour first.
+    about halves the node count.
 
-    Returns (size, mask, exact) with the mask in the original labels;
-    exact is False when the deadline stopped the search, and the seed
-    (or a better set found) is then only a lower bound.
-    Deterministic.
+    A vertex that Re-NUMBER cannot place is then offered to _absorb,
+    the MaxSAT-style step of Li & Quan (AAAI 2010), as San Segundo,
+    Nikolaev & Batsyn (Computers & OR 2015) run it over colour classes.
+    If unit propagation from v finds classes T(v), none used before,
+    such that no clique of the complement takes v and one vertex from
+    each class of T(v), v is absorbed: it is not branched on.  The
+    bound still holds.  Group v with T(v); a clique takes at most one
+    vertex from each class, and if it takes v it misses some class of
+    T(v), so it takes at most |T(v)| from the |T(v)| + 1 sets of the
+    group.  The groups are disjoint, so a clique within the classes
+    and the absorbed vertices has at most as many vertices as there
+    are classes, at most best - size.  Absorption runs after every
+    Re-NUMBER move of the node: a later move that adds a vertex to a
+    class of T(v), or swaps one out of it, can undo the proof.  It
+    drops three quarters of the nodes at (8, 1): 13 548 -> 3328.
+
+    The vertices left over are coloured from kmin up and branched on,
+    highest colour first: a clique within the classes, the absorbed
+    vertices and the branch vertices of colour <= c has at most c
+    vertices.
+
+    Returns (size, mask, exact, nodes, absorbed) with the mask in the
+    original labels; exact is False when the deadline stopped the
+    search, and the seed (or a better set found) is then only a lower
+    bound.  nodes counts the nodes expanded and absorbed the vertices
+    absorbed over all of them.  Deterministic.
     """
     nv = len(adj)
     full = (1 << nv) - 1
@@ -150,39 +281,15 @@ def _max_independent_set(
     cadj = [full & ~radj[i] & ~(1 << i) for i in range(nv)]
     best = [seed_count, relabel(seed_mask)]
     timed_out = [False]
+    counts = [0, 0]  # nodes, absorbed vertices
 
     def expand(size: int, chosen: int, candidates: int) -> None:
+        counts[0] += 1
         if deadline is not None and time.monotonic() > deadline:
             timed_out[0] = True
             return
-        below = best[0] - size  # classes that can never beat best
-        classes: list[int] = []
-        pool = candidates
-        while pool and len(classes) < below:
-            rest, cls = pool, 0
-            while rest:
-                low = rest & -rest
-                cls |= low
-                rest &= radj[low.bit_length() - 1]
-            classes.append(cls)
-            pool ^= cls
-        rest = pool
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if _renumber(low.bit_length() - 1, cadj, classes):
-                pool ^= low
-        # colour the rest from kmin = below + 1 up; branch on them
-        branch: list[tuple[int, int]] = []
-        colour = below
-        while pool:
-            colour += 1
-            rest = pool
-            while rest:
-                low = rest & -rest
-                branch.append((low, colour))
-                pool ^= low
-                rest &= radj[low.bit_length() - 1]
+        branch, absorbed = _colour(candidates, best[0] - size, radj, cadj)
+        counts[1] += absorbed
         for bit, colour in reversed(branch):
             if size + colour <= best[0]:
                 return
@@ -198,7 +305,7 @@ def _max_independent_set(
 
     expand(0, 0, full)
     mask = sum(1 << order[i] for i in range(nv) if (best[1] >> i) & 1)
-    return best[0], mask, not timed_out[0]
+    return best[0], mask, not timed_out[0], counts[0], counts[1]
 
 
 def max_code_size(n: int, t: int) -> MaxCodeResult:
@@ -216,23 +323,22 @@ def max_code_size(n: int, t: int) -> MaxCodeResult:
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
     if t == 0 or n == 1:
-        words = tuple(Word(n, v) for v in range(1 << n))
-        return MaxCodeResult(n, t, 1 << n, words, True)
+        words = tuple(Word._unchecked(n, range(1 << n)))
+        return MaxCodeResult(n, t, 1 << n, words, True, 0, 0)
 
     adj = _half_adjacency(n, t)
     seed_count, seed_mask = _greedy_independent(adj)
     limit = get_caps().exact_m_time_limit
     deadline = time.monotonic() + limit if limit else None
-    half_size, half_mask, exact = _max_independent_set(
+    half_size, half_mask, exact, nodes, absorbed = _max_independent_set(
         adj, seed_count, seed_mask, deadline
     )
+    half = [v for v in range(len(adj)) if (half_mask >> v) & 1]
     top = 1 << (n - 1)
-    words: list[Word] = []
-    for v in range(len(adj)):
-        if (half_mask >> v) & 1:
-            words.append(Word(n, v))
-            words.append(Word(n, (v ^ (top - 1)) | top))  # complement word
-    return MaxCodeResult(n, t, 2 * half_size, tuple(sorted(words)), exact)
+    # the complement words, ascending after the half's: v ^ (top - 1) falls as v rises
+    values = half + [(v ^ (top - 1)) | top for v in reversed(half)]
+    words = tuple(Word._unchecked(n, values))
+    return MaxCodeResult(n, t, 2 * half_size, words, exact, nodes, absorbed)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,20 @@ class Word:
             raise PreconditionError(f"value {self.value} does not fit in {self.n} bits")
 
     @classmethod
+    def _unchecked(cls, n: int, values: Iterable[int]) -> list["Word"]:
+        """Words of length n for values a kernel already keeps in
+        0 .. 2^n - 1, with n checked by their source: built without
+        __post_init__'s range checks."""
+        new, set_n, set_value = object.__new__, cls.n.__set__, cls.value.__set__
+        words = []
+        for value in values:
+            word = new(cls)
+            set_n(word, n)
+            set_value(word, value)
+            words.append(word)
+        return words
+
+    @classmethod
     def parse(cls, text: str) -> "Word":
         text = text.strip()
         if not text or any(c not in "01" for c in text):
@@ -232,7 +246,7 @@ def grain_image_list(x: Word, t: int) -> list[Word]:
     """Images of x under at most t length-2 grains, without repeats: x
     first, then one per support mask inside the run-boundary mask of x,
     in enumeration order (closed form (a) of image_values)."""
-    return [Word(x.n, y) for y in _images(x, t).tolist()]
+    return Word._unchecked(x.n, _images(x, t).tolist())
 
 
 def grain_images(x: Word, t: int) -> frozenset[Word]:

@@ -571,17 +571,9 @@ class TestParsePaths:
         }
 
 
-def test_builds_no_word(monkeypatch, tmp_path):
+def test_builds_no_word(built_words, tmp_path):
     """The constructions and the code files work on packed ints: a Word
     is built only when the API hands one out."""
-    built = []
-    post_init = Word.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Word, "__post_init__", counting)
     path = tmp_path / "code.txt"
     for code in (
         construct_doubling(9),
@@ -590,6 +582,6 @@ def test_builds_no_word(monkeypatch, tmp_path):
     ):
         save_code(code, path)
         load_code(path)
-    assert built == []
+    assert built_words == []
     construct_doubling(4).sorted_words()
-    assert len(built) == 4  # the counter sees the API's Words
+    assert len(built_words) == 4  # the counter sees the API's Words

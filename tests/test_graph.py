@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,6 +9,8 @@ from grainlab.config import Caps, caps_override
 from grainlab.errors import CapExceeded
 from grainlab.graph import (
     CliquePartition,
+    _absorb,
+    _colour,
     _greedy_independent,
     _half_adjacency,
     _max_independent_set,
@@ -118,6 +121,77 @@ def half_adjacency_ref(n, t):
     ]
 
 
+def sequential_colouring(cadj, vertices):
+    """Classes of the first-fit colouring of vertices, in order: each
+    class holds no two cadj-neighbours."""
+    classes = []
+    for u in vertices:
+        for k, c in enumerate(classes):
+            if not cadj[u] & c:
+                classes[k] = c | 1 << u
+                break
+        else:
+            classes.append(1 << u)
+    return classes
+
+
+def members(mask):
+    return [u for u in range(mask.bit_length()) if (mask >> u) & 1]
+
+
+def clique_number(cadj, candidates):
+    """Largest clique of cadj within the candidates mask, by include/exclude."""
+    if not candidates:
+        return 0
+    v = candidates.bit_length() - 1
+    rest = candidates & ~(1 << v)
+    return max(clique_number(cadj, rest), 1 + clique_number(cadj, rest & cadj[v]))
+
+
+# Size and sha256 of the space-joined witness values of max_code_size(n, t),
+# in the ascending order it returns them, recorded before unit-propagation
+# absorption joined the search: the search may prune more, but below n = 9
+# it must return the same witness.
+PINNED_WITNESSES = {
+    # t = 0
+    (1, 0): (2, "5cc3a6551605a0b4e9c3334f5eb5554c404973daf0b1a58655fa29c0ba3d47b0"),
+    (2, 0): (4, "63dbe32229b625e9107d2b3db1833688bf500dbe5b559947b2234b9caf0a25d1"),
+    (3, 0): (8, "655a85aa4946aa79c3481195d34aa4af4e731983fa2c2fb417cc62f46274d3c5"),
+    (4, 0): (16, "b06b2d2a333fc829502790fcd3a6eb1d107598f438fd86d96a79b98b0f685be7"),
+    (5, 0): (32, "750ba7c07e313a9bce399ef340d658b160863168a8eea648890aabf58e559305"),
+    (6, 0): (64, "90c2fb47e009e4622216e29bed3d482342e39396da88013381b26cedd52723ba"),
+    (7, 0): (128, "d4fae8f3edee48cea7d0dec724c5e848736b8d6d7cbcf49764e2dc5240f59bb4"),
+    (8, 0): (256, "86059e067fc6d1b8d629715738e3bea0ba3939185e72a56a1f91d2cc3696bae6"),
+    # t = 1
+    (1, 1): (2, "5cc3a6551605a0b4e9c3334f5eb5554c404973daf0b1a58655fa29c0ba3d47b0"),
+    (2, 1): (2, "dcbcbaa9a7fe7a87d60bf64c2691b57a08647b9eee8d0fca9252a28de282514f"),
+    (3, 1): (4, "a93f72713bd585b36af09ab4278fc913ff17d07c8d997c71d9e3da03de3ff96c"),
+    (4, 1): (6, "fac5fd555c1f28f115b6069abcd634c30f06e6dce05649c1559b71b80573c9b2"),
+    (5, 1): (8, "dad1f98b5c180c265d464b7f06766fd4ba2f253be963c5a9a4ec18c673747bcc"),
+    (6, 1): (16, "850a95c11ee28143ed520e3cf88401c783db4d9c4a6256f44180c97a459883bf"),
+    (7, 1): (26, "70811a2acebca083265088b1fd7635f7d04f4fcf00e6d6616cbd1d578aa3aa81"),
+    (8, 1): (44, "cc1dc0807ed6cd17675a8afbb99e1635e2e85a782963a7a364e470685560bed9"),
+    # t = 2
+    (1, 2): (2, "5cc3a6551605a0b4e9c3334f5eb5554c404973daf0b1a58655fa29c0ba3d47b0"),
+    (2, 2): (2, "dcbcbaa9a7fe7a87d60bf64c2691b57a08647b9eee8d0fca9252a28de282514f"),
+    (3, 2): (4, "a93f72713bd585b36af09ab4278fc913ff17d07c8d997c71d9e3da03de3ff96c"),
+    (4, 2): (4, "82832382dda1e3abcc0091ef11ee3efbbce84e257eb4217004f229b76599ab5a"),
+    (5, 2): (8, "dad1f98b5c180c265d464b7f06766fd4ba2f253be963c5a9a4ec18c673747bcc"),
+    (6, 2): (10, "08f3c7bd9441217d79287d21b6462f0f772bb1459adc86bf1c0249d946652dcc"),
+    (7, 2): (16, "9e3d6bd60407bc4199b1f04c8a51176c782cf46028f92fb8a19dfb722c69d70d"),
+    (8, 2): (22, "5c4aa0c4b5987d09b937d592c857d896c2642558d27537a13ee70c56c753275a"),
+    # t = 3
+    (1, 3): (2, "5cc3a6551605a0b4e9c3334f5eb5554c404973daf0b1a58655fa29c0ba3d47b0"),
+    (2, 3): (2, "dcbcbaa9a7fe7a87d60bf64c2691b57a08647b9eee8d0fca9252a28de282514f"),
+    (3, 3): (4, "a93f72713bd585b36af09ab4278fc913ff17d07c8d997c71d9e3da03de3ff96c"),
+    (4, 3): (4, "82832382dda1e3abcc0091ef11ee3efbbce84e257eb4217004f229b76599ab5a"),
+    (5, 3): (8, "dad1f98b5c180c265d464b7f06766fd4ba2f253be963c5a9a4ec18c673747bcc"),
+    (6, 3): (8, "01a3d92e371767c7abeb98f7444d252ca0bf93f6fe7a619b842864829bdaeb03"),
+    (7, 3): (16, "9e3d6bd60407bc4199b1f04c8a51176c782cf46028f92fb8a19dfb722c69d70d"),
+    (8, 3): (18, "8b8f82075b6b4823cbf59b067c079a5ef92f8c4b952b69d549986d91b8e5e1ea"),
+}
+
+
 def edges_kernel(n, t):
     """Edges from the kernel's neighbour relation, as sorted Word pairs."""
     return {
@@ -185,12 +259,18 @@ class TestMaxCodeSize:
 
     def test_random_graphs_match_plain_recursion(self):
         rng = random.Random(11)
+        absorbed = 0
         for _ in range(60):
             nv = rng.randint(1, 18)
             adj = random_adjacency(rng, nv, rng.choice([0.1, 0.3, 0.5, 0.8]))
-            size, mask, exact = _max_independent_set(adj, *_greedy_independent(adj), None)
+            size, mask, exact, nodes, more = _max_independent_set(
+                adj, *_greedy_independent(adj), None
+            )
             assert exact and size == mask.bit_count() == mis_plain(adj, (1 << nv) - 1)
             assert not any(adj[v] & mask for v in range(nv) if (mask >> v) & 1)
+            assert nodes >= 1
+            absorbed += more
+        assert absorbed > 0
 
     def test_renumber_keeps_classes_conflict_free(self):
         rng = random.Random(5)
@@ -199,14 +279,7 @@ class TestMaxCodeSize:
             nv = rng.randint(3, 14)
             cadj = random_adjacency(rng, nv, 0.5)
             v = nv - 1
-            classes = []
-            for u in range(v):  # sequential greedy colouring of the others
-                for k, c in enumerate(classes):
-                    if not cadj[u] & c:
-                        classes[k] = c | 1 << u
-                        break
-                else:
-                    classes.append(1 << u)
+            classes = sequential_colouring(cadj, range(v))
             first_fit = any(not cadj[v] & c for c in classes)
             placed = _renumber(v, cadj, classes)
             outcomes.add((first_fit, placed))
@@ -215,6 +288,82 @@ class TestMaxCodeSize:
             for c in classes:
                 assert not any(cadj[u] & c for u in range(nv) if (c >> u) & 1)
         assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_absorb_marks_only_inconsistent_subsets(self):
+        class Marks(list):
+            """A used list that fails on marking a class twice."""
+
+            def __setitem__(self, k, value):
+                assert value is True and not self[k], k
+                super().__setitem__(k, value)
+
+        rng = random.Random(17)
+        marked_sizes = set()
+        outcomes = set()
+        for _ in range(400):
+            nv = rng.randint(2, 14)
+            cadj = random_adjacency(rng, nv, rng.choice([0.3, 0.5, 0.7, 0.85]))
+            order = rng.sample(range(nv), nv)
+            cut = rng.randint(1, nv - 1)
+            classes = sequential_colouring(cadj, order[:cut])
+            frozen = list(classes)
+            used = Marks([False] * len(classes))
+            for v in order[cut:]:
+                before = list(used)
+                absorbed = _absorb(v, cadj, classes, used)
+                assert classes == frozen
+                new = [k for k in range(len(classes)) if used[k] and not before[k]]
+                outcomes.add(absorbed)
+                if not absorbed:
+                    assert new == []
+                    continue
+                marked_sizes.add(len(new))
+                # no clique of the complement takes v and one vertex of each
+                for pick in itertools.product(*(members(classes[k]) for k in new)):
+                    clique = (v, *pick)
+                    assert not all(
+                        (cadj[a] >> b) & 1 for a, b in itertools.combinations(clique, 2)
+                    ), (v, pick)
+        assert outcomes == {True, False}
+        assert {1, 2, 3} <= marked_sizes
+
+    def test_colour_bounds_every_branch_prefix(self):
+        # the pruning rule: with the branch vertices after entry i removed,
+        # no clique of the complement exceeds colour_i; with all removed,
+        # below.  below sits just under the clique number, where a bound
+        # that is off by one shows.
+        rng = random.Random(23)
+        absorbed = 0
+        for _ in range(300):
+            nv = rng.randint(8, 13)
+            radj = random_adjacency(rng, nv, rng.choice([0.3, 0.5]))
+            cadj = [((1 << nv) - 1) & ~radj[v] & ~(1 << v) for v in range(nv)]
+            candidates = (1 << nv) - 1
+            below = max(0, clique_number(cadj, candidates) - rng.randint(1, 2))
+            branch, more = _colour(candidates, below, radj, cadj)
+            absorbed += more
+            left = candidates
+            for bit, colour in reversed(branch):
+                assert clique_number(cadj, left) <= colour
+                left ^= bit
+            assert clique_number(cadj, left) <= below
+        assert absorbed > 0
+
+    def test_search_counters(self):
+        result = max_code_size(8, 1)
+        assert 0 < result.nodes < 13548 // 2  # 13 548 nodes without absorption
+        assert result.absorbed > 0
+        assert (max_code_size(5, 0).nodes, max_code_size(5, 0).absorbed) == (0, 0)
+
+    def test_witnesses_pinned(self):
+        for (n, t), (size, digest) in PINNED_WITNESSES.items():
+            result = max_code_size(n, t)
+            values = " ".join(str(w.value) for w in result.words)  # sorted, as pinned
+            assert result.exact, (n, t)
+            assert (result.size, hashlib.sha256(values.encode()).hexdigest()) == (
+                size,
+                digest,
+            ), (n, t)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_witness_is_independent(self, n):
@@ -310,20 +459,13 @@ class TestGreedyPartition:
             part = greedy_clique_partition(m, s)
             assert (part.parts, part.witnesses) == greedy_partition_scan(m, s), s
 
-    def test_builds_no_word(self, monkeypatch):
-        built = []
-        post_init = Word.__post_init__
-
-        def counting(word):
-            built.append(word)
-            post_init(word)
-
-        monkeypatch.setattr(Word, "__post_init__", counting)
+    def test_builds_no_word(self, built_words):
         part = greedy_clique_partition(10, 2)
         assert verify_clique_partition(part)
-        assert built == []
-        Word(3, 5)  # the probe itself counts
-        assert len(built) == 1
+        assert built_words == []
+        Word(3, 5)  # the probes themselves count
+        Word._unchecked(3, [5, 6])
+        assert len(built_words) == 3
 
     def test_deterministic(self):
         a = greedy_clique_partition(6, 1)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -138,6 +140,21 @@ class TestWord:
             assert hash(w) == hash(key) and w == Word(*key) and w != key
             assert repr(w) == "Word(n={}, value={})".format(*key)
         assert len(set(ws)) == len(set(keys))
+
+    def test_unchecked_words_match_checked(self):
+        # the kernels' constructor skips only the range checks
+        rng = random.Random(16)
+        keys = [(n, rng.getrandbits(n)) for n in (rng.randint(1, 70) for _ in range(200))]
+        fast = [w for n, v in keys for w in Word._unchecked(n, [v])]
+        slow = [Word(n, v) for n, v in keys]
+        assert fast == slow and sorted(fast) == sorted(slow)
+        assert [hash(w) for w in fast] == [hash(w) for w in slow]
+        assert [repr(w) for w in fast] == [repr(w) for w in slow]
+        assert Word._unchecked(6, range(3, 6)) == [Word(6, 3), Word(6, 4), Word(6, 5)]
+        word = fast[0]
+        assert type(word) is Word and not hasattr(word, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            word.value = 1
 
 
 class TestErrorVector:
