@@ -28,10 +28,10 @@ u' = 1 with z = 0, p; from u = 1 to u' = 0 with z = 0 or 1, 1/2 each.
 
 The indicators u_1..u_n are an error vector of the word x0 x_1..x_n,
 so model's kernel serves: every output is its grain operator on x0 x,
-x0 dropped.  The chain law is stated once, in _indicator_law (model's
-masks of length n + 1, closed-form probabilities), which every exact
-finite-n oracle (output laws, mutual information, conditional error
-entropy) reads to validate the series by enumeration at desk scale.
+x0 dropped.  The exact finite-n oracles check the series by enumeration
+at desk scale: the output laws, mutual information and error entropy
+read _indicator_law (model's masks of length n + 1 with closed-form laws),
+the output-entropy bracket and P(y^n = 0^n) read _derivative_matrices.
 """
 
 from __future__ import annotations
@@ -333,11 +333,6 @@ class RunHazards:
         if not 2 <= j <= self.depth:
             raise PreconditionError(f"index {j} outside 2..{self.depth}")
         return self.values[j - 2]
-
-    def gamma(self, j: int) -> float:
-        """Complementary quantity 1 - 2 b_j (a conditional indicator
-        probability; stays in [0, 1])."""
-        return 1.0 - 2.0 * self.value(j)
 
     @cached_property
     def _closed_form_devs(self) -> tuple[float, ...]:

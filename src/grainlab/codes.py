@@ -32,13 +32,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import WORD_LEN_MAX, check_cap
+from .config import check_cap
 from .errors import GrainlabError, PreconditionError
 from .model import (
     ErrorVector,
     Word,
     _apply_mask,
     _check_image_cap,
+    _check_kernel_bits,
     _mask_array,
     image_values,
 )
@@ -51,8 +52,8 @@ class Code:
     """A code of length n, held as its codewords' packed values.
 
     The constructor takes a sequence or array of ints and keeps them as
-    one sorted, read-only array: int64, or Python ints past the 63 bits
-    int64 holds.  Every value must fit in n bits and none may repeat.
+    one sorted, read-only int64 array, so n is at most model.KERNEL_BITS.
+    Every value must fit in n bits and none may repeat.
     `words` and `sorted_words()` build the Word views on request.
     """
 
@@ -61,11 +62,13 @@ class Code:
     provenance: str = "file"
 
     def __post_init__(self):
-        if not 1 <= self.n <= WORD_LEN_MAX:
-            raise PreconditionError(f"code length {self.n} outside 1..{WORD_LEN_MAX}")
-        values = np.sort(np.asarray(self.values, np.int64 if self.n < 64 else object))
+        if self.n < 1:
+            raise PreconditionError(f"code length {self.n} below 1")
+        _check_kernel_bits(self.n)
+        values = np.sort(np.asarray(self.values))  # no dtype: ints past int64 stay exact
         if values.size and not 0 <= values[0] <= values[-1] < 1 << self.n:
             raise PreconditionError(f"a codeword does not fit in {self.n} bits")
+        values = values.astype(np.int64, copy=False)
         if (values[1:] == values[:-1]).any():
             raise PreconditionError(f"duplicate codewords in {self.provenance}")
         values.flags.writeable = False
@@ -86,12 +89,9 @@ class Code:
         """The file body: one 0/1 line per codeword, in ascending order,
         each ending in a newline.
 
-        An int64 code fills one (size, n+1) byte matrix column by column,
-        a newline column last, so its only temporary is one int64 column;
-        codes past int64 format each codeword.
+        It fills one (size, n+1) byte matrix column by column, a newline
+        column last, so its only temporary is one int64 column.
         """
-        if self.values.dtype == object:
-            return "".join(format(v, f"0{self.n}b") + "\n" for v in self.values.tolist())
         text = np.empty((self.size, self.n + 1), np.uint8)
         text[:, self.n] = ord("\n")
         column = np.empty(self.size, np.int64)
@@ -119,11 +119,14 @@ def construct_doubling(n: int) -> Code:
     A grain starting at an odd cell overwrites the next cell with an
     identical bit, and position 1 plus all even positions can never be
     overwritten otherwise, so every grain pattern fixes each codeword's
-    even positions.  Size 2^ceil(n/2); odd lengths prefix a free bit.
-    Message bit i (from the right) becomes the pair 3 << 2i.
+    even positions.  Size 2^ceil(n/2), capped by greedy_code_n; odd
+    lengths prefix a free bit.  Message bit i (from the right) becomes
+    the pair 3 << 2i.
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
+    _check_kernel_bits(n)
+    check_cap("ceil(n/2)", (n + 1) // 2, "greedy_code_n")
     half = np.arange(n // 2)
     pairs = ((np.arange(1 << half.size)[:, None] >> half) & 1) @ (3 << 2 * half)
     return Code(n, _prefix_free_bit(pairs, n) if n % 2 else pairs, "doubling")
@@ -173,8 +176,9 @@ def construct_hamming_prefix(m: int) -> Code:
     """
     if not 2 <= m <= 6:
         raise PreconditionError("m out of range (want 2..6)")
-    check_cap("m", m, "hamming_m")
     n = 1 << m
+    _check_kernel_bits(n)
+    check_cap("m", m, "hamming_m")
     span = np.zeros(1, dtype=np.int64)
     for p in range(3, n):
         if p & (p - 1):  # not a power of two: data position
@@ -219,9 +223,10 @@ def construct_greedy_known(n: int, t: int) -> Code:
     also checked word for word against the sweep for every n <= 20 and
     every t.
     """
-    check_cap("n", n, "greedy_code_n")
     if n < 1 or t < 0:
         raise PreconditionError("need n >= 1 and t >= 0")
+    _check_kernel_bits(n)
+    check_cap("n", n, "greedy_code_n")
     masks = _mask_array(n, t)
     code = np.zeros(1, dtype=np.int64)
     for k in range(n):
@@ -329,9 +334,9 @@ def parse_code_text(text: str) -> Code:
     blank lines ignored; all words must share one length.
 
     Text in the shape save_code writes ('#' header lines, then lines of
-    one width n < 63, each of 0/1 and ending in a newline) is read as
-    one byte matrix; any other text goes line by line, which also names
-    the line of a bad word.
+    one width n, each of 0/1 and ending in a newline) is read as one
+    byte matrix; any other text goes line by line, which also names the
+    line of a bad word.  Either way n is at most model.KERNEL_BITS.
     """
     code = _parse_saved(text)
     return _parse_lines(text) if code is None else code
@@ -347,7 +352,7 @@ def _parse_saved(text: str) -> Code | None:
     head, body = text[:start], text[start:].encode(errors="replace")
     width = body.find(b"\n")  # n, the word length
     if (
-        not 0 < width < 63
+        width <= 0
         or len(body) % (width + 1)
         or len(head.splitlines()) != head.count("\n")  # no other line breaks
     ):
@@ -356,6 +361,7 @@ def _parse_saved(text: str) -> Code | None:
     # b"0" | 1 == b"1" | 1 == b"1", and no other byte maps there
     if (rows[:, width] != ord("\n")).any() or ((rows[:, :width] | 1) != ord("1")).any():
         return None
+    _check_kernel_bits(width)
     values = np.zeros(len(rows), np.int64)
     for j in range(width):
         values <<= 1
@@ -369,10 +375,10 @@ def _parse_lines(text: str) -> Code:
         line = raw.split("#", 1)[0].strip()
         if line.strip("01"):
             raise PreconditionError(f"line {lineno}: not a 0/1 string: {line!r}")
-        if len(line) > WORD_LEN_MAX:
-            raise PreconditionError(
-                f"line {lineno}: word length {len(line)} outside 1..{WORD_LEN_MAX}"
-            )
+        try:
+            _check_kernel_bits(len(line))
+        except PreconditionError as exc:
+            raise PreconditionError(f"line {lineno}: {exc}") from None
         if line:
             words.append(line)
     lengths = set(map(len, words))

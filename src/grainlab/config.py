@@ -30,11 +30,6 @@ from typing import Iterator
 
 from .errors import CapExceeded, PreconditionError
 
-#: hard ceiling on word length; anything longer is rejected at parse time
-#: (a word's bit conversions go through strings and take time linear in
-#: its length; the channel simulators work on the packed int directly)
-WORD_LEN_MAX = 1_000_000
-
 
 @dataclass(frozen=True)
 class Caps:
@@ -47,7 +42,7 @@ class Caps:
     # seconds per search; n <= 8 ends far inside it, n = 9 at t = 1 hits
     # it and returns a lower bound flagged exact=False; 0 means no limit
     exact_m_time_limit: float = 60.0
-    # greedy known-pattern code construction (2^n candidates)
+    # a construction lists at most 2^greedy_code_n words
     greedy_code_n: int = 20
     # materializing the Hamming-prefix code (2^(2^m)/2^m words)
     hamming_m: int = 4

@@ -1,11 +1,11 @@
 """Run manifests and CSV emission.
 
 Every CSV artifact carries a trailing '#'-prefixed manifest block with
-the command, its fully resolved parameters, seeds, and the library
-version, so that re-running the same invocation reproduces the file
-byte for byte.  The wall-clock timestamp is deliberately kept out of
-the CSV (it would break reproducibility) and written to a sidecar
-.manifest.json instead when the CSV goes to a file.
+the command, its fully resolved parameters and the library version, so
+that re-running the same invocation reproduces the file byte for byte.
+The wall-clock timestamp is deliberately kept out of the CSV (it would
+break reproducibility) and written to a sidecar .manifest.json instead
+when the CSV goes to a file.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ def fmt(value) -> str:
 class RunManifest:
     command: str
     params: dict = field(default_factory=dict)
-    seed: int | None = None
-    version: str = __version__
     created: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
@@ -46,10 +44,8 @@ class RunManifest:
         lines = [
             "# manifest",
             f"# command: {self.command}",
-            f"# version: {self.version}",
+            f"# version: {__version__}",
         ]
-        if self.seed is not None:
-            lines.append(f"# seed: {self.seed}")
         for key in sorted(self.params):
             lines.append(f"# {key}: {fmt(self.params[key])}")
         return lines
@@ -58,8 +54,7 @@ class RunManifest:
         payload = {
             "command": self.command,
             "params": {k: fmt(v) for k, v in self.params.items()},
-            "seed": self.seed,
-            "version": self.version,
+            "version": __version__,
             "created": self.created,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -78,9 +73,9 @@ def emit_csv(
     header: Sequence[str],
     rows: Sequence[Sequence],
     manifest: RunManifest,
-) -> str:
+) -> None:
     """Write the CSV to path (plus a .manifest.json sidecar) or to
-    stdout when path is None.  Returns the CSV text."""
+    stdout when path is None."""
     text = render_csv(header, rows, manifest)
     if path is None:
         sys.stdout.write(text)
@@ -90,7 +85,6 @@ def emit_csv(
         target.with_suffix(target.suffix + ".manifest.json").write_text(
             manifest.to_json()
         )
-    return text
 
 
 def render_svg(header: Sequence[str], rows: Sequence[Sequence]) -> str:

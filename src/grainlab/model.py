@@ -25,8 +25,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import WORD_LEN_MAX, check_cap
+from .config import check_cap
 from .errors import PreconditionError
+
+#: word-length ceilings, whatever the caps say: a Word's bit conversions
+#: take time linear in its length; the kernels and a Code pack into int64
+WORD_LEN_MAX = 1_000_000
+KERNEL_BITS = 63
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -229,9 +234,13 @@ def enumerate_error_vectors(n: int, t: int) -> list[ErrorVector]:
 # ---------------------------------------------------------------------------
 
 
+def _check_kernel_bits(n: int) -> None:
+    if n > KERNEL_BITS:
+        raise PreconditionError(f"n={n}: 2^{n} words do not fit the {KERNEL_BITS}-bit kernels")
+
+
 def _check_image_cap(n: int) -> None:
-    if n > 63:  # whatever the cap: the kernels pack words into int64
-        raise PreconditionError(f"n={n}: 2^{n} words do not fit the 63-bit kernels")
+    _check_kernel_bits(n)
     check_cap("n", n, "error_enum_n")
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 import tracemalloc
@@ -24,6 +26,7 @@ from grainlab.codes import (
     verify_known_pattern,
     verify_list_decodable,
 )
+from grainlab.cli import main
 from grainlab.config import caps_override
 from grainlab.errors import CapExceeded, GrainlabError, PreconditionError
 from grainlab.model import (
@@ -56,7 +59,9 @@ class TestCode:
         assert code.words == {Word(3, 0), Word(3, 2), Word(3, 7)}
 
     @pytest.mark.parametrize(
-        "n,values", [(2, [0b100]), (2, [-1]), (70, [1 << 70]), (0, []), (3, [5, 1, 5])]
+        "n,values",
+        [(2, [0b100]), (2, [-1]), (70, [1 << 70]), (0, []), (3, [5, 1, 5]),
+         (2, [1 << 70]), (63, [1 << 63])],
     )
     def test_rejects_bad_values(self, n, values):
         with pytest.raises(PreconditionError):
@@ -106,6 +111,17 @@ class TestDoubling:
         for w in construct_doubling(8).words:
             for i in range(2, 9, 2):
                 assert w.bit(i - 1) == w.bit(i)
+
+    def test_cap(self):
+        # the code lists 2^ceil(n/2) words
+        with caps_override(greedy_code_n=4):
+            assert construct_doubling(8).size == 16
+            with pytest.raises(CapExceeded, match="ceil\\(n/2\\)=5 exceeds greedy_code_n=4"):
+                construct_doubling(9)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["construct", "--kind", "doubling", "--n", "9"]) == 3
+            assert err.getvalue().startswith("error: ceil(n/2)=5 exceeds")
 
 
 class TestDecodeDoubling:
@@ -317,11 +333,6 @@ class TestVerifiers:
         code = Code(2, [0b00, 0b01])
         assert not verify_known_pattern(code, 1)
 
-    def test_known_pattern_table_too_large_is_an_error(self):
-        code = parse_code_text("1" * 70 + "\n1" + "0" * 69 + "\n")
-        with caps_override(error_enum_n=70), pytest.raises(GrainlabError, match="2\\^70"):
-            verify_known_pattern(code, 1)
-
     def test_known_pattern_table_at_63_bits_is_an_error(self):
         # 2^63 entries pass the ceiling but exceed numpy's largest dimension
         code = Code(63, [0, (1 << 63) - 1])
@@ -418,6 +429,26 @@ class TestDecodeKnownPattern:
 # ---------------------------------------------------------------------------
 
 
+PINNED_CODES = {
+    "doubling-15": lambda: construct_doubling(15),
+    "doubling-16": lambda: construct_doubling(16),
+    "hamming-prefix-4": lambda: construct_hamming_prefix(4),
+    "greedy-known-12-2": lambda: construct_greedy_known(12, 2),
+    "greedy-known-16-2": lambda: construct_greedy_known(16, 2),
+    "file-63-bit": lambda: parse_code_text("1" * 63 + "\n1" + "0" * 62 + "\n"),
+}
+
+# sha256 of the save_code bytes with header=None
+PINNED_DIGESTS = {
+    "doubling-15": "d555716f9232d5ed4e5ef6321836de09531fbb991042ea74af683a169ecbdeb6",
+    "doubling-16": "68528b47bc2c064a35fc5e656ab565467f86afc11486d5ab868e0479c63de436",
+    "hamming-prefix-4": "71353589e5541456f272687f2b03332fcafe6833edfb3868f197cf4353a35c72",
+    "greedy-known-12-2": "a8474c218a6ac3cfa8c58cbba3505314abf7453e64b2b1bbba09105f4e49e2a7",
+    "greedy-known-16-2": "4c41efb069fee774b1aeb5703b8c83f1b96239a05702ee718056946c264243d8",
+    "file-63-bit": "dfc4437678f54316d148e52bd520a4c27c10e8498a6125370473cac212bd2fd5",
+}
+
+
 class TestCodeFiles:
     def test_round_trip(self, tmp_path):
         code = construct_doubling(6)
@@ -427,41 +458,28 @@ class TestCodeFiles:
         assert loaded.words == code.words
         assert loaded.n == code.n
 
-    def test_words_past_int64_round_trip_and_decode(self, tmp_path):
-        a, b = "1" + "0" * 69, "1" * 70
+    def test_63_bit_words_round_trip_and_decode(self, tmp_path):
+        a, b = "1" + "0" * 62, "1" * 63
         path = tmp_path / "long.txt"
         path.write_text(f"{b}\n{a}\n")
         code = load_code(path)
+        assert code.values.dtype == np.int64 and code.values[-1] == (1 << 63) - 1
         assert [str(w) for w in code.sorted_words()] == [a, b]
         save_code(code, path)
         assert load_code(path).words == code.words
-        e = ErrorVector(70, (2, 70))
+        e = ErrorVector(63, (2, 63))
         for c in code.words:
             assert decode_known_pattern(code, apply_grains(c, e), e) == c
 
-    @pytest.mark.parametrize(
-        "make,digest",
-        [
-            (lambda: construct_doubling(15),
-             "d555716f9232d5ed4e5ef6321836de09531fbb991042ea74af683a169ecbdeb6"),
-            (lambda: construct_doubling(16),
-             "68528b47bc2c064a35fc5e656ab565467f86afc11486d5ab868e0479c63de436"),
-            (lambda: construct_hamming_prefix(4),
-             "71353589e5541456f272687f2b03332fcafe6833edfb3868f197cf4353a35c72"),
-            (lambda: construct_greedy_known(12, 2),
-             "a8474c218a6ac3cfa8c58cbba3505314abf7453e64b2b1bbba09105f4e49e2a7"),
-            (lambda: construct_greedy_known(16, 2),
-             "4c41efb069fee774b1aeb5703b8c83f1b96239a05702ee718056946c264243d8"),
-            (lambda: parse_code_text("1" * 70 + "\n1" + "0" * 69 + "\n"),
-             "1a9595eb68aea7f624c01c50f5e8ea3fb847fef23cbaf84bfdb04bf48c556f3b"),
-        ],
-        ids=["doubling-15", "doubling-16", "hamming-prefix-4", "greedy-known-12-2",
-             "greedy-known-16-2", "file-70-bit"],
-    )
-    def test_saved_bytes_pinned(self, tmp_path, make, digest):
+    def test_70_bit_text_is_rejected_at_parse(self):
+        with caps_override(error_enum_n=70), pytest.raises(PreconditionError, match="2\\^70"):
+            parse_code_text("1" * 70 + "\n1" + "0" * 69 + "\n")
+
+    @pytest.mark.parametrize("name", PINNED_CODES)
+    def test_saved_bytes_pinned(self, tmp_path, name):
         path = tmp_path / "code.txt"
-        save_code(make(), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        save_code(PINNED_CODES[name](), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[name]
 
     def test_memory_stays_near_the_file_size(self, tmp_path):
         # the (16,1) code has 32768 words of 16 bits: its file is 0.56 MB,
@@ -495,16 +513,6 @@ class TestCodeFiles:
             parse_code_text("# nothing here\n")
 
 
-PINNED_CODES = {
-    "doubling-15": lambda: construct_doubling(15),
-    "doubling-16": lambda: construct_doubling(16),
-    "hamming-prefix-4": lambda: construct_hamming_prefix(4),
-    "greedy-known-12-2": lambda: construct_greedy_known(12, 2),
-    "greedy-known-16-2": lambda: construct_greedy_known(16, 2),
-    "file-70-bit": lambda: parse_code_text("1" * 70 + "\n1" + "0" * 69 + "\n"),
-}
-
-
 def line_path_variants(text):
     """Text of the same code that is not in the shape save_code writes."""
     lines = text.splitlines()
@@ -529,7 +537,7 @@ class TestParsePaths:
         save_code(code, path, header=f"{name}\nsecond header line")
         text = path.read_text()
         expected = code.values.tolist()
-        assert (_parse_saved(text) is None) == (code.n >= 63)
+        assert _parse_saved(text).values.tolist() == expected
         assert parse_code_text(text).values.tolist() == expected
         assert _parse_lines(text).values.tolist() == expected
         for variant in line_path_variants(text):
@@ -544,7 +552,8 @@ class TestParsePaths:
             text = f"# header{sep}0110\n0011\n1100\n"
             assert parse_code_text(text).values.tolist() == [0b0011, 0b0110, 0b1100]
 
-    @pytest.mark.parametrize("name", [name for name in PINNED_CODES if "70" not in name])
+    # the two-word file is too short for the replaced lines to be words
+    @pytest.mark.parametrize("name", [name for name in PINNED_CODES if "file" not in name])
     def test_bad_fast_shape_text_reports_as_the_line_path(self, tmp_path, name):
         path = tmp_path / "code.txt"
         save_code(PINNED_CODES[name](), path, header=name)
@@ -585,3 +594,51 @@ def test_builds_no_word(built_words, tmp_path):
     assert built_words == []
     construct_doubling(4).sorted_words()
     assert len(built_words) == 4  # the counter sees the API's Words
+
+
+# ---------------------------------------------------------------------------
+# the 63-bit ceiling
+# ---------------------------------------------------------------------------
+
+
+def saved_text(n):
+    """A two-word code of length n in the shape save_code writes."""
+    return f"# header\n{'1' * n}\n1{'0' * (n - 1)}\n"
+
+
+def verify_code_cli(n, tmp_path):
+    """grainlab verify-code on saved_text(n), its exit status raised as
+    the error the CLI reports: 2 as PreconditionError, 3 as CapExceeded."""
+    path = tmp_path / "code.txt"
+    path.write_text(saved_text(n))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["verify-code", "--file", str(path), "--t", "1"])
+    if status:
+        message = err.getvalue().removeprefix("error: ").rstrip("\n")
+        raise {2: PreconditionError, 3: CapExceeded}[status](message)
+
+
+# entry -> (call at length n, prefix of its message, whether n = 63 applies)
+CEILING_ENTRIES = {
+    "Code": (lambda n, _: Code(n, [0, (1 << n) - 1]), "", True),
+    "saved-shape": (lambda n, _: parse_code_text(saved_text(n)), "", True),
+    "line-path": (lambda n, _: parse_code_text(saved_text(n)[:-1]), "line 2: ", True),
+    "hamming-prefix": (lambda n, _: construct_hamming_prefix(n.bit_length() - 1), "", False),
+    "greedy-known": (lambda n, _: construct_greedy_known(n, 1), "", True),
+    "doubling": (lambda n, _: construct_doubling(n), "", True),
+    "verify-code": (verify_code_cli, "", True),
+}
+
+
+@pytest.mark.parametrize("name", CEILING_ENTRIES)
+def test_ceiling_at_every_entry(tmp_path, name):
+    """At the default caps, n = 64 fails the ceiling, not a cap, with one
+    message; n = 63 passes it and builds, or stops at a cap."""
+    call, prefix, at_63 = CEILING_ENTRIES[name]
+    with pytest.raises(PreconditionError) as info:
+        call(64, tmp_path)
+    assert str(info.value) == prefix + "n=64: 2^64 words do not fit the 63-bit kernels"
+    if at_63:
+        with contextlib.suppress(CapExceeded):
+            assert call(63, tmp_path).values[-1] == (1 << 63) - 1
