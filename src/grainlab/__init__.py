@@ -5,8 +5,11 @@ Modules:
   graph    - confusability graphs, exact maximum code sizes, clique partitions
   codes    - code constructions, verifiers, decoders, code files
   bounds   - cardinality and rate bounds, rate curve tables
-  channel  - grains / no-adjacent-erasures channels, SIR series, exact oracles
+  series   - the SIR series and closed-form channel rates (re-exported by channel)
+  channel  - grains / no-adjacent-erasures channels, simulation, exact oracles
   cli      - the `grainlab` command
+
+errors, config, manifest, bounds, series and cli import no numpy.
 """
 
 __version__ = "0.1.0"

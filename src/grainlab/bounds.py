@@ -2,7 +2,9 @@
 
 Rates are in bits per symbol as functions of the normalized grain
 budget tau = t/n in (0, 1/2].  Cardinality bounds are exact integers
-(Python bigints / fractions), safe up to n = 128 and beyond.
+(Python bigints / fractions), safe up to n = 128 and beyond; the
+error-vector count they divide by is here too, so this module needs
+no numpy.
 
 Bounds implemented:
 
@@ -28,7 +30,6 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .model import count_error_vectors
 
 #: validity edge of the rate forms that rely on the error-vector count
 #: being dominated by its top binomial term: tau <= 1/2 - sqrt(5)/10
@@ -75,6 +76,18 @@ def iroot(value: int, k: int) -> int:
     while r ** k > value:
         r -= 1
     return r
+
+
+def count_error_vectors(n: int, t: int) -> int:
+    """Number of error vectors of length n and weight <= t, exactly.
+
+    Placing i non-adjacent 1s in positions 2..n can be done in C(n-i, i)
+    ways, so the count is sum_{i=0..t} C(n-i, i).  Terms with n-i < i
+    vanish, which clamps t past floor((n-1)/2) automatically.
+    """
+    if n < 1 or t < 0:
+        raise PreconditionError("need n >= 1 and t >= 0")
+    return sum(math.comb(n - i, i) for i in range(0, t + 1) if n - i >= i)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ significant digits.  CSV artifacts end with a '#' manifest block and
 are byte-identical across reruns of the same invocation.
 
 Each handler imports the library modules it uses, so `--version`,
-`--help` and argument errors never import numpy.
+`--help` and argument errors never import numpy, and neither do the
+scalar commands (sir, capacity, fig3, zero-error, bounds, fig1): their
+modules, series and bounds, are numpy-free, as are config, manifest
+and errors, which this module imports at the top.
 """
 
 from __future__ import annotations
@@ -213,10 +216,10 @@ def cmd_rates(args) -> int:
 
 
 def cmd_sir(args) -> int:
-    from . import channel
+    from . import series
 
-    result = channel.sir(args.p, args.J)
-    hazards = channel.run_hazards(args.p, args.J)
+    result = series.sir(args.p, args.J)
+    hazards = series.run_hazards(args.p, args.J)
     print(f"p = {fmt(args.p)}  J = {args.J}")
     print(f"output_entropy_T = {fmt(result.output_entropy)}")
     print(f"error_entropy_S = {fmt(result.error_entropy)}")
@@ -226,7 +229,7 @@ def cmd_sir(args) -> int:
     print(f"capacity_lower = {fmt(result.capacity_lower)}")
     print(f"capacity_upper = {fmt(result.capacity_upper)}")
     print(f"hazard_closed_form_agrees = {fmt(hazards.closed_form_agrees)}")
-    flip = channel.nonadjacent_error_capacity(args.p)
+    flip = series.nonadjacent_error_capacity(args.p)
     print(f"nonadjacent_error_capacity = {fmt(flip)} "
           "(reference only: not a valid grains-channel bound)")
     return 0
@@ -237,9 +240,9 @@ _CAPACITY_COLUMNS = ("p", "sir", "capacity_lower", "capacity_upper", "error_boun
 
 def cmd_capacity(args) -> int:
     """capacity and fig3: the args.columns of capacity_curves."""
-    from . import channel
+    from . import series
 
-    rows, crossing = channel.capacity_curves(_float_grid(args.grid), args.J)
+    rows, crossing = series.capacity_curves(_float_grid(args.grid), args.J)
     manifest = RunManifest(
         args.command, {"grid": args.grid, "J": args.J, "sir_below_half_at": crossing}
     )
@@ -279,10 +282,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_zero_error(args) -> int:
-    from . import channel
+    from . import series
 
     initial = args.u0 if args.u0 == "stationary" else int(args.u0)
-    rate = channel.zero_error_rate(args.n, initial)
+    rate = series.zero_error_rate(args.n, initial)
     print(f"{rate.numerator}/{rate.denominator}")
     return 0
 

@@ -208,18 +208,6 @@ def apply_grains(x: Word, e: ErrorVector) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def count_error_vectors(n: int, t: int) -> int:
-    """Number of error vectors of length n and weight <= t, exactly.
-
-    Placing i non-adjacent 1s in positions 2..n can be done in C(n-i, i)
-    ways, so the count is sum_{i=0..t} C(n-i, i).  Terms with n-i < i
-    vanish, which clamps t past floor((n-1)/2) automatically.
-    """
-    if n < 1 or t < 0:
-        raise PreconditionError("need n >= 1 and t >= 0")
-    return sum(math.comb(n - i, i) for i in range(0, t + 1) if n - i >= i)
-
-
 def enumerate_error_vectors(n: int, t: int) -> list[ErrorVector]:
     """All error vectors of length n, weight <= t, support-lex order."""
     _check_image_cap(n)

@@ -26,6 +26,7 @@ from grainlab.bounds import (
     binary_entropy,
     clique_upper,
     clique_rate_upper,
+    count_error_vectors,
     asymptotic_upper_rate,
     asymptotic_upper_root,
 )
@@ -64,7 +65,6 @@ from grainlab.model import (
     Word,
     _mask_array,
     apply_grains,
-    count_error_vectors,
     enumerate_error_vectors,
     grain_images,
     image_count_lower_bound,

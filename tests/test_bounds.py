@@ -15,6 +15,7 @@ from grainlab.bounds import (
     clique_rate_min,
     clique_rate_upper,
     clique_upper,
+    count_error_vectors,
     decoder_informed_lower,
     encoder_informed_lower,
     fixed_budget_upper,
@@ -28,7 +29,6 @@ from grainlab.bounds import (
 from grainlab.errors import PreconditionError
 from grainlab.graph import partition_size_table
 from grainlab.graph import max_code_size
-from grainlab.model import count_error_vectors
 
 # ---------------------------------------------------------------------------
 # independent oracles

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from grainlab.bounds import binary_entropy
 from grainlab.channel import (
     _STAR_LEAF,
+    DEPTH_MAX,
     ChannelSpec,
     _indicator_law,
     _prefix_masses,
@@ -438,6 +440,22 @@ class TestSir:
     def test_sir_in_unit_interval(self):
         for p in (0.0, 0.3, 0.6, 1.0):
             assert 0.0 <= sir(p, 40).sir <= 1.0
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_terms_past_depth_2200_underflow(self, p):
+        deep = dataclasses.asdict(sir(p, DEPTH_MAX))
+        shallow = dataclasses.asdict(sir(p, 2200))
+        assert (deep.pop("depth"), shallow.pop("depth")) == (4096, 2200)
+        assert deep == shallow
+
+    def test_depth_past_max_rejected(self):
+        for series_fn in (sir, run_hazards, error_entropy_series, truncation_error,
+                          truncation_error_safe):
+            series_fn(0.5, DEPTH_MAX)
+            with pytest.raises(PreconditionError, match="exceeds 4096"):
+                series_fn(0.5, DEPTH_MAX + 1)
+        with pytest.raises(PreconditionError, match="exceeds 4096"):
+            capacity_curves([0.5], DEPTH_MAX + 1)
 
 
 class TestTruncation:

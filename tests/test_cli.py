@@ -330,6 +330,11 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "sir", "--p", "1.5")
         assert code == 2 and "error:" in err
 
+    def test_sir_depth_past_max_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sir", "--p", "0.5", "--J", "4097")
+        assert code == 2 and out == ""
+        assert err.startswith("error: depth 4097 exceeds 4096") and err.count("\n") == 1
+
     def test_cap_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "phi", "--x", "0" * 30, "--t", "1")
         assert code == 3 and "error:" in err
@@ -570,6 +575,37 @@ def test_version_help_and_usage_errors_import_no_numpy():
         env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
     )
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_scalar_commands_import_no_numpy(tmp_path):
+    """sir, zero-error, capacity, fig3, bounds and fig1 run on the
+    numpy-free series and bounds modules."""
+    script = (
+        "import sys\n"
+        "from grainlab.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [main(argv) for argv in (\n"
+        "    ['sir', '--p', '0.5', '--J', '15'],\n"
+        "    ['zero-error', '--n', '7'],\n"
+        "    ['capacity', '--grid', '0:1:0.25', '--out', out + '/capacity.csv'],\n"
+        "    ['fig3', '--grid', '0:1:0.25', '--out', out + '/fig3.csv',\n"
+        "     '--svg', out + '/fig3.svg'],\n"
+        "    ['bounds', '--tau-grid', '0.01:0.5:0.01', '--out', out + '/bounds.csv'],\n"
+        "    ['fig1', '--tau-grid', '0.01:0.5:0.01', '--out', out + '/fig1.csv',\n"
+        "     '--svg', out + '/fig1.svg'],\n"
+        ")]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
+    written = {path.name for path in tmp_path.iterdir()}
+    assert {"bounds.csv", "capacity.csv", "fig1.csv", "fig1.svg", "fig3.csv",
+            "fig3.svg"} <= written
 
 
 class TestBenchRecord:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from grainlab.bounds import count_error_vectors
 from grainlab.codes import (
     Code,
     _parse_lines,
@@ -35,7 +36,6 @@ from grainlab.model import (
     _apply_mask,
     _mask_array,
     apply_grains,
-    count_error_vectors,
     enumerate_error_vectors,
     grain_image_list,
 )

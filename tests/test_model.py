@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from grainlab.bounds import count_error_vectors
 from grainlab.config import caps_override
 from grainlab.errors import CapExceeded, PreconditionError
 from grainlab.model import (
@@ -16,7 +17,6 @@ from grainlab.model import (
     _mask_array,
     apply_grains,
     confusable,
-    count_error_vectors,
     derivative,
     enumerate_error_vectors,
     grain_image_list,
