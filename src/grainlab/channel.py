@@ -50,17 +50,17 @@ from .series import (  # noqa: F401  (re-exported)
     DEPTH_MAX, IndecomposabilityResult, RunHazards, SirResult, _check,
     _stationary_weights, capacity_curves, erasure_capacity, error_entropy_series,
     indecomposability_check, indicator_stay_prob, nonadjacent_error_capacity,
-    output_entropy_series, run_hazards, sir, truncation_error, truncation_error_pfree,
-    truncation_error_safe, zero_error_rate,
+    output_entropy_series, run_hazards, sir, truncation_error, truncation_error_safe,
+    zero_error_rate,
 )
 
 ERASURE = "e"
 _STAR_LEAF = 9  # axes one numpy pass of _star_entropy expands: 3^9 floats
 
 
-def _check_n(n: int, p: float, cap: str, least: int = 1) -> None:
-    """Reject n above the named cap, then n < least or p outside [0, 1]."""
-    check_cap("n", n, cap)
+def _check_n(n: int, p: float, least: int = 1) -> None:
+    """Reject n above channel_exact_n, then n < least or p outside [0, 1]."""
+    check_cap("n", n, "channel_exact_n")
     if n < least or not 0.0 <= p <= 1.0:
         raise PreconditionError(f"need n >= {least} and p in [0, 1]")
 
@@ -239,6 +239,8 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
     """Empirical statistics of one indicator/grains run on a random
     uniform input of length n (used by the CLI and the convergence
     tests)."""
+    if n < 1:
+        raise PreconditionError("need n >= 1")
     spec = ChannelSpec(p)
     rng = make_rng(seed, stream)
     xbits = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -312,7 +314,7 @@ def erasure_mi_exact(n: int, p: float) -> float:
     reveals u exactly, so H(y|x,u0) = H(u|u0), and conditioned on u the
     non-erased outputs are uniform.  Comes out to 1/(1+p) for every n.
     """
-    _check_n(n, p, "channel_exact_n")
+    _check_n(n, p)
     kept = n - _indicator_rows(n)[1]  # non-erased positions
     mi = 0.0
     for u0, w in enumerate(_stationary_weights(p)):
@@ -373,7 +375,7 @@ def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
     reading y_1, and u_1 is stationary; so H(y^n) = 1 + H(b) with
     b = sum_u w_u a_u at n - 1, and H(y^{n-1}) = 1 + H(b'), b' the
     pairwise sums of b (the last z summed out): upper = H(b) - H(b')."""
-    _check_n(n, p, "channel_exact_n", least=2)
+    _check_n(n, p, least=2)
     lower = b = 0.0
     for u, w in enumerate(_stationary_weights(p)):
         if w > 0.0:
@@ -433,7 +435,7 @@ def error_entropy_exact(n: int, p: float) -> float:
     valid mask of _indicator_law with its closed-form probability, so
     this is a brute-force enumeration, independent of the series it
     checks, whose limit the successive differences approach."""
-    _check_n(n, p, "error_entropy_n")
+    _check_n(n, p)
     w0, w1 = _stationary_weights(p)
     masks, q0 = _indicator_law(n, p, 0)
     f = np.zeros(1 << n)

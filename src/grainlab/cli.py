@@ -143,12 +143,12 @@ def cmd_clique_table(args) -> int:
     from . import graph
 
     m_range, s_range = _int_range(args.m), _int_range(args.s)
+    if args.parts and (len(m_range) != 1 or len(s_range) != 1):
+        raise PreconditionError("--parts needs a single (m, s) cell")
     rows = graph.partition_size_table(m_range, s_range)
     manifest = RunManifest("clique-table", {"m": args.m, "s": args.s})
     _emit(args, ["m", "s", "parts"], rows, manifest)
     if args.parts:
-        if len(m_range) != 1 or len(s_range) != 1:
-            raise PreconditionError("--parts needs a single (m, s) cell")
         partition = graph.greedy_clique_partition(m_range[0], s_range[0])
         Path(args.parts).write_text(partition.render() + "\n")
     return 0

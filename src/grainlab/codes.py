@@ -171,14 +171,15 @@ def construct_hamming_prefix(m: int) -> Code:
     data position p (not a power of two) together with the parity
     positions 2^a summing to p is a codeword, and the code is the XOR
     span of these 2^m-1-m generators.
-    Materializing the codebook is capped (caps.hamming_m, default 4):
-    m = 5 already means 2^27 words.
+    The code has 2^(n-m) words, so n - m is checked against
+    caps.greedy_code_n (default 20): m = 4 lists 2^12 words, m = 5
+    already means 2^27.
     """
     if not 2 <= m <= 6:
         raise PreconditionError("m out of range (want 2..6)")
     n = 1 << m
     _check_kernel_bits(n)
-    check_cap("m", m, "hamming_m")
+    check_cap("n-m", n - m, "greedy_code_n")
     span = np.zeros(1, dtype=np.int64)
     for p in range(3, n):
         if p & (p - 1):  # not a power of two: data position

@@ -42,13 +42,12 @@ class Caps:
     # seconds per search; n <= 8 ends far inside it, n = 9 at t = 1 hits
     # it and returns a lower bound flagged exact=False; 0 means no limit
     exact_m_time_limit: float = 60.0
-    # a construction lists at most 2^greedy_code_n words
+    # a construction lists at most 2^greedy_code_n words: the greedy
+    # code checks n, the doubling code ceil(n/2), the Hamming-prefix
+    # code n - m (it has 2^n/n = 2^(n-m) words, n = 2^m)
     greedy_code_n: int = 20
-    # materializing the Hamming-prefix code (2^(2^m)/2^m words)
-    hamming_m: int = 4
-    # exact channel oracles
+    # every exact channel oracle, the error entropy's included
     channel_exact_n: int = 20
-    error_entropy_n: int = 14
 
     def replace(self, pairs: dict[str, str]) -> Caps:
         """A copy with the named caps set.  Each value is parsed with

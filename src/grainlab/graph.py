@@ -82,19 +82,6 @@ def _half_adjacency(n: int, t: int) -> list[int]:
     return [sum(1 << v for v in _neighbor_values(xv, n, t)) for xv in range(half)]
 
 
-def _greedy_independent(adj: list[int]) -> tuple[int, int]:
-    """Initial solution: sweep vertices by ascending degree."""
-    used = 0
-    mask = 0
-    count = 0
-    for v in sorted(range(len(adj)), key=lambda v: adj[v].bit_count()):
-        if not (used >> v) & 1:
-            mask |= 1 << v
-            count += 1
-            used |= adj[v] | (1 << v)
-    return count, mask
-
-
 def _renumber(v: int, cadj: list[int], classes: list[int]) -> bool:
     """Move v into one of the colour classes (all of them below the
     branching threshold), as the Re-NUMBER step of MCS: into a class it
@@ -223,12 +210,13 @@ def _colour(
 
 
 def _max_independent_set(
-    adj: list[int], seed_count: int, seed_mask: int, deadline: float | None
+    adj: list[int], deadline: float | None
 ) -> tuple[int, int, bool, int, int]:
     """Branch and bound via maximum clique in the complement graph.
 
     Vertices are relabelled once so that bit i is the i-th vertex by
-    descending complement degree.  Each node colours its candidates
+    descending complement degree.  The seed, the first best set, is the
+    greedy one that sweeps the labels up.  Each node colours its candidates
     bit-parallel, as BBMC (San Segundo et al., Computers & OR 2011):
     class k takes the lowest uncoloured vertex, drops it and its
     complement neighbours from the pool, and repeats, one big-int
@@ -279,7 +267,12 @@ def _max_independent_set(
 
     radj = [relabel(adj[v]) for v in order]
     cadj = [full & ~radj[i] & ~(1 << i) for i in range(nv)]
-    best = [seed_count, relabel(seed_mask)]
+    seed, free = 0, full
+    while free:
+        low = free & -free
+        seed |= low
+        free &= cadj[low.bit_length() - 1]
+    best = [seed.bit_count(), seed]
     timed_out = [False]
     counts = [0, 0]  # nodes, absorbed vertices
 
@@ -327,12 +320,9 @@ def max_code_size(n: int, t: int) -> MaxCodeResult:
         return MaxCodeResult(n, t, 1 << n, words, True, 0, 0)
 
     adj = _half_adjacency(n, t)
-    seed_count, seed_mask = _greedy_independent(adj)
     limit = get_caps().exact_m_time_limit
     deadline = time.monotonic() + limit if limit else None
-    half_size, half_mask, exact, nodes, absorbed = _max_independent_set(
-        adj, seed_count, seed_mask, deadline
-    )
+    half_size, half_mask, exact, nodes, absorbed = _max_independent_set(adj, deadline)
     half = [v for v in range(len(adj)) if (half_mask >> v) & 1]
     top = 1 << (n - 1)
     # the complement words, ascending after the half's: v ^ (top - 1) falls as v rises

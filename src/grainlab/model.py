@@ -155,32 +155,6 @@ class ErrorVector:
         return self.render()
 
 
-@dataclass(frozen=True)
-class GrainPattern:
-    """Start cells of the length-2 grains of a medium with n cells."""
-
-    n: int
-    starts: tuple[int, ...]
-
-    def __post_init__(self):
-        prev = -2
-        for j in self.starts:
-            if not 1 <= j <= self.n - 1:
-                raise PreconditionError(f"grain start {j} outside 1..{self.n - 1}")
-            if j <= prev:
-                raise PreconditionError("starts must be strictly increasing")
-            if j == prev + 1:
-                raise PreconditionError(f"overlapping grains at {prev},{j}")
-            prev = j
-
-    def to_error_vector(self) -> ErrorVector:
-        return ErrorVector(self.n, tuple(j + 1 for j in self.starts))
-
-    @classmethod
-    def from_error_vector(cls, e: ErrorVector) -> "GrainPattern":
-        return cls(e.n, tuple(j - 1 for j in e.support))
-
-
 # ---------------------------------------------------------------------------
 # the grain operator
 # ---------------------------------------------------------------------------
@@ -273,6 +247,8 @@ def derivative(x: Word) -> Word:
 def confusable(x1: Word, x2: Word, t: int) -> bool:
     """True iff some medium with <= t length-2 grains per side records
     x1 and x2 identically (their image sets intersect)."""
+    if t < 0:
+        raise PreconditionError("t must be >= 0")
     if x1.n != x2.n:
         raise PreconditionError(f"length mismatch: {x1.n} vs {x2.n}")
     if x1 == x2:

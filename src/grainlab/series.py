@@ -175,12 +175,6 @@ def truncation_error(p: float, depth: int) -> float:
     ) / (1.0 + p)
 
 
-def truncation_error_pfree(depth: int) -> float:
-    """p-independent form 2^-J + 2^-floor((J+1)/2) of the reported
-    bound (its value at p = 0)."""
-    return truncation_error(0.0, depth)
-
-
 def truncation_error_safe(p: float, depth: int) -> float:
     """Conservative truncation bound: the pairwise survival-product
     argument gives (1/(1+p)) [(1+p/2) 2^-J + 4 * 2^-floor((J+1)/2)];

@@ -41,11 +41,11 @@ from grainlab.channel import (
     sir,
     total_variation,
     truncation_error,
-    truncation_error_pfree,
     truncation_error_safe,
     zero_error_rate,
 )
-from grainlab.errors import PreconditionError
+from grainlab.config import caps_override
+from grainlab.errors import CapExceeded, PreconditionError
 from grainlab.model import Word
 
 #: slack for comparing depth-64 series values against exact finite-n
@@ -213,6 +213,11 @@ class TestSimulators:
         q = p / (1 + p) / 2  # stationary indicator rate times input-change rate
         sigma = math.sqrt(q * (1 - q) / n)
         assert stats["error_rate"] == pytest.approx(q, abs=3 * sigma)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_simulation_stats_rejects_an_empty_run(self, n):
+        with pytest.raises(PreconditionError, match="need n >= 1"):
+            simulation_stats(n, 0.3, seed=1)
 
 
 INITIALS = ["stationary", (0, 0), (0, 1), (1, 0), (1, 1)]
@@ -461,7 +466,6 @@ class TestSir:
 class TestTruncation:
     def test_plug_in_J15_p0(self):
         assert truncation_error(0.0, 15) == pytest.approx(2**-15 + 2**-8, abs=1e-15)
-        assert truncation_error_pfree(15) == pytest.approx(2**-15 + 2**-8, abs=1e-15)
 
     def test_non_increasing_in_depth(self):
         for p in (0.0, 0.5, 1.0):
@@ -732,6 +736,13 @@ class TestErrorEntropyExact:
             got = error_entropy_exact(n, float(pfrac))
             want = error_entropy_rational(n, pfrac)
             assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("oracle", [erasure_mi_exact, output_entropy_bracket, error_entropy_exact])
+    def test_every_exact_oracle_reads_channel_exact_n(self, oracle):
+        with pytest.raises(CapExceeded, match="^n=21 exceeds channel_exact_n=20$"):
+            oracle(21, 0.5)
+        with caps_override(channel_exact_n=3), pytest.raises(CapExceeded):
+            oracle(4, 0.5)
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_successive_difference_approaches_series(self, p):

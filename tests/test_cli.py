@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import grainlab
 from grainlab.channel import ChannelSpec, make_rng, simulate_grains
 from grainlab.cli import main
-from grainlab.config import caps_override, get_caps, parse_cap_string
+from grainlab.config import Caps, caps_override, get_caps, parse_cap_string
 from grainlab.errors import PreconditionError
 from grainlab.model import Word
 
@@ -57,6 +58,16 @@ class TestBasicCommands:
         assert code == 0 and out.strip() == "true"
         code, out, _ = run_cli(capsys, "confusable", "--x1", "00", "--x2", "11", "--t", "2")
         assert code == 0 and out.strip() == "false"
+
+    @pytest.mark.parametrize(
+        "m,status,message",
+        [(4, 0, ""), (5, 3, "error: n-m=27 exceeds greedy_code_n=20\n"),
+         (6, 2, "error: n=64: 2^64 words do not fit the 63-bit kernels\n")],
+    )
+    def test_hamming_prefix_exits_at_the_default_caps(self, capsys, m, status, message):
+        code, out, err = run_cli(capsys, "construct", "--kind", "hamming-prefix", "--m", str(m))
+        assert code == status and err == message
+        assert len(out.splitlines()) == (4096 if status == 0 else 0)
 
     def test_mnt(self, capsys):
         code, out, _ = run_cli(capsys, "mnt", "--n", "4", "--t", "1")
@@ -113,6 +124,15 @@ class TestCsvCommands:
             capsys, "clique-table", "--m", "2:4", "--s", "1:1", "--parts", str(parts)
         )
         assert code == 2 and "single" in err
+
+    def test_clique_table_parts_range_writes_nothing(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "clique-table", "--m", "2:4", "--s", "1", "--out",
+            str(tmp_path / "table.csv"), "--parts", str(tmp_path / "parts.txt"),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --parts needs a single (m, s) cell\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "m,s,digest",
@@ -379,10 +399,14 @@ class TestErrorPaths:
             ["fig1", "--tau-grid", "0.3:0.1:0.1"],
             ["capacity", "--grid", "0:inf:0.1"],
             ["fig3", "--grid", "0.1:0.2:nan"],
+            ["confusable", "--x1", "01", "--x2", "01", "--t", "-1"],
+            ["confusable", "--x1", "00", "--x2", "10", "--t", "-1"],
+            ["confusable", "--x1", "00", "--x2", "01", "--t", "-1"],
         ],
         ids=["grid", "range", "chi-row", "code-file", "binary-file", "config-file",
              "sim-n", "stats-n", "list", "reversed-range", "reversed-grid",
-             "inf-grid", "nan-step"],
+             "inf-grid", "nan-step", "confusable-same", "confusable-first-bit",
+             "confusable-images"],
     )
     def test_malformed_input_exit_2(self, capsys, tmp_path, argv):
         """Malformed text, a missing or undecodable input file or an
@@ -450,6 +474,21 @@ class TestCapsOverride:
             with caps_override(**kwargs):
                 pass
         assert dataclasses.asdict(get_caps()) == before
+
+
+def test_every_cap_is_read_somewhere():
+    """A cap that no module passes to check_cap or reads off get_caps()
+    bounds nothing; the six caps are each read at least once."""
+    source = "\n".join(
+        path.read_text() for path in Path(grainlab.__file__).parent.glob("*.py")
+    )
+    names = [field.name for field in dataclasses.fields(Caps)]
+    assert len(names) == 6
+    for name in names:
+        assert re.search(rf'check_cap\(.*"{name}"\)|get_caps\(\)\.{name}\b', source), name
+    for gone in ("hamming_m", "error_entropy_n"):
+        with pytest.raises(PreconditionError, match=f"unknown cap name: '{gone}'"):
+            Caps().replace({gone: "5"})
 
 
 class TestBadCapValues:

@@ -11,7 +11,6 @@ from grainlab.graph import (
     CliquePartition,
     _absorb,
     _colour,
-    _greedy_independent,
     _half_adjacency,
     _max_independent_set,
     _neighbor_values,
@@ -263,9 +262,7 @@ class TestMaxCodeSize:
         for _ in range(60):
             nv = rng.randint(1, 18)
             adj = random_adjacency(rng, nv, rng.choice([0.1, 0.3, 0.5, 0.8]))
-            size, mask, exact, nodes, more = _max_independent_set(
-                adj, *_greedy_independent(adj), None
-            )
+            size, mask, exact, nodes, more = _max_independent_set(adj, None)
             assert exact and size == mask.bit_count() == mis_plain(adj, (1 << nv) - 1)
             assert not any(adj[v] & mask for v in range(nv) if (mask >> v) & 1)
             assert nodes >= 1

@@ -12,7 +12,6 @@ from grainlab.config import caps_override
 from grainlab.errors import CapExceeded, PreconditionError
 from grainlab.model import (
     ErrorVector,
-    GrainPattern,
     Word,
     _mask_array,
     apply_grains,
@@ -80,7 +79,7 @@ def word_and_error(draw, max_n=14):
 
 
 # ---------------------------------------------------------------------------
-# Word / ErrorVector / GrainPattern types
+# Word / ErrorVector types
 # ---------------------------------------------------------------------------
 
 
@@ -176,15 +175,6 @@ class TestErrorVector:
         with pytest.raises(PreconditionError):
             ErrorVector(n, supp)
 
-    def test_grain_pattern_bijection(self):
-        e = ErrorVector(15, (4, 7, 9, 14))
-        g = GrainPattern.from_error_vector(e)
-        assert g.starts == (3, 6, 8, 13)
-        assert g.to_error_vector() == e
-
-    def test_overlapping_grains_rejected(self):
-        with pytest.raises(PreconditionError):
-            GrainPattern(10, (3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +374,11 @@ class TestConfusable:
     def test_length_mismatch(self):
         with pytest.raises(PreconditionError):
             confusable(Word.parse("01"), Word.parse("011"), 1)
+
+    @pytest.mark.parametrize("x1,x2", [("01", "01"), ("00", "10"), ("00", "01")])
+    def test_negative_t_rejected_before_the_shortcuts(self, x1, x2):
+        with pytest.raises(PreconditionError, match="t must be >= 0"):
+            confusable(Word.parse(x1), Word.parse(x2), -1)
 
 
 class TestImageCountLowerBound:
