@@ -5,7 +5,8 @@ Modules:
   graph    - confusability graphs, exact maximum code sizes, clique partitions
   codes    - code constructions, verifiers, decoders, code files
   bounds   - cardinality and rate bounds, rate curve tables
-  series   - the SIR series and closed-form channel rates (re-exported by channel)
+  series   - the SIR series and closed-form channel rates (channel re-exports
+             sir, capacity_curves and output_entropy_series for the benchmark)
   channel  - grains / no-adjacent-erasures channels, simulation, exact oracles
   cli      - the `grainlab` command
 

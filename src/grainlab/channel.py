@@ -17,8 +17,10 @@ plus the erasure mask, and one fill, shared with cascade_fill, turns
 it into a grains output without seeing the input.  The lower bound is
 the symmetric information rate (SIR), a difference of two convergent
 series.  The series and the closed-form rates live in series, which
-needs no numpy; this module re-exports each of their public names and
-keeps the simulation and the exact oracles that check them.
+needs no numpy; this module keeps the simulation and the exact oracles
+that check them, and re-exports three series names (sir,
+capacity_curves, output_entropy_series) only because the benchmark
+reads them off channel.
 
 Under uniform input the output needs only the indicator as state:
 given the outputs so far, u_i = 0 forces x_i = y_i, and u_i = 1 leaves
@@ -46,13 +48,9 @@ import numpy as np
 from .config import check_cap
 from .errors import PreconditionError
 from .model import Word, _apply_mask, _error_masks
-from .series import (  # noqa: F401  (re-exported)
-    DEPTH_MAX, IndecomposabilityResult, RunHazards, SirResult, _check,
-    _stationary_weights, capacity_curves, erasure_capacity, error_entropy_series,
-    indecomposability_check, indicator_stay_prob, nonadjacent_error_capacity,
-    output_entropy_series, run_hazards, sir, truncation_error, truncation_error_safe,
-    zero_error_rate,
-)
+from .series import _check, _stationary_weights
+# re-exported only because the benchmark reads them off channel
+from .series import capacity_curves, output_entropy_series, sir  # noqa: F401
 
 ERASURE = "e"
 _STAR_LEAF = 9  # axes one numpy pass of _star_entropy expands: 3^9 floats

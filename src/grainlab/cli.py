@@ -146,6 +146,8 @@ def cmd_clique_table(args) -> int:
     if args.parts and (len(m_range) != 1 or len(s_range) != 1):
         raise PreconditionError("--parts needs a single (m, s) cell")
     rows = graph.partition_size_table(m_range, s_range)
+    if args.parts and not rows:
+        raise PreconditionError(f"--parts: no table row for m={args.m}, s={args.s}")
     manifest = RunManifest("clique-table", {"m": args.m, "s": args.s})
     _emit(args, ["m", "s", "parts"], rows, manifest)
     if args.parts:

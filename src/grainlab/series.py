@@ -13,8 +13,10 @@ law P(u_j = 0 | u_1 = 0).  Both are truncated at a depth J with
 
 Everything here is scalar float or rational arithmetic, so the
 commands that need only these numbers (sir, capacity, fig3,
-zero-error) never import numpy.  channel re-exports every public name
-and checks the series against exact finite-n oracles.
+zero-error) never import numpy.  channel checks the series against
+exact finite-n oracles and re-exports three names, sir,
+capacity_curves and output_entropy_series, because the benchmark reads
+them off channel; everything else is imported from here.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ class RunHazards:
     b_2 = (1-p)/2, b_j = (1 - (1+p) b_{j-1}) / (2 (1 - b_{j-1})), with
     closed form 2(t-^j - t+^j) / ((3+B+p) t-^j - (3-B+p) t+^j) where
     B = sqrt(p^2 + 6p + 1) and t± = 1 - (1 ∓ B)/p.  The closed form is
-    cross-checked against the recursion wherever its (rescaled)
-    denominator stays away from 0, on first read of a closed_form_*
-    property; the recursion is authoritative.
+    cross-checked against the recursion for every p > 0, on first read
+    of a closed_form_* property; the recursion is authoritative.
     """
 
     p: float
@@ -98,19 +99,22 @@ class RunHazards:
 
 
 def _hazard_closed_form(p: float, j: int) -> float | None:
-    """Closed form for the hazard, or None where it degenerates
-    (p = 0, or a vanishing denominator)."""
+    """Closed form for the hazard, or None at p = 0, where t± are
+    undefined.
+
+    Divided by t-^j, the denominator is (3+B+p) - (3-B+p) r^j with
+    r = t+/t- = -(B+p-1)/(B+1-p).  For p in (0, 1] it is at least 2:
+    B >= 1+p (as 4p >= 0) and B < 3+p (as 1 < 9), so 0 < 3-B+p <= 2;
+    0 < B+p-1 <= B+1-p, so |r| <= 1; hence the denominator is at least
+    (3+B+p) - (3-B+p) = 2B >= 2.
+    """
     if p < 1e-12:
         return None
     b_disc = math.sqrt(p * p + 6.0 * p + 1.0)
     theta_plus = 1.0 - (1.0 - b_disc) / p
     theta_minus = 1.0 - (1.0 + b_disc) / p
-    ratio = theta_plus / theta_minus  # |ratio| <= 1 for p in (0, 1]
-    rj = ratio**j
-    denom = (3.0 + b_disc + p) - (3.0 - b_disc + p) * rj
-    if abs(denom) < 1e-8:
-        return None
-    return 2.0 * (1.0 - rj) / denom
+    rj = (theta_plus / theta_minus) ** j
+    return 2.0 * (1.0 - rj) / ((3.0 + b_disc + p) - (3.0 - b_disc + p) * rj)
 
 
 def run_hazards(p: float, depth: int) -> RunHazards:
@@ -125,11 +129,9 @@ def run_hazards(p: float, depth: int) -> RunHazards:
 def _output_entropy_partial(p: float, depth: int) -> tuple[float, float]:
     """T_J and the survival product S_{J+1} = prod_{i=2}^{J} (1 - b_i)
     left over after its last term."""
-    hz = run_hazards(p, depth)
     terms = []
     survival = 1.0
-    for j in range(2, depth + 1):
-        b = hz.value(j)
+    for b in run_hazards(p, depth).values:
         terms.append(binary_entropy(b) * survival)
         survival *= 1.0 - b
     return math.fsum(terms) / (2.0 * (1.0 + p)), survival
@@ -165,24 +167,12 @@ def truncation_error(p: float, depth: int) -> float:
     p >= 0.59 at J = 15, p >= 0.75 at J = 20 and p >= 0.82 at J = 30.
     At p = 1 the hazards alternate 0, 1/2 and the tail at J = 15 is
     exactly 2^-8, while this formula gives 0.00198.  SirResult's
-    certified_bound is the proven bound; truncation_error_safe is its
-    a-priori worst case.
+    certified_bound is the proven bound.
     """
     _check(p, depth)
     return (
         (1.0 + p / 2.0) * math.ldexp(1.0, -depth)
         + math.ldexp(1.0, -((depth + 1) // 2))
-    ) / (1.0 + p)
-
-
-def truncation_error_safe(p: float, depth: int) -> float:
-    """Conservative truncation bound: the pairwise survival-product
-    argument gives (1/(1+p)) [(1+p/2) 2^-J + 4 * 2^-floor((J+1)/2)];
-    this dominates the observed series tail for every p."""
-    _check(p, depth)
-    return (
-        (1.0 + p / 2.0) * math.ldexp(1.0, -depth)
-        + 4.0 * math.ldexp(1.0, -((depth + 1) // 2))
     ) / (1.0 + p)
 
 
@@ -215,8 +205,8 @@ class SirResult:
     (v) sir_inf - sir is the T tail minus the S tail, two non-negative
         numbers, so its absolute value is at most the larger bound.
     Since S_{J+1} <= 2^-floor((J-1)/2), certified_bound never exceeds
-    truncation_error_safe, its a-priori worst case.  (Exact arithmetic;
-    float rounding adds ~1e-16 per term.)
+    its a-priori worst case (1/(1+p)) [(1+p/2) 2^-J + 4 * 2^-floor((J+1)/2)].
+    (Exact arithmetic; float rounding adds ~1e-16 per term.)
     """
 
     p: float
@@ -334,13 +324,14 @@ def capacity_curves(
     p_values, depth: int = 15
 ) -> tuple[list[tuple[float, float, float, float, float]], float | None]:
     """Rows (p, sir, capacity_lower, capacity_upper, error_bound) plus
-    the first grid point where the SIR dips below 1/2 (there the SIR
-    stops being the binding lower bound)."""
+    the first grid point where the SIR limit is certified below 1/2,
+    sir + certified_bound < 1/2 (there the SIR stops being the binding
+    lower bound whatever the truncation error), or None."""
     rows = []
     crossing = None
     for p in p_values:
         r = sir(p, depth)
         rows.append((p, r.sir, r.capacity_lower, r.capacity_upper, r.error_bound))
-        if crossing is None and r.sir < 0.5:
+        if crossing is None and r.sir + r.certified_bound < 0.5:
             crossing = p
     return rows, crossing

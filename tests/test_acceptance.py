@@ -35,15 +35,9 @@ from grainlab.channel import (
     cascaded_erasure_output_law,
     erasure_mi_exact,
     error_entropy_exact,
-    error_entropy_series,
     grains_output_law,
     output_entropy_bracket,
-    output_entropy_series,
-    run_hazards,
-    sir,
     total_variation,
-    truncation_error,
-    zero_error_rate,
 )
 from grainlab.codes import (
     Code,
@@ -69,6 +63,14 @@ from grainlab.model import (
     grain_images,
     image_count_lower_bound,
     run_count,
+)
+from grainlab.series import (
+    error_entropy_series,
+    output_entropy_series,
+    run_hazards,
+    sir,
+    truncation_error,
+    zero_error_rate,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"

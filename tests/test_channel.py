@@ -11,42 +11,43 @@ from hypothesis import given, strategies as st
 from grainlab.bounds import binary_entropy
 from grainlab.channel import (
     _STAR_LEAF,
-    DEPTH_MAX,
     ChannelSpec,
     _indicator_law,
     _prefix_masses,
     _star_entropy,
-    IndecomposabilityResult,
     all_zero_output_prob,
-    capacity_curves,
     cascade_fill,
     cascaded_erasure_output_law,
-    erasure_capacity,
     erasure_mi_exact,
     error_entropy_exact,
-    error_entropy_series,
     grains_output_law,
-    indecomposability_check,
-    indicator_stay_prob,
     indicator_transition_matrix,
     make_rng,
-    nonadjacent_error_capacity,
     output_entropy_bracket,
-    output_entropy_series,
-    run_hazards,
     sample_indicator,
     simulate_erasures,
     simulate_grains,
     simulation_stats,
-    sir,
     total_variation,
-    truncation_error,
-    truncation_error_safe,
-    zero_error_rate,
 )
 from grainlab.config import caps_override
 from grainlab.errors import CapExceeded, PreconditionError
 from grainlab.model import Word
+from grainlab.series import (
+    DEPTH_MAX,
+    IndecomposabilityResult,
+    capacity_curves,
+    erasure_capacity,
+    error_entropy_series,
+    indecomposability_check,
+    indicator_stay_prob,
+    nonadjacent_error_capacity,
+    output_entropy_series,
+    run_hazards,
+    sir,
+    truncation_error,
+    zero_error_rate,
+)
 
 #: slack for comparing depth-64 series values against exact finite-n
 #: quantities: the series tail past depth 64 (< 4 * 2^-32) plus float noise
@@ -146,6 +147,21 @@ class TestRng:
 
     def test_counter_based_generator(self):
         assert make_rng(1).bit_generator.__class__.__name__ == "Philox"
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: make_rng(-1), "non-negative"),
+        (lambda: cascade_fill("0e", 2), "fill bit"),
+        (lambda: all_zero_output_prob(3, 1.5), r"p in \[0, 1\]"),
+        (lambda: erasure_mi_exact(5, 1.5), r"p in \[0, 1\]"),
+    ],
+    ids=["rng-seed", "fill-bit", "all-zero-p", "erasure-mi-p"],
+)
+def test_library_preconditions_raise(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +470,7 @@ class TestSir:
         assert deep == shallow
 
     def test_depth_past_max_rejected(self):
-        for series_fn in (sir, run_hazards, error_entropy_series, truncation_error,
-                          truncation_error_safe):
+        for series_fn in (sir, run_hazards, error_entropy_series, truncation_error):
             series_fn(0.5, DEPTH_MAX)
             with pytest.raises(PreconditionError, match="exceeds 4096"):
                 series_fn(0.5, DEPTH_MAX + 1)
@@ -471,14 +486,6 @@ class TestTruncation:
         for p in (0.0, 0.5, 1.0):
             values = [truncation_error(p, j) for j in range(2, 40)]
             assert values == sorted(values, reverse=True)
-
-    def test_safe_variant_dominates_observed_tail(self):
-        # the doubled-depth difference must fall below the conservative
-        # bound; the reported bound is known to be exceeded for large p
-        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-            for depth in (8, 15, 20):
-                diff = abs(sir(p, depth).sir - sir(p, 2 * depth).sir)
-                assert diff <= truncation_error_safe(p, depth)
 
     def test_reported_bound_exceeded_for_large_p(self):
         # documented defect of the reported constant: the true tail at
@@ -506,7 +513,10 @@ class TestTruncation:
             for depth in range(2, 31):
                 r = sir(p, depth)
                 assert abs(r.sir - limit) <= r.certified_bound, (p, depth)
-                assert r.certified_bound <= truncation_error_safe(p, depth), (p, depth)
+                # never above the a-priori worst case
+                # (1/(1+p)) [(1 + p/2) 2^-J + 4 * 2^-floor((J+1)/2)]
+                a_priori = (1 + p / 2) * 2.0**-depth + 4 * 2.0 ** -((depth + 1) // 2)
+                assert r.certified_bound <= a_priori / (1 + p), (p, depth)
 
     def test_certified_bound_exact_at_p1(self):
         # hazards alternate 0, 1/2, so S_16 = 2^-7 and the tail is 2^-8
@@ -703,15 +713,17 @@ class TestErrorEntropyExact:
             want = error_entropy_loop(n, p)
             assert error_entropy_exact(n, p) == pytest.approx(want, rel=1e-12), n
 
-    def test_traced_memory_stays_flat_at_cap(self):
-        error_entropy_exact(14, 0.5)  # warm the _indicator_law cache
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_traced_peak_below_two_dense_arrays_and_three_star_leaves(self, n):
+        # measured for n = 14..18: 2 float64 arrays of 2^n and 2.02 of 3^_STAR_LEAF
+        error_entropy_exact(n, 0.5)  # warm the _indicator_law cache
         tracemalloc.start()
         try:
-            error_entropy_exact(14, 0.5)
+            error_entropy_exact(n, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak <= 2 * 8 * 2**n + 3 * 8 * 3**_STAR_LEAF
 
     def test_p0_zero(self):
         for n in (1, 6, 10, 14):
@@ -809,3 +821,20 @@ class TestCapacityCurves:
             assert err == pytest.approx(truncation_error(p, 15))
         assert crossing is not None
         assert 0.5 <= crossing <= 0.6
+
+    @pytest.mark.parametrize(
+        "step,depth,want", [(0.005, 15, 0.57), (0.005, 64, 0.56), (0.01, 64, 0.56)]
+    )
+    def test_crossing_is_certified(self, step, depth, want):
+        # fig3's grid at J = 15 reads 0.57: at 0.56 the truncated SIR is
+        # below 1/2 but sir + certified_bound = 0.50109, while the limit
+        # crosses at 0.56 (sir(0.56, 400) = 0.49991)
+        grid = [round(k * step, 12) for k in range(round(1 / step) + 1)]
+        _, crossing = capacity_curves(grid, depth)
+        assert crossing == want
+        for p in grid[: grid.index(crossing)]:
+            r = sir(p, depth)
+            assert r.sir + r.certified_bound >= 0.5, p
+        r = sir(crossing, depth)
+        assert r.sir + r.certified_bound < 0.5
+        assert sir(0.555, 400).sir > 0.5 > sir(0.56, 400).sir

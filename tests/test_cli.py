@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -132,6 +133,22 @@ class TestCsvCommands:
         )
         assert code == 2 and out == ""
         assert err == "error: --parts needs a single (m, s) cell\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--m", "2", "--s", "5", "--parts", "{tmp}/p.txt"],
+            ["--m", "3", "--s", "0", "--parts", "{tmp}/q.txt", "--out", "{tmp}/t.csv"],
+        ],
+        ids=["m-below-2s", "s-zero"],
+    )
+    def test_clique_table_parts_outside_the_table_writes_nothing(self, capsys, tmp_path, argv):
+        # partition_size_table keeps only s >= 1 and m >= 2s
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code, out, err = run_cli(capsys, "clique-table", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --parts: no table row") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -402,11 +419,18 @@ class TestErrorPaths:
             ["confusable", "--x1", "01", "--x2", "01", "--t", "-1"],
             ["confusable", "--x1", "00", "--x2", "10", "--t", "-1"],
             ["confusable", "--x1", "00", "--x2", "01", "--t", "-1"],
+            ["construct", "--kind", "doubling"],
+            ["construct", "--kind", "hamming-prefix"],
+            ["construct", "--kind", "greedy-known", "--n", "8"],
+            ["bounds", "--tau-grid", "0.1:0.2:0"],
+            ["bounds", "--tau-grid", "0.1", "--table", "{tmp}/empty.csv"],
+            ["phi", "--x", "01", "--t", "-1"],
         ],
         ids=["grid", "range", "chi-row", "code-file", "binary-file", "config-file",
              "sim-n", "stats-n", "list", "reversed-range", "reversed-grid",
              "inf-grid", "nan-step", "confusable-same", "confusable-first-bit",
-             "confusable-images"],
+             "confusable-images", "doubling-no-n", "hamming-prefix-no-m",
+             "greedy-known-no-t", "zero-step", "empty-table", "phi-negative-t"],
     )
     def test_malformed_input_exit_2(self, capsys, tmp_path, argv):
         """Malformed text, a missing or undecodable input file or an
@@ -414,6 +438,7 @@ class TestErrorPaths:
         error line.  An uncaught exception fails this test before its
         asserts."""
         (tmp_path / "chi.csv").write_text("m,s,parts\n2,1\n")
+        (tmp_path / "empty.csv").write_text("m,s,parts\n# no rows\n")
         (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code, out, err = run_cli(capsys, *argv)
@@ -489,6 +514,37 @@ def test_every_cap_is_read_somewhere():
     for gone in ("hamming_m", "error_entropy_n"):
         with pytest.raises(PreconditionError, match=f"unknown cap name: '{gone}'"):
             Caps().replace({gone: "5"})
+
+
+def test_no_series_name_is_imported_through_channel():
+    """channel re-exports sir, capacity_curves and output_entropy_series
+    for the benchmark alone; the package and its tests take every series
+    name from series, by import or as a module attribute."""
+    package = Path(grainlab.__file__).parent
+    series_names = set()
+    for node in ast.parse((package / "series.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            series_names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            series_names.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert {"sir", "DEPTH_MAX", "SirResult", "_check"} <= series_names
+    through_channel = []
+    for path in sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (
+                ("grainlab.channel", 0), ("channel", 1)
+            ):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and (
+                getattr(node.value, "id", None) == "channel"
+                or getattr(node.value, "attr", None) == "channel"
+            ):
+                names = [node.attr]
+            else:
+                continue
+            through_channel += [(path.name, node.lineno, n) for n in names if n in series_names]
+    assert through_channel == []
 
 
 class TestBadCapValues:

@@ -511,6 +511,9 @@ class TestCodeFiles:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             parse_code_text("# nothing here\n")
+        # a header line without its newline is not in save_code's shape
+        with pytest.raises(PreconditionError, match="no words"):
+            parse_code_text("# header")
 
 
 def line_path_variants(text):

@@ -514,6 +514,17 @@ class TestVerifyPartition:
         part = CliquePartition(2, 1, ((0, 1), (1,), (2, 3)), (0, 1, 3))
         assert not verify_clique_partition(part)
 
+    def test_wrong_witness_with_a_common_image_accepted(self):
+        # the witnesses are swapped, so no member records its part's
+        # witness, but each part's members still share an image
+        parts = ((0b00, 0b01), (0b10, 0b11))
+        common = [
+            frozenset.intersection(*(grain_images(Word(2, v), 1) for v in part))
+            for part in parts
+        ]
+        assert common == [{Word(2, 0b00)}, {Word(2, 0b11)}]
+        assert verify_clique_partition(CliquePartition(2, 1, parts, (0b11, 0b00)))
+
     def test_clique_without_common_witness_accepted(self):
         # a genuine clique whose members share no single image: the
         # verifier must fall back to the pairwise check and accept it
