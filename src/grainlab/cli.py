@@ -145,13 +145,15 @@ def cmd_clique_table(args) -> int:
     m_range, s_range = _int_range(args.m), _int_range(args.s)
     if args.parts and (len(m_range) != 1 or len(s_range) != 1):
         raise PreconditionError("--parts needs a single (m, s) cell")
-    rows = graph.partition_size_table(m_range, s_range)
+    rows = []
+    for partition in graph.table_partitions(m_range, s_range):
+        rows.append((partition.m, partition.s, partition.size))
     if args.parts and not rows:
         raise PreconditionError(f"--parts: no table row for m={args.m}, s={args.s}")
     manifest = RunManifest("clique-table", {"m": args.m, "s": args.s})
     _emit(args, ["m", "s", "parts"], rows, manifest)
     if args.parts:
-        partition = graph.greedy_clique_partition(m_range[0], s_range[0])
+        # the one cell's partition, built once for its row and its render
         Path(args.parts).write_text(partition.render() + "\n")
     return 0
 

@@ -12,6 +12,13 @@ count array of |B(y)| over the uncovered words, and a CliquePartition
 the packed word values themselves.  Only the witness code of
 max_code_size carries Words.
 
+The greedy partition takes its parts one count level at a time: all
+words y of the largest count are scanned in ascending order, and a few
+vectorised calls per level replace an arg-max per part, with the same
+parts.  Its certificate does not read the kernel: each member is
+checked against its part's witness under the one mask that can map it
+there, the XOR of the two, in one vectorised pass.
+
 The exact search is a maximum-clique branch and bound on the complement
 of the half graph: bit-parallel greedy colouring at every node (BBMC,
 San Segundo et al., Computers & OR 2011) bounds the set size by the
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,9 +378,31 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     members share the image y.  The part count upper-bounds the minimum
     clique-partition size.
 
-    counts[y] holds |B(y)| over the uncovered words.  Covering x lowers
-    it by one at each of x's images, so a step costs one arg-max plus
-    work proportional to the part's images, not a rescan of every B.
+    counts[y] holds |B(y)| over the uncovered words.  The picks are made
+    one count level at a time.  With c the largest count and ys the words
+    of count c, ascending, the surviving members of each y in ys form a
+    row; y is picked iff no member of its row was taken by an earlier
+    pick of the level.  After the level the taken words are deleted and
+    counts is lowered at each of their images, so a level costs a few
+    vectorised calls and a set test per row, not an arg-max per part.
+
+    This picks what an arg-max per part would pick.  Counts never rise,
+    since deleting words only lowers them.  So while the largest count is
+    c, it is the count of some y in ys, and a y in ys still counts c iff
+    none of the members it had at the level's start is gone, that is,
+    iff its row misses every part taken since.  The arg-max after a pick
+    in ys is therefore the smallest y above it whose row misses every
+    pick made since the level began: a y scanned earlier was either
+    picked (its count is then 0) or lost a member, and never gets back
+    to c.  When no row is left, the largest count is below c and the
+    next level begins.
+
+    The kernel calls run in chunks of words, so that each (words x
+    masks) temporary holds about 4 * 2^m entries, and at most 2^15.
+    Unchunked, the temporaries, not counts, would set the peak memory;
+    and past 2^15 entries (256 KiB of int64) they ran slower: (16, 4)
+    took 0.4-0.6 s with 4 * 2^m entries and 0.26 s with 2^15 on a
+    shared 2-CPU VM.
     """
     check_cap("m", m, "partition_m")
     if m < 1 or s < 0:
@@ -380,21 +410,60 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
 
     counts = preimage_counts(m, s)
     alive = np.ones(1 << m, dtype=bool)
+    chunk = max(1, min(4 << m, 1 << 15) // _mask_array(m, s).size)
     left = 1 << m
     parts: list[tuple[int, ...]] = []
     witnesses: list[int] = []
     while left:
-        # argmax returns the first maximum: the smallest y among the largest
-        y = int(counts.argmax())
-        members = preimage_values(y, m, s)
-        part = np.sort(members[alive[members]])
-        alive[part] = False
-        # an int32 1, like counts: a Python int sends ufunc.at down its slow path
-        np.subtract.at(counts, image_values(part, m, s), np.int32(1))
-        left -= part.size
-        parts.append(tuple(part.tolist()))
-        witnesses.append(y)
+        c = counts.max()
+        ys = np.flatnonzero(counts == c)
+        rows = []
+        for lo in range(0, ys.size, chunk):
+            members = preimage_values(ys[lo : lo + chunk], m, s)
+            rows.append(members[alive[members]])
+        rows = np.concatenate(rows).reshape(ys.size, c)
+        rows.sort(axis=1)
+        taken: set[int] = set()
+        for y, row in zip(ys.tolist(), rows.tolist()):
+            if taken.isdisjoint(row):
+                taken.update(row)
+                parts.append(tuple(row))
+                witnesses.append(y)
+        gone = np.fromiter(taken, dtype=np.int64, count=len(taken))
+        alive[gone] = False
+        left -= gone.size
+        for lo in range(0, gone.size, chunk):
+            # an int32 1, like counts: a Python int sends ufunc.at down its slow path
+            np.subtract.at(counts, image_values(gone[lo : lo + chunk], m, s), np.int32(1))
     return CliquePartition(m, s, tuple(parts), tuple(witnesses))
+
+
+def _witness_hits(values: np.ndarray, target: np.ndarray, m: int, s: int) -> np.ndarray:
+    """Whether each member value x has the target y among its images
+    under at most s grains, applying the grain operator literally under
+    the one mask M = x ^ y.
+
+    M is accepted iff it is a grain support of weight <= s (no bit at
+    position 1, no two adjacent bits, at most s bits, the weight found
+    by clearing the lowest set bit s times) and _apply_mask(x, M) == y.
+    Sound: an accepted M is a valid mask that maps x to y.  Complete:
+    let a support M' map x to y.  Bit j of _apply_mask(x, M') is x_{j-1}
+    for j in M' and x_j elsewhere, so it differs from x_j iff j lies in
+    M' and in d(x) = x ^ (x >> 1): y = x ^ (M' & d(x)).  Then
+    M = x ^ y = M' & d(x) is a subset of a support, hence a support of
+    weight <= s, and M & d(x) = M, so _apply_mask(x, M) = y.
+
+    A negative or out-of-range target gives an M that fails the
+    position-1 test.  Neither the masks nor the closed-form kernel are
+    read.
+    """
+    mask = values ^ target
+    hit = (mask >> (m - 1) == 0) & (mask & (mask >> 1) == 0)
+    rest = mask
+    # an accepted mask has at most m - 1 bits, so m clearings suffice
+    for _ in range(min(s, m)):
+        rest = rest & (rest - 1)
+    return hit & (rest == 0) & (_apply_mask(values, mask) == target)
 
 
 def verify_clique_partition(partition: CliquePartition) -> bool:
@@ -402,31 +471,34 @@ def verify_clique_partition(partition: CliquePartition) -> bool:
     clique property of every part.
 
     The check does not trust the closed-form kernel: it applies the
-    grain operator literally under every support mask.  A part whose
-    members all record its witness is certified at once; otherwise (no
-    witness, or a member misses it) a common image of all members, then
-    image-set overlap of every pair, must be found.
+    grain operator literally.  A part whose members all record its
+    witness is certified at once; _witness_hits decides that for every
+    member in one vectorised pass, under the one mask that can map the
+    member to the witness.  Otherwise (no witness, or a member misses
+    it) a common image of all members, then image-set overlap of every
+    pair, must be found, under every support mask.
     """
     m, s = partition.m, partition.s
+    if m < 1 or s < 0:
+        raise PreconditionError("need m >= 1 and s >= 0")
     parts = partition.parts
-    members = [x for part in parts for x in part]
-    if sorted(members) != list(range(1 << m)):
+    values = np.array(list(itertools.chain.from_iterable(parts)))
+    if values.dtype.kind != "i" or values.size != 1 << m:
         return False
-    values = np.array(members, dtype=np.int64)
+    if not np.array_equal(np.sort(values), np.arange(values.size)):
+        return False
 
     witness = list(partition.witnesses[: len(parts)])
     witness += [-1] * (len(parts) - len(witness))
     sizes = [len(part) for part in parts]
-    target = np.repeat(witness, sizes)
-    masks = _mask_array(m, s).tolist()
-    hit = np.zeros(values.size, dtype=bool)
-    for mask in masks:
-        hit |= _apply_mask(values, mask) == target
+    hit = _witness_hits(values, np.repeat(witness, sizes), m, s)
 
     part_of = np.repeat(np.arange(len(parts)), sizes)
-    for k in np.unique(part_of[~hit]).tolist():
-        if sizes[k] <= 1:
-            continue
+    unwitnessed = [k for k in np.unique(part_of[~hit]).tolist() if sizes[k] > 1]
+    if not unwitnessed:
+        return True
+    masks = _mask_array(m, s).tolist()
+    for k in unwitnessed:
         image_sets = [{_apply_mask(x, mask) for mask in masks} for x in parts[k]]
         if set.intersection(*image_sets):
             continue
@@ -435,17 +507,23 @@ def verify_clique_partition(partition: CliquePartition) -> bool:
     return True
 
 
-def partition_size_table(
+def table_partitions(
     m_values: tuple[int, ...] | range, s_values: tuple[int, ...] | range
-) -> list[tuple[int, int, int]]:
-    """Greedy partition sizes for every requested (m, s) with m >= 2s.
+) -> Iterator[CliquePartition]:
+    """Greedy partitions of every requested (m, s) with s >= 1 and
+    m >= 2s, s-major, built one at a time.
 
-    Rows are (m, s, parts); the admissibility condition m >= 2s mirrors
-    the shape of the published search table.
+    The admissibility condition m >= 2s mirrors the shape of the
+    published search table.
     """
-    rows = []
     for s in s_values:
         for m in m_values:
             if s >= 1 and m >= 2 * s:
-                rows.append((m, s, greedy_clique_partition(m, s).size))
-    return rows
+                yield greedy_clique_partition(m, s)
+
+
+def partition_size_table(
+    m_values: tuple[int, ...] | range, s_values: tuple[int, ...] | range
+) -> list[tuple[int, int, int]]:
+    """Rows (m, s, parts) of the greedy partitions of table_partitions."""
+    return [(p.m, p.s, p.size) for p in table_partitions(m_values, s_values)]

@@ -167,6 +167,27 @@ class TestCsvCommands:
         assert code == 0
         assert hashlib.sha256(parts.read_bytes()).hexdigest() == digest
 
+    def test_clique_table_parts_builds_the_partition_once(self, capsys, tmp_path, monkeypatch):
+        from grainlab import graph
+
+        calls = []
+        greedy = graph.greedy_clique_partition
+
+        def counting(m, s):
+            calls.append((m, s))
+            return greedy(m, s)
+
+        monkeypatch.setattr(graph, "greedy_clique_partition", counting)
+        parts = tmp_path / "p.txt"
+        code, out, _ = run_cli(
+            capsys, "clique-table", "--m", "14", "--s", "1", "--parts", str(parts)
+        )
+        assert code == 0 and out.startswith("m,s,parts\n14,1,3002\n")
+        assert calls == [(14, 1)]
+        assert hashlib.sha256(parts.read_bytes()).hexdigest() == (
+            "649d0c6528c3c61584dd3c39629750adcdcb07e080da82306084d1e667e6ef36"
+        )
+
     def test_byte_identical_rerun(self, capsys):
         argv = ["fig3", "--grid", "0:1:0.25", "--J", "15"]
         _, first, _ = run_cli(capsys, *argv)
@@ -241,6 +262,23 @@ class TestGoldenArtifacts:
         assert code == 0
         assert csv.read_bytes() == (ROOT / "out" / f"{name}.csv").read_bytes()
         assert svg.read_bytes() == (ROOT / "out" / f"{name}.svg").read_bytes()
+
+    def test_tracked_sidecars_have_the_written_keys(self, capsys, tmp_path):
+        # the timestamps differ from run to run; the keys must not
+        argvs = {
+            "fig1": ["fig1", "--tau-grid", "0.002:0.5:0.002"],
+            "fig3": ["fig3", "--grid", "0:1:0.005", "--J", "15"],
+        }
+        for name, argv in argvs.items():
+            code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / f"{name}.csv"))
+            assert code == 0
+        tracked = sorted((ROOT / "out").glob("*.manifest.json"))
+        assert [p.name for p in tracked] == ["fig1.csv.manifest.json", "fig3.csv.manifest.json"]
+        for path in tracked:
+            want = json.loads((tmp_path / path.name).read_text())
+            have = json.loads(path.read_text())
+            assert have.keys() == want.keys(), path.name
+            assert have["params"].keys() == want["params"].keys(), path.name
 
     # sha256 of the whole CSV text, manifest trailer included
     @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from grainlab.codes import Code, verify_grain_correcting
@@ -15,12 +17,21 @@ from grainlab.graph import (
     _max_independent_set,
     _neighbor_values,
     _renumber,
+    _witness_hits,
     greedy_clique_partition,
     max_code_size,
     partition_size_table,
     verify_clique_partition,
 )
-from grainlab.model import Word, confusable, enumerate_error_vectors, grain_images
+from grainlab.model import (
+    Word,
+    confusable,
+    enumerate_error_vectors,
+    grain_images,
+    image_values,
+    preimage_counts,
+    preimage_values,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
@@ -108,6 +119,53 @@ def greedy_partition_scan(m, s):
         parts.append(tuple(part))
         witnesses.append(best_y)
     return tuple(parts), tuple(witnesses)
+
+
+def greedy_partition_argmax(m, s):
+    """Reference greedy partition with one arg-max per part: the smallest
+    y of largest surviving count gives the next part, and the counts are
+    lowered at that part's images before the next arg-max."""
+    counts = preimage_counts(m, s)
+    alive = np.ones(1 << m, dtype=bool)
+    parts, witnesses = [], []
+    while alive.any():
+        y = int(counts.argmax())
+        members = preimage_values(y, m, s)
+        part = np.sort(members[alive[members]])
+        alive[part] = False
+        np.subtract.at(counts, image_values(part, m, s), np.int32(1))
+        parts.append(tuple(part.tolist()))
+        witnesses.append(y)
+    return tuple(parts), tuple(witnesses)
+
+
+def literal_witness_hits(values, target, m, s):
+    """Whether each value has its target among its images, applying
+    the grain operator literally under every support mask."""
+    hit = np.zeros(len(values), dtype=bool)
+    for e in enumerate_error_vectors(m, s):
+        hit |= ((values & ~e.mask) | ((values >> 1) & e.mask)) == target
+    return hit
+
+
+def verify_partition_all_masks(partition):
+    """Reference certificate: coverage, then each part accepted when all
+    its members have its witness as an image under some support mask,
+    else when they share an image, else when every pair does."""
+    m, s = partition.m, partition.s
+    parts = partition.parts
+    if sorted(x for part in parts for x in part) != list(range(1 << m)):
+        return False
+    images = literal_images(m, s)
+    witnesses = list(partition.witnesses) + [-1] * len(parts)
+    for part, y in zip(parts, witnesses):
+        if all(y in images[x] for x in part):
+            continue
+        if set.intersection(*(images[x] for x in part)):
+            continue
+        if not all(images[a] & images[b] for a, b in itertools.combinations(part, 2)):
+            return False
+    return True
 
 
 def half_adjacency_ref(n, t):
@@ -456,6 +514,24 @@ class TestGreedyPartition:
             part = greedy_clique_partition(m, s)
             assert (part.parts, part.witnesses) == greedy_partition_scan(m, s), s
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_argmax_per_part(self, m):
+        for s in range(0, 5):
+            part = greedy_clique_partition(m, s)
+            assert (part.parts, part.witnesses) == greedy_partition_argmax(m, s), s
+
+    def test_traced_peak_at_13_4(self):
+        # the chunked kernel calls keep the (words x masks) temporaries
+        # near 4 * 2^m entries; one arg-max per part peaked at about 1.7 MB
+        greedy_clique_partition(13, 4)  # warm the mask cache
+        tracemalloc.start()
+        try:
+            greedy_clique_partition(13, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
     def test_builds_no_word(self, built_words):
         part = greedy_clique_partition(10, 2)
         assert verify_clique_partition(part)
@@ -533,6 +609,52 @@ class TestVerifyPartition:
         rest = tuple((v,) for v in range(16) if v not in clique)
         part = CliquePartition(4, 1, (clique,) + rest, ())
         assert verify_clique_partition(part)
+
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_one_mask_hits_match_all_masks(self, m):
+        rng = np.random.default_rng(m)
+        xs = np.arange(1 << m, dtype=np.int64)
+        for s in range(0, 5):
+            part = greedy_clique_partition(m, s)
+            witness_of = {x: y for members, y in zip(part.parts, part.witnesses) for x in members}
+            near = np.array([e.mask for e in enumerate_error_vectors(m, s + 2)])
+            targets = [
+                np.array([witness_of[x] for x in range(1 << m)]),
+                xs ^ rng.integers(0, 1 << m, size=xs.size),  # any mask, position 1 too
+                xs ^ near[rng.integers(0, near.size, size=xs.size)],  # up to weight s + 2
+                np.full(xs.size, -1),
+                np.full(xs.size, 1 << m),
+            ]
+            if m <= 6:
+                targets += [np.full(xs.size, y) for y in range(1 << m)]
+            for target in targets:
+                have = _witness_hits(xs, target, m, s)
+                assert (have == literal_witness_hits(xs, target, m, s)).all(), (s, target)
+
+    @pytest.mark.parametrize(
+        "m,s,pair,witness,verdict",
+        [
+            # position 1: 100 -> 000 literally, but the first bit survives every grain
+            (3, 1, (0b000, 0b100), 0b000, False),
+            # adjacent positions 5, 6: 000010 -> 000001 literally, and 010101
+            # has the image 000001, but the two members share no image
+            (6, 2, (0b000010, 0b010101), 0b000001, False),
+            # adjacent positions 3, 4: 0101 -> 0110 literally; both have the image 0111
+            (4, 2, (0b0101, 0b0110), 0b0110, True),
+            # weight s + 1: 0101 -> 0000 needs positions 2 and 4
+            (4, 1, (0b0000, 0b0101), 0b0000, False),
+            (6, 2, (0b000000, 0b010101), 0b000000, False),
+        ],
+        ids=["position-1", "adjacent", "adjacent-common-image", "weight-2-at-1", "weight-3-at-2"],
+    )
+    def test_witness_off_by_a_non_support(self, m, s, pair, witness, verdict):
+        rest = [v for v in range(1 << m) if v not in pair]
+        part = CliquePartition(
+            m, s, (pair,) + tuple((v,) for v in rest), (witness,) + tuple(rest)
+        )
+        assert verify_partition_all_masks(part) is verdict
+        assert verify_clique_partition(part) is verdict
 
 
 class TestPartitionTable:
