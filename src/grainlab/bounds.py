@@ -284,10 +284,14 @@ def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
     cor2_min is the minimum clique-partition rate bound; rn_lower is
     the constant 1/2 achieved by the bit-doubling code.  list_rate (for
     lists of list_size words) and the informed pair are empty past
-    INFORMED_TAU_MAX.
+    INFORMED_TAU_MAX.  Every entry of chi_entries needs m, s, parts >= 1,
+    whether or not a tau of the grid admits it.
     """
     if list_size < 1:
         raise PreconditionError("list size must be >= 1")
+    for (m, s), chi in (chi_entries or {}).items():
+        if m < 1 or s < 1 or chi < 1:
+            raise PreconditionError(f"table entry m={m}, s={s}, parts={chi}: need all >= 1")
     rows = []
     for tau in taus:
         if not 0 < tau <= 0.5:

@@ -68,20 +68,11 @@ def _check_n(n: int, p: float, least: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _indicator_rows(n: int) -> np.ndarray:
-    """Rows (u, ones): model's error vectors of x0 x_1..x_n, ascending,
-    and their weights; sorted once per n, for the laws of every p."""
-    rows = _error_masks(n + 1, n)
-    rows = rows[:, np.argsort(rows[0])]
-    rows.setflags(write=False)
-    return rows
-
-
 @lru_cache(maxsize=128)
 def _indicator_law(n: int, p: float, u0: int) -> tuple[np.ndarray, np.ndarray]:
-    """The law of u_1..u_n given u0: every valid mask (as in
-    _indicator_rows) with its probability, zero included.
+    """The law of u_1..u_n given u0: every valid mask, model's error
+    vectors of x0 x_1..x_n in their order, with its probability, zero
+    included.
 
     Each step from u_{i-1} = 0 contributes p for u_i = 1 and 1 - p for
     u_i = 0; each step from u_{i-1} = 1 is forced to 0 (factor 1) and
@@ -94,7 +85,7 @@ def _indicator_law(n: int, p: float, u0: int) -> tuple[np.ndarray, np.ndarray]:
     raise 0 to a negative power.
     """
     p = float(p)
-    masks, ones = _indicator_rows(n)
+    masks, ones = _error_masks(n + 1, n)
     free = n - u0 - 2 * ones + (masks & 1)
     probs = p**ones * (1.0 - p) ** np.maximum(free, 0)
     if u0:
@@ -313,7 +304,7 @@ def erasure_mi_exact(n: int, p: float) -> float:
     non-erased outputs are uniform.  Comes out to 1/(1+p) for every n.
     """
     _check_n(n, p)
-    kept = n - _indicator_rows(n)[1]  # non-erased positions
+    kept = n - _error_masks(n + 1, n)[1]  # non-erased positions
     mi = 0.0
     for u0, w in enumerate(_stationary_weights(p)):
         q = _indicator_law(n, p, u0)[1]

@@ -35,6 +35,7 @@ import numpy as np
 from .config import check_cap
 from .errors import GrainlabError, PreconditionError
 from .model import (
+    KERNEL_BLOCK,
     ErrorVector,
     Word,
     _apply_mask,
@@ -43,8 +44,6 @@ from .model import (
     _mask_array,
     image_values,
 )
-
-_KERNEL_BLOCK = 1 << 20  # codewords x support masks per kernel call
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +261,7 @@ def verify_list_decodable(code: Code, t: int, list_size: int) -> bool:
     if list_size < 1:
         raise PreconditionError("list size must be >= 1")
     _check_image_cap(code.n)
-    step = max(1, _KERNEL_BLOCK // _mask_array(code.n, t).size)
+    step = max(1, KERNEL_BLOCK // _mask_array(code.n, t).size)
     blocks, total = [np.zeros(0, dtype=np.int64)], 0
     for i in range(0, code.size, step):
         blocks.append(image_values(code.values[i : i + step], code.n, t))

@@ -15,8 +15,9 @@ max_code_size carries Words.
 The greedy partition takes its parts one count level at a time: all
 words y of the largest count are scanned in ascending order, and a few
 vectorised calls per level replace an arg-max per part, with the same
-parts.  Its certificate does not read the kernel: each member is
-checked against its part's witness under the one mask that can map it
+parts.  A part is certified only through its witness y, the image all
+its members share: the certificate does not read the kernel, but
+checks each member against y under the one mask that can map it
 there, the XOR of the two, in one vectorised pass.
 
 The exact search is a maximum-clique branch and bound on the complement
@@ -47,6 +48,7 @@ import numpy as np
 from .config import check_cap, get_caps
 from .errors import PreconditionError
 from .model import (
+    KERNEL_BLOCK,
     Word,
     _apply_mask,
     _mask_array,
@@ -348,7 +350,9 @@ def max_code_size(n: int, t: int) -> MaxCodeResult:
 class CliquePartition:
     """Ordered partition of {0,1}^m into cliques of the confusability
     graph, each part generated as the surviving preimage set of its
-    witness word.  Members and witnesses are packed word values."""
+    witness word: witnesses[k] is an image of every member of parts[k],
+    one witness per part.  Members and witnesses are packed word
+    values."""
 
     m: int
     s: int
@@ -395,14 +399,8 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     pick made since the level began: a y scanned earlier was either
     picked (its count is then 0) or lost a member, and never gets back
     to c.  When no row is left, the largest count is below c and the
-    next level begins.
-
-    The kernel calls run in chunks of words, so that each (words x
-    masks) temporary holds about 4 * 2^m entries, and at most 2^15.
-    Unchunked, the temporaries, not counts, would set the peak memory;
-    and past 2^15 entries (256 KiB of int64) they ran slower: (16, 4)
-    took 0.4-0.6 s with 4 * 2^m entries and 0.26 s with 2^15 on a
-    shared 2-CPU VM.
+    next level begins.  The kernel calls take model.KERNEL_BLOCK
+    (words x masks) entries at a time.
     """
     check_cap("m", m, "partition_m")
     if m < 1 or s < 0:
@@ -410,7 +408,7 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
 
     counts = preimage_counts(m, s)
     alive = np.ones(1 << m, dtype=bool)
-    chunk = max(1, min(4 << m, 1 << 15) // _mask_array(m, s).size)
+    chunk = max(1, KERNEL_BLOCK // _mask_array(m, s).size)
     left = 1 << m
     parts: list[tuple[int, ...]] = []
     witnesses: list[int] = []
@@ -467,16 +465,19 @@ def _witness_hits(values: np.ndarray, target: np.ndarray, m: int, s: int) -> np.
 
 
 def verify_clique_partition(partition: CliquePartition) -> bool:
-    """Certificate check: disjointness, coverage of {0,1}^m, and the
-    clique property of every part.
+    """Certificate check: the parts cover {0,1}^m once each, there is
+    one witness per part, and every member has its part's witness among
+    its images under at most s grains.
 
-    The check does not trust the closed-form kernel: it applies the
-    grain operator literally.  A part whose members all record its
-    witness is certified at once; _witness_hits decides that for every
-    member in one vectorised pass, under the one mask that can map the
-    member to the witness.  Otherwise (no witness, or a member misses
-    it) a common image of all members, then image-set overlap of every
-    pair, must be found, under every support mask.
+    Members sharing an image are pairwise confusable, so every part is
+    then a clique.  The check does not trust the closed-form kernel:
+    _witness_hits applies the grain operator literally, under the one
+    mask that can map a member to its witness, for all members in one
+    vectorised pass.  It is sound and complete for partitions into
+    witnessed star parts, parts inside B(y) for their witness y, as
+    greedy_clique_partition builds them, and it rejects everything
+    else: a missing or extra witness, or a part whose members do not
+    all record its witness, even when the part is a clique.
     """
     m, s = partition.m, partition.s
     if m < 1 or s < 0:
@@ -487,24 +488,10 @@ def verify_clique_partition(partition: CliquePartition) -> bool:
         return False
     if not np.array_equal(np.sort(values), np.arange(values.size)):
         return False
-
-    witness = list(partition.witnesses[: len(parts)])
-    witness += [-1] * (len(parts) - len(witness))
-    sizes = [len(part) for part in parts]
-    hit = _witness_hits(values, np.repeat(witness, sizes), m, s)
-
-    part_of = np.repeat(np.arange(len(parts)), sizes)
-    unwitnessed = [k for k in np.unique(part_of[~hit]).tolist() if sizes[k] > 1]
-    if not unwitnessed:
-        return True
-    masks = _mask_array(m, s).tolist()
-    for k in unwitnessed:
-        image_sets = [{_apply_mask(x, mask) for mask in masks} for x in parts[k]]
-        if set.intersection(*image_sets):
-            continue
-        if not all(a & b for a, b in itertools.combinations(image_sets, 2)):
-            return False
-    return True
+    if len(partition.witnesses) != len(parts):
+        return False
+    target = np.repeat(partition.witnesses, [len(part) for part in parts])
+    return bool(_witness_hits(values, target, m, s).all())
 
 
 def table_partitions(

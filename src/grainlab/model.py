@@ -32,6 +32,13 @@ from .errors import PreconditionError
 #: take time linear in its length; the kernels and a Code pack into int64
 WORD_LEN_MAX = 1_000_000
 KERNEL_BITS = 63
+#: words x support masks per kernel call for the callers that chunk
+#: image_values and preimage_values: take max(1, KERNEL_BLOCK // |S|)
+#: words at a time.  Unchunked, the (words x masks) temporaries would set
+#: the peak memory; and past 2^15 entries (256 KiB of int64) they ran
+#: slower: greedy_clique_partition(16, 4) took 0.4-0.6 s with 4 * 2^16
+#: entries and 0.26 s with 2^15 on a shared 2-CPU VM
+KERNEL_BLOCK = 1 << 15
 
 # ---------------------------------------------------------------------------
 # domain types

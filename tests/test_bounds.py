@@ -349,6 +349,12 @@ class TestRateCurves:
         with pytest.raises(PreconditionError, match="list size"):
             rate_curves([], list_size=0)
 
+    @pytest.mark.parametrize("entry", [((4, 1), 0), ((0, 1), 2), ((4, 0), 2)])
+    def test_malformed_table_entry_rejected(self, entry):
+        # (4, 1) is not admissible at tau = 0.4, and is rejected all the same
+        with pytest.raises(PreconditionError, match="table entry"):
+            rate_curves([0.4], dict([entry]))
+
     def test_gv_below_clique_min(self):
         for k in range(1, 26):
             tau = 0.01 * k

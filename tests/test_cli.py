@@ -463,12 +463,16 @@ class TestErrorPaths:
             ["bounds", "--tau-grid", "0.1:0.2:0"],
             ["bounds", "--tau-grid", "0.1", "--table", "{tmp}/empty.csv"],
             ["phi", "--x", "01", "--t", "-1"],
+            ["bounds", "--tau-grid", "0.1", "--table", "{tmp}/m0.csv"],
+            ["bounds", "--tau-grid", "0.1", "--table", "{tmp}/s0.csv"],
+            ["bounds", "--tau-grid", "0.4", "--table", "{tmp}/parts0.csv"],
         ],
         ids=["grid", "range", "chi-row", "code-file", "binary-file", "config-file",
              "sim-n", "stats-n", "list", "reversed-range", "reversed-grid",
              "inf-grid", "nan-step", "confusable-same", "confusable-first-bit",
              "confusable-images", "doubling-no-n", "hamming-prefix-no-m",
-             "greedy-known-no-t", "zero-step", "empty-table", "phi-negative-t"],
+             "greedy-known-no-t", "zero-step", "empty-table", "phi-negative-t",
+             "table-m-0", "table-s-0", "table-parts-0-inadmissible"],
     )
     def test_malformed_input_exit_2(self, capsys, tmp_path, argv):
         """Malformed text, a missing or undecodable input file or an
@@ -478,6 +482,9 @@ class TestErrorPaths:
         (tmp_path / "chi.csv").write_text("m,s,parts\n2,1\n")
         (tmp_path / "empty.csv").write_text("m,s,parts\n# no rows\n")
         (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00")
+        # m = 0 divided by zero; s = 0 and parts = 0 at tau > s/m went through
+        for name, row in (("m0", "0,1,2"), ("s0", "4,0,2"), ("parts0", "4,1,0")):
+            (tmp_path / f"{name}.csv").write_text(f"m,s,parts\n{row}\n")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -328,6 +328,19 @@ class TestVerifiers:
         assert verify_list_decodable(code, 1, 2)
         assert not verify_list_decodable(code, 1, 1)
 
+    def test_traced_peak_of_doubling_16_at_8(self):
+        # 256 codewords x 1597 masks: in blocks of model.KERNEL_BLOCK
+        # entries; in one block of all of them it peaked at 6.95 MB
+        code = construct_doubling(16)
+        verify_grain_correcting(code, 8)  # warm the mask cache
+        tracemalloc.start()
+        try:
+            assert verify_grain_correcting(code, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
     def test_known_pattern_pair_counterexample(self):
         # the pattern with support {2} maps both 00 and 01 to 00
         code = Code(2, [0b00, 0b01])

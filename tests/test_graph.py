@@ -149,9 +149,11 @@ def literal_witness_hits(values, target, m, s):
 
 
 def verify_partition_all_masks(partition):
-    """Reference certificate: coverage, then each part accepted when all
-    its members have its witness as an image under some support mask,
-    else when they share an image, else when every pair does."""
+    """Reference clique-partition check: coverage, then each part
+    accepted when all its members have its witness as an image under
+    some support mask, else when they share an image, else when every
+    pair does.  It accepts every clique partition, verify_clique_partition
+    only the witnessed ones."""
     m, s = partition.m, partition.s
     parts = partition.parts
     if sorted(x for part in parts for x in part) != list(range(1 << m)):
@@ -522,7 +524,8 @@ class TestGreedyPartition:
 
     def test_traced_peak_at_13_4(self):
         # the chunked kernel calls keep the (words x masks) temporaries
-        # near 4 * 2^m entries; one arg-max per part peaked at about 1.7 MB
+        # at model.KERNEL_BLOCK = 2^15 = 4 * 2^13 entries; one arg-max
+        # per part peaked at about 1.7 MB
         greedy_clique_partition(13, 4)  # warm the mask cache
         tracemalloc.start()
         try:
@@ -572,8 +575,13 @@ class TestVerifyPartition:
 
     def test_part_without_witness_still_checked(self):
         # witnesses shorter than parts: the unwitnessed non-clique part
-        # must still fail the pairwise check
+        # must not pass
         part = CliquePartition(2, 1, ((0b01,), (0b00, 0b11), (0b10,)), (0b01,))
+        assert not verify_clique_partition(part)
+
+    def test_one_witness_more_than_parts_rejected(self):
+        parts = tuple((v,) for v in range(8))
+        part = CliquePartition(3, 1, parts, tuple(range(8)) + (0,))
         assert not verify_clique_partition(part)
 
     def test_missing_coverage_rejected(self):
@@ -590,26 +598,28 @@ class TestVerifyPartition:
         part = CliquePartition(2, 1, ((0, 1), (1,), (2, 3)), (0, 1, 3))
         assert not verify_clique_partition(part)
 
-    def test_wrong_witness_with_a_common_image_accepted(self):
+    def test_wrong_witness_with_a_common_image_rejected(self):
         # the witnesses are swapped, so no member records its part's
-        # witness, but each part's members still share an image
+        # witness, though each part's members still share an image
         parts = ((0b00, 0b01), (0b10, 0b11))
         common = [
             frozenset.intersection(*(grain_images(Word(2, v), 1) for v in part))
             for part in parts
         ]
         assert common == [{Word(2, 0b00)}, {Word(2, 0b11)}]
-        assert verify_clique_partition(CliquePartition(2, 1, parts, (0b11, 0b00)))
+        part = CliquePartition(2, 1, parts, (0b11, 0b00))
+        assert verify_partition_all_masks(part)
+        assert not verify_clique_partition(part)
 
-    def test_clique_without_common_witness_accepted(self):
-        # a genuine clique whose members share no single image: the
-        # verifier must fall back to the pairwise check and accept it
+    def test_partition_without_witnesses_rejected(self):
+        # a genuine clique whose members share no single image: no
+        # witness can name it, so it is no star part
         clique = (0b0001, 0b0010, 0b0011)
         assert not frozenset.intersection(*(grain_images(Word(4, v), 1) for v in clique))
         rest = tuple((v,) for v in range(16) if v not in clique)
         part = CliquePartition(4, 1, (clique,) + rest, ())
-        assert verify_clique_partition(part)
-
+        assert verify_partition_all_masks(part)
+        assert not verify_clique_partition(part)
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_one_mask_hits_match_all_masks(self, m):
@@ -633,14 +643,15 @@ class TestVerifyPartition:
                 assert (have == literal_witness_hits(xs, target, m, s)).all(), (s, target)
 
     @pytest.mark.parametrize(
-        "m,s,pair,witness,verdict",
+        "m,s,pair,witness,clique",
         [
             # position 1: 100 -> 000 literally, but the first bit survives every grain
             (3, 1, (0b000, 0b100), 0b000, False),
             # adjacent positions 5, 6: 000010 -> 000001 literally, and 010101
             # has the image 000001, but the two members share no image
             (6, 2, (0b000010, 0b010101), 0b000001, False),
-            # adjacent positions 3, 4: 0101 -> 0110 literally; both have the image 0111
+            # adjacent positions 3, 4: 0101 -> 0110 literally; both have the
+            # image 0111, so the pair is a clique, but not through its witness
             (4, 2, (0b0101, 0b0110), 0b0110, True),
             # weight s + 1: 0101 -> 0000 needs positions 2 and 4
             (4, 1, (0b0000, 0b0101), 0b0000, False),
@@ -648,13 +659,13 @@ class TestVerifyPartition:
         ],
         ids=["position-1", "adjacent", "adjacent-common-image", "weight-2-at-1", "weight-3-at-2"],
     )
-    def test_witness_off_by_a_non_support(self, m, s, pair, witness, verdict):
+    def test_witness_off_by_a_non_support(self, m, s, pair, witness, clique):
         rest = [v for v in range(1 << m) if v not in pair]
         part = CliquePartition(
             m, s, (pair,) + tuple((v,) for v in rest), (witness,) + tuple(rest)
         )
-        assert verify_partition_all_masks(part) is verdict
-        assert verify_clique_partition(part) is verdict
+        assert verify_partition_all_masks(part) is clique
+        assert verify_clique_partition(part) is False
 
 
 class TestPartitionTable:
