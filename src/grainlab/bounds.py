@@ -266,10 +266,13 @@ def informed_rate_bounds(tau: float) -> tuple[float, float]:
 
 def clique_rate_min(tau: float, chi_entries=None) -> float:
     """Minimum of the clique-partition rate bounds over all table
-    entries admissible at tau (those with tau <= s/m)."""
+    entries admissible at tau (those with tau <= s/m).  Every entry
+    needs m, s, parts >= 1, whether or not tau admits it."""
     entries = REFERENCE_PARTITION_SIZES if chi_entries is None else chi_entries
     best = 1.0
     for (m, s), chi in entries.items():
+        if m < 1 or s < 1 or chi < 1:
+            raise PreconditionError(f"table entry m={m}, s={s}, parts={chi}: need all >= 1")
         if tau <= s / m:
             best = min(best, clique_rate_upper(tau, m, s, chi))
     return best
@@ -284,14 +287,11 @@ def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
     cor2_min is the minimum clique-partition rate bound; rn_lower is
     the constant 1/2 achieved by the bit-doubling code.  list_rate (for
     lists of list_size words) and the informed pair are empty past
-    INFORMED_TAU_MAX.  Every entry of chi_entries needs m, s, parts >= 1,
-    whether or not a tau of the grid admits it.
+    INFORMED_TAU_MAX.  clique_rate_min checks every entry of chi_entries
+    at each tau.
     """
     if list_size < 1:
         raise PreconditionError("list size must be >= 1")
-    for (m, s), chi in (chi_entries or {}).items():
-        if m < 1 or s < 1 or chi < 1:
-            raise PreconditionError(f"table entry m={m}, s={s}, parts={chi}: need all >= 1")
     rows = []
     for tau in taus:
         if not 0 < tau <= 0.5:

@@ -113,10 +113,11 @@ class ChannelSpec:
 
     def __post_init__(self):
         _check(self.p)
-        if self.initial != "stationary":
-            u0, x0 = self.initial  # type: ignore[misc]
-            if u0 not in (0, 1) or x0 not in (0, 1):
-                raise PreconditionError("explicit initial state must be bit pair")
+        pair = self.initial
+        if pair != "stationary" and not (
+            isinstance(pair, tuple) and len(pair) == 2 and all(b in (0, 1) for b in pair)
+        ):
+            raise PreconditionError("explicit initial state must be bit pair")
 
     @property
     def stationary_weights(self) -> tuple[float, float]:
@@ -258,7 +259,10 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
 
 def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[Word, float]:
     """Exact output law when channel(masks, x0) maps every indicator
-    sequence to its packed output, mixed over the initial states."""
+    sequence to its packed output, mixed over the initial states.  It
+    enumerates all F(n + 2) indicator masks, so n is checked against
+    channel_exact_n first."""
+    _check_n(x.n, spec.p)
     outputs, weights = [], []
     for u0, x0, w in spec.initial_states():
         masks, probs = _indicator_law(x.n, spec.p, u0)

@@ -424,9 +424,6 @@ def main(argv: list[str] | None = None) -> int:
             pairs["exact_m_time_limit"] = args.time_limit  # flags win
         with caps_override(**pairs):
             return args.func(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

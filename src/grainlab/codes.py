@@ -28,6 +28,7 @@ to the whole array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ import numpy as np
 from .config import check_cap
 from .errors import GrainlabError, PreconditionError
 from .model import (
-    KERNEL_BLOCK,
     ErrorVector,
     Word,
     _apply_mask,
@@ -43,6 +43,7 @@ from .model import (
     _check_kernel_bits,
     _mask_array,
     image_values,
+    in_blocks,
 )
 
 
@@ -52,7 +53,7 @@ class Code:
 
     The constructor takes a sequence or array of ints and keeps them as
     one sorted, read-only int64 array, so n is at most model.KERNEL_BITS.
-    Every value must fit in n bits and none may repeat.
+    Every value must be an integer, fit in n bits and not repeat.
     `words` and `sorted_words()` build the Word views on request.
     """
 
@@ -64,7 +65,12 @@ class Code:
         if self.n < 1:
             raise PreconditionError(f"code length {self.n} below 1")
         _check_kernel_bits(self.n)
-        values = np.sort(np.asarray(self.values))  # no dtype: ints past int64 stay exact
+        values = np.asarray(self.values)  # no dtype: ints past int64 stay exact
+        # an int array passes as it is; any other (an empty list is float64,
+        # ints past int64 are objects) only if every element is an integer
+        if values.dtype.kind not in "iu" and not all(isinstance(v, Integral) for v in values.flat):
+            raise PreconditionError(f"a codeword in {self.provenance} is not an integer")
+        values = np.sort(values)
         if values.size and not 0 <= values[0] <= values[-1] < 1 << self.n:
             raise PreconditionError(f"a codeword does not fit in {self.n} bits")
         values = values.astype(np.int64, copy=False)
@@ -255,17 +261,19 @@ def verify_list_decodable(code: Code, t: int, list_size: int) -> bool:
     codewords (so a decoder can always answer with a list that long).
 
     The kernel lists each codeword's images without repeats, so a value
-    occurring k times is an image of k codewords.  Blocks of codewords
-    bound the kernel's temporaries; over list_size * 2^n images fail.
+    occurring k times is an image of k codewords.  The codewords go
+    through model.in_blocks, which bounds the kernel's temporaries, and
+    the check fails at the first block that brings the images past
+    list_size * 2^n: some word is then an image of more than list_size
+    codewords.
     """
     if list_size < 1:
         raise PreconditionError("list size must be >= 1")
     _check_image_cap(code.n)
-    step = max(1, KERNEL_BLOCK // _mask_array(code.n, t).size)
     blocks, total = [np.zeros(0, dtype=np.int64)], 0
-    for i in range(0, code.size, step):
-        blocks.append(image_values(code.values[i : i + step], code.n, t))
-        total += blocks[-1].size
+    for images in in_blocks(image_values, code.values, code.n, t):
+        blocks.append(images)
+        total += images.size
         if total > list_size << code.n:
             return False
     counts = np.unique(np.concatenate(blocks), return_counts=True)[1]

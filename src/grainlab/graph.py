@@ -48,11 +48,10 @@ import numpy as np
 from .config import check_cap, get_caps
 from .errors import PreconditionError
 from .model import (
-    KERNEL_BLOCK,
     Word,
     _apply_mask,
-    _mask_array,
     image_values,
+    in_blocks,
     preimage_counts,
     preimage_values,
 )
@@ -399,8 +398,11 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     pick made since the level began: a y scanned earlier was either
     picked (its count is then 0) or lost a member, and never gets back
     to c.  When no row is left, the largest count is below c and the
-    next level begins.  The kernel calls take model.KERNEL_BLOCK
-    (words x masks) entries at a time.
+    next level begins.  The loop ends when the largest count is 0: every
+    uncovered word is its own image under the empty mask, so it counts
+    in its own B, and the largest count is 0 exactly when every word is
+    covered.  The kernel calls go through model.in_blocks, a bounded
+    block of words at a time.
     """
     check_cap("m", m, "partition_m")
     if m < 1 or s < 0:
@@ -408,17 +410,11 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
 
     counts = preimage_counts(m, s)
     alive = np.ones(1 << m, dtype=bool)
-    chunk = max(1, KERNEL_BLOCK // _mask_array(m, s).size)
-    left = 1 << m
     parts: list[tuple[int, ...]] = []
     witnesses: list[int] = []
-    while left:
-        c = counts.max()
+    while (c := counts.max()) > 0:
         ys = np.flatnonzero(counts == c)
-        rows = []
-        for lo in range(0, ys.size, chunk):
-            members = preimage_values(ys[lo : lo + chunk], m, s)
-            rows.append(members[alive[members]])
+        rows = [members[alive[members]] for members in in_blocks(preimage_values, ys, m, s)]
         rows = np.concatenate(rows).reshape(ys.size, c)
         rows.sort(axis=1)
         taken: set[int] = set()
@@ -429,10 +425,9 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
                 witnesses.append(y)
         gone = np.fromiter(taken, dtype=np.int64, count=len(taken))
         alive[gone] = False
-        left -= gone.size
-        for lo in range(0, gone.size, chunk):
+        for images in in_blocks(image_values, gone, m, s):
             # an int32 1, like counts: a Python int sends ufunc.at down its slow path
-            np.subtract.at(counts, image_values(gone[lo : lo + chunk], m, s), np.int32(1))
+            np.subtract.at(counts, images, np.int32(1))
     return CliquePartition(m, s, tuple(parts), tuple(witnesses))
 
 
@@ -488,9 +483,10 @@ def verify_clique_partition(partition: CliquePartition) -> bool:
         return False
     if not np.array_equal(np.sort(values), np.arange(values.size)):
         return False
-    if len(partition.witnesses) != len(parts):
+    witnesses = np.asarray(partition.witnesses)
+    if witnesses.dtype.kind != "i" or witnesses.shape != (len(parts),):
         return False
-    target = np.repeat(partition.witnesses, [len(part) for part in parts])
+    target = np.repeat(witnesses, [len(part) for part in parts])
     return bool(_witness_hits(values, target, m, s).all())
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,12 +32,12 @@ from .errors import PreconditionError
 #: take time linear in its length; the kernels and a Code pack into int64
 WORD_LEN_MAX = 1_000_000
 KERNEL_BITS = 63
-#: words x support masks per kernel call for the callers that chunk
-#: image_values and preimage_values: take max(1, KERNEL_BLOCK // |S|)
-#: words at a time.  Unchunked, the (words x masks) temporaries would set
-#: the peak memory; and past 2^15 entries (256 KiB of int64) they ran
-#: slower: greedy_clique_partition(16, 4) took 0.4-0.6 s with 4 * 2^16
-#: entries and 0.26 s with 2^15 on a shared 2-CPU VM
+#: words x support masks per kernel call of in_blocks, which passes
+#: max(1, KERNEL_BLOCK // |S|) words at a time.  Unblocked, the
+#: (words x masks) temporaries would set the peak memory; and past 2^15
+#: entries (256 KiB of int64) they ran slower: greedy_clique_partition(16, 4)
+#: took 0.4-0.6 s with 4 * 2^16 entries and 0.26 s with 2^15 on a shared
+#: 2-CPU VM
 KERNEL_BLOCK = 1 << 15
 
 # ---------------------------------------------------------------------------
@@ -355,6 +355,16 @@ def preimage_values(y, n: int, t: int) -> np.ndarray:
     masks = _mask_array(n, t)
     y = np.asarray(y, dtype=np.int64)[..., None]
     return (y ^ masks)[(masks & (y ^ (y >> 1))) == 0]
+
+
+def in_blocks(kernel, values: np.ndarray, n: int, t: int) -> Iterator[np.ndarray]:
+    """kernel(block, n, t) for consecutive blocks of the packed words
+    values, max(1, KERNEL_BLOCK // |S|) words each (the last may be
+    shorter), S the support masks of weight <= t; kernel is image_values
+    or preimage_values.  The step is taken at the call, so a bad n or t
+    raises here, not at the first block."""
+    step = max(1, KERNEL_BLOCK // _mask_array(n, t).size)
+    return (kernel(values[lo : lo + step], n, t) for lo in range(0, len(values), step))
 
 
 def preimage_counts(n: int, t: int) -> np.ndarray:

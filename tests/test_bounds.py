@@ -354,6 +354,10 @@ class TestRateCurves:
         # (4, 1) is not admissible at tau = 0.4, and is rejected all the same
         with pytest.raises(PreconditionError, match="table entry"):
             rate_curves([0.4], dict([entry]))
+        # the check sits where s / m is taken: (0, 1) divided by zero,
+        # and (4, 0) at tau = 0.1 > s/m returned the vacuous 1.0
+        with pytest.raises(PreconditionError, match="table entry"):
+            clique_rate_min(0.1, dict([entry]))
 
     def test_gv_below_clique_min(self):
         for k in range(1, 26):

@@ -132,6 +132,9 @@ class TestChannelSpec:
             ChannelSpec(1.5)
         with pytest.raises(PreconditionError):
             ChannelSpec(0.5, initial=(2, 0))
+        for initial in ("foo", (0, 1, 1)):
+            with pytest.raises(PreconditionError, match="bit pair"):
+                ChannelSpec(0.5, initial=initial)
 
 
 class TestRng:
@@ -362,6 +365,14 @@ class TestDegradation:
     def test_law_normalization(self):
         law = grains_output_law(Word.parse("0110101"), ChannelSpec(0.37))
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("law", [grains_output_law, cascaded_erasure_output_law])
+    def test_output_laws_read_channel_exact_n(self, law):
+        x = Word(21, 0b101)
+        with pytest.raises(CapExceeded, match="^n=21 exceeds channel_exact_n=20$"):
+            law(x, ChannelSpec(0.5))
+        with caps_override(channel_exact_n=21):
+            assert sum(law(x, ChannelSpec(0.5)).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_explicit_initial_state_matches_too(self):
         spec = ChannelSpec(0.6, initial=(0, 1))

@@ -61,11 +61,21 @@ class TestCode:
     @pytest.mark.parametrize(
         "n,values",
         [(2, [0b100]), (2, [-1]), (70, [1 << 70]), (0, []), (3, [5, 1, 5]),
-         (2, [1 << 70]), (63, [1 << 63])],
+         (2, [1 << 70]), (63, [1 << 63]),
+         # not truncated to 1, to [1, 6], nor reported as a duplicate
+         (3, [1.5]), (3, [1.5, 6.9]), (3, [1.5, 1.2]), (3, ["1"])],
     )
     def test_rejects_bad_values(self, n, values):
         with pytest.raises(PreconditionError):
             Code(n, values)
+
+    def test_empty_code_and_ints_past_int64(self):
+        # numpy makes the empty list float64; it still builds
+        assert Code(3, []).size == 0
+        # an int past int64 is an integer that does not fit
+        for n in (2, 63):
+            with pytest.raises(PreconditionError, match="does not fit"):
+                Code(n, [1 << 70])
 
 
 # ---------------------------------------------------------------------------

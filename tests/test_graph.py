@@ -584,6 +584,12 @@ class TestVerifyPartition:
         part = CliquePartition(3, 1, parts, tuple(range(8)) + (0,))
         assert not verify_clique_partition(part)
 
+    @pytest.mark.parametrize("witnesses", [(0.0, 3), (0, "3"), ((0, 1), (2, 3))])
+    def test_non_integer_witness_rejected(self, witnesses):
+        # as a non-integer member is: False, not a TypeError from the XOR
+        part = CliquePartition(2, 1, ((0, 1), (2, 3)), witnesses)
+        assert not verify_clique_partition(part)
+
     def test_missing_coverage_rejected(self):
         part = CliquePartition(2, 1, ((0b00, 0b01),), (0b00,))
         assert not verify_clique_partition(part)

@@ -1,16 +1,20 @@
+import ast
 import dataclasses
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import grainlab
 from grainlab.bounds import count_error_vectors
 from grainlab.config import caps_override
 from grainlab.errors import CapExceeded, PreconditionError
 from grainlab.model import (
+    KERNEL_BLOCK,
     ErrorVector,
     Word,
     _mask_array,
@@ -22,6 +26,7 @@ from grainlab.model import (
     grain_images,
     image_count_lower_bound,
     image_values,
+    in_blocks,
     preimage_counts,
     preimage_values,
     run_count,
@@ -448,3 +453,50 @@ class TestClosedFormKernel:
     def test_negative_budget_rejected(self):
         with pytest.raises(PreconditionError):
             image_values(0, 4, -1)
+
+
+class TestInBlocks:
+    # (12, 3): 141 masks, 232 words a block; (23, 11): 46 368 masks, one
+    @pytest.mark.parametrize("n,t,step", [(12, 3, 232), (23, 11, 1)])
+    def test_blocks_concatenate_to_the_unblocked_kernel(self, n, t, step):
+        assert max(1, KERNEL_BLOCK // _mask_array(n, t).size) == step
+        xs = np.random.default_rng(n).integers(0, 1 << n, size=2 * step + 3)
+        for kernel in (image_values, preimage_values):
+            calls = []
+
+            def recorded(block, n_, t_):
+                calls.append(block.size)
+                return kernel(block, n_, t_)
+
+            blocks = list(in_blocks(recorded, xs, n, t))
+            assert np.array_equal(np.concatenate(blocks), kernel(xs, n, t))
+            assert sum(calls) == xs.size and max(calls) == step
+
+    def test_empty_values_call_no_kernel(self):
+        def refuse(block, n, t):
+            raise AssertionError("kernel called")
+
+        assert list(in_blocks(refuse, np.zeros(0, np.int64), 8, 2)) == []
+
+    def test_bad_budget_raises_at_the_call(self):
+        with pytest.raises(PreconditionError):
+            in_blocks(image_values, np.arange(4), 4, -1)
+
+
+def test_only_model_reads_the_kernel_block():
+    """The block size is model's decision: every other module of the
+    package walks the kernel through in_blocks and never names
+    KERNEL_BLOCK, by import or as a module attribute."""
+    readers = []
+    for path in sorted(Path(grainlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            readers += [(path.name, node.lineno) for n in names if n == "KERNEL_BLOCK"]
+    assert readers and {name for name, _ in readers} == {"model.py"}
