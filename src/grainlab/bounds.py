@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import PreconditionError
 
@@ -85,8 +86,8 @@ def count_error_vectors(n: int, t: int) -> int:
     ways, so the count is sum_{i=0..t} C(n-i, i).  Terms with n-i < i
     vanish, which clamps t past floor((n-1)/2) automatically.
     """
-    if n < 1 or t < 0:
-        raise PreconditionError("need n >= 1 and t >= 0")
+    if not (isinstance(n, Integral) and isinstance(t, Integral)) or n < 1 or t < 0:
+        raise PreconditionError("need integers n >= 1 and t >= 0")
     return sum(math.comb(n - i, i) for i in range(0, t + 1) if n - i >= i)
 
 

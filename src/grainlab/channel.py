@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import check_cap
 from .errors import PreconditionError
-from .model import Word, _apply_mask, _error_masks
+from .model import Word, _apply_mask, _error_masks, _integer
 from .series import _check, _stationary_weights
 # re-exported only because the benchmark reads them off channel
 from .series import capacity_curves, output_entropy_series, sir  # noqa: F401
@@ -59,8 +59,8 @@ _STAR_LEAF = 9  # axes one numpy pass of _star_entropy expands: 3^9 floats
 def _check_n(n: int, p: float, least: int = 1) -> None:
     """Reject n above channel_exact_n, then n < least or p outside [0, 1]."""
     check_cap("n", n, "channel_exact_n")
-    if n < least or not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"need n >= {least} and p in [0, 1]")
+    if not _integer(n) or n < least or not 0.0 <= p <= 1.0:
+        raise PreconditionError(f"need an integer n >= {least} and p in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +384,8 @@ def all_zero_output_prob(n: int, p: float) -> float:
     bounded by (3/4)^floor(n/2) since each 00 output pair rules out an
     11 input pair.  It is P(y_1 = 0, z_2..z_n = 0) = (1/2) w D0^(n-1) 1,
     w the stationary indicator law (as in output_entropy_bracket)."""
-    if n < 1 or not 0.0 <= p <= 1.0:
-        raise PreconditionError("need n >= 1 and p in [0, 1]")
+    if not _integer(n) or n < 1 or not 0.0 <= p <= 1.0:
+        raise PreconditionError("need an integer n >= 1 and p in [0, 1]")
     d0 = _derivative_matrices(p)[0]
     return 0.5 * float(np.sum(_stationary_weights(p) @ np.linalg.matrix_power(d0, n - 1)))
 

@@ -66,6 +66,8 @@ class Code:
             raise PreconditionError(f"code length {self.n} below 1")
         _check_kernel_bits(self.n)
         values = np.asarray(self.values)  # no dtype: ints past int64 stay exact
+        if values.ndim != 1:
+            raise PreconditionError(f"the codewords in {self.provenance} are not a 1-D sequence")
         # an int array passes as it is; any other (an empty list is float64,
         # ints past int64 are objects) only if every element is an integer
         if values.dtype.kind not in "iu" and not all(isinstance(v, Integral) for v in values.flat):
@@ -229,8 +231,6 @@ def construct_greedy_known(n: int, t: int) -> Code:
     also checked word for word against the sweep for every n <= 20 and
     every t.
     """
-    if n < 1 or t < 0:
-        raise PreconditionError("need n >= 1 and t >= 0")
     _check_kernel_bits(n)
     check_cap("n", n, "greedy_code_n")
     masks = _mask_array(n, t)
@@ -301,12 +301,13 @@ def verify_known_pattern(code: Code, t: int) -> bool:
     past a raised cap, a length whose array cannot be had is an error.
     """
     _check_image_cap(code.n)
+    masks = _mask_array(code.n, t).tolist()
     try:
         member = np.zeros(1 << code.n, dtype=bool)
     except (MemoryError, ValueError) as exc:  # ValueError: 2^n past the index range
         raise GrainlabError(f"no memory for a 2^{code.n}-entry codeword table") from exc
     member[code.values] = True
-    for mask in _mask_array(code.n, t).tolist():
+    for mask in masks:
         if mask and member[code.values ^ mask].any():
             return False
     return True

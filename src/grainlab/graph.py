@@ -6,7 +6,9 @@ independent set of this graph.  Clique partitions of the graph yield the
 cardinality upper bounds evaluated in grainlab.bounds.
 
 The graph is never built as an object: images and preimage cliques B(y)
-come from the closed-form kernel of grainlab.model.  The exact search
+come from the closed-form kernel of grainlab.model, whose mask builder
+is the one check of the grain budget (integers, 1 <= n <= 63, t >= 0):
+the greedy partition has no (m, s) check of its own.  The exact search
 holds adjacency bitmasks of one half-space, the greedy partition an int32
 count array of |B(y)| over the uncovered words, and a CliquePartition
 the packed word values themselves.  Only the witness code of
@@ -20,8 +22,9 @@ its members share: the certificate does not read the kernel, but
 checks each member against y under the one mask that can map it
 there, the XOR of the two, in one vectorised pass.
 
-The exact search is a maximum-clique branch and bound on the complement
-of the half graph: bit-parallel greedy colouring at every node (BBMC,
+The exact search is one path for every (n, t), t = 0 and n = 1
+included: a maximum-clique branch and bound on the complement of the
+half graph.  Bit-parallel greedy colouring at every node (BBMC,
 San Segundo et al., Computers & OR 2011) bounds the set size by the
 number of colour classes, and the Re-NUMBER step of MCS (Tomita et al.,
 WALCOM 2010) moves vertices into the classes that are never expanded.
@@ -50,6 +53,7 @@ from .errors import PreconditionError
 from .model import (
     Word,
     _apply_mask,
+    _integer,
     image_values,
     in_blocks,
     preimage_counts,
@@ -87,7 +91,7 @@ def _half_adjacency(n: int, t: int) -> list[int]:
     isomorphism between the halves.  Solving one half therefore solves
     the whole graph.
     """
-    half = 1 << (n - 1) if n > 1 else 1
+    half = 1 << (n - 1)
     return [sum(1 << v for v in _neighbor_values(xv, n, t)) for xv in range(half)]
 
 
@@ -320,14 +324,14 @@ def max_code_size(n: int, t: int) -> MaxCodeResult:
     half optimum and the witness mirrors by complementation.  The search
     stops after the exact_m_time_limit cap (seconds, 0 for no limit);
     the result is then flagged exact=False and is only a lower bound.
+    There is one path: at t = 0 or n = 1 the half graph has no edges,
+    the greedy seed takes every word and the root node proves it.  n
+    and t are checked here because the half is sized by 1 << (n - 1)
+    before any mask is read; model's mask builder checks them again.
     """
     check_cap("n", n, "exact_m_n")
-    if n < 1 or t < 0:
-        raise PreconditionError("need n >= 1 and t >= 0")
-    if t == 0 or n == 1:
-        words = tuple(Word._unchecked(n, range(1 << n)))
-        return MaxCodeResult(n, t, 1 << n, words, True, 0, 0)
-
+    if not (_integer(n) and _integer(t)) or n < 1 or t < 0:
+        raise PreconditionError("need integers n >= 1 and t >= 0")
     adj = _half_adjacency(n, t)
     limit = get_caps().exact_m_time_limit
     deadline = time.monotonic() + limit if limit else None
@@ -402,12 +406,11 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     uncovered word is its own image under the empty mask, so it counts
     in its own B, and the largest count is 0 exactly when every word is
     covered.  The kernel calls go through model.in_blocks, a bounded
-    block of words at a time.
+    block of words at a time.  The budget has no check here: the first
+    call, preimage_counts, raises PreconditionError for a bad (m, s)
+    before it allocates anything.
     """
     check_cap("m", m, "partition_m")
-    if m < 1 or s < 0:
-        raise PreconditionError("need m >= 1 and s >= 0")
-
     counts = preimage_counts(m, s)
     alive = np.ones(1 << m, dtype=bool)
     parts: list[tuple[int, ...]] = []
@@ -475,8 +478,8 @@ def verify_clique_partition(partition: CliquePartition) -> bool:
     all record its witness, even when the part is a clique.
     """
     m, s = partition.m, partition.s
-    if m < 1 or s < 0:
-        raise PreconditionError("need m >= 1 and s >= 0")
+    if not (_integer(m) and _integer(s)) or m < 1 or s < 0:
+        raise PreconditionError("need integers m >= 1 and s >= 0")
     parts = partition.parts
     values = np.array(list(itertools.chain.from_iterable(parts)))
     if values.dtype.kind != "i" or values.size != 1 << m:

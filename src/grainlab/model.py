@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -40,6 +41,14 @@ KERNEL_BITS = 63
 #: 2-CPU VM
 KERNEL_BLOCK = 1 << 15
 
+
+def _integer(v) -> bool:
+    """Whether v is an integer: an int, tested first as the common and
+    the fast case (isinstance against the ABC costs ten times more), or
+    any other numbers.Integral, a numpy int say."""
+    return type(v) is int or isinstance(v, Integral)
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -53,6 +62,8 @@ class Word:
     value: int
 
     def __post_init__(self):
+        if not (_integer(self.n) and _integer(self.value)):
+            raise PreconditionError(f"word fields {self.n!r}, {self.value!r} are not integers")
         if not 1 <= self.n <= WORD_LEN_MAX:
             raise PreconditionError(f"word length {self.n} outside 1..{WORD_LEN_MAX}")
         if not 0 <= self.value < (1 << self.n):
@@ -118,12 +129,12 @@ class ErrorVector:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionError("length must be positive")
+        if not _integer(self.n) or self.n < 1:
+            raise PreconditionError("length must be a positive integer")
         prev = -2
         for j in self.support:
-            if not 2 <= j <= self.n:
-                raise PreconditionError(f"support index {j} outside 2..{self.n}")
+            if not _integer(j) or not 2 <= j <= self.n:
+                raise PreconditionError(f"support index {j!r} is not an integer in 2..{self.n}")
             if j <= prev:
                 raise PreconditionError("support must be strictly increasing")
             if j == prev + 1:
@@ -215,8 +226,6 @@ def _check_image_cap(n: int) -> None:
 
 def _images(x: Word, t: int) -> np.ndarray:
     _check_image_cap(x.n)
-    if t < 0:
-        raise PreconditionError("t must be >= 0")
     return image_values(x.value, x.n, t)
 
 
@@ -254,8 +263,8 @@ def derivative(x: Word) -> Word:
 def confusable(x1: Word, x2: Word, t: int) -> bool:
     """True iff some medium with <= t length-2 grains per side records
     x1 and x2 identically (their image sets intersect)."""
-    if t < 0:
-        raise PreconditionError("t must be >= 0")
+    if not _integer(t) or t < 0:
+        raise PreconditionError(f"t must be >= 0 and an integer, got {t!r}")
     if x1.n != x2.n:
         raise PreconditionError(f"length mismatch: {x1.n} vs {x2.n}")
     if x1 == x2:
@@ -298,7 +307,7 @@ def image_count_lower_bound(r: int, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _error_masks(n: int, t: int) -> np.ndarray:
     """Rows (masks, weights) of all error vectors of length n and weight
     <= t, masks in Word packing and support-lex order, as a read-only
@@ -308,9 +317,19 @@ def _error_masks(n: int, t: int) -> np.ndarray:
     the empty support, then {2} u S for S a support on positions 4..k
     (a length-(k-2) mask, all below bit k-2), then the nonempty supports
     on 3..k (a length-(k-1) mask).  No mask of weight > t is built.
+
+    This is the one check of a grain budget t and a mask length n: both
+    must be integers, 1 <= n <= KERNEL_BITS and t >= 0, so a fractional
+    budget is refused, not read as the next integer.  Every reader of
+    the masks (the kernels, in_blocks, the enumeration, the greedy
+    partition, the verifiers, the greedy-known code, the exact search)
+    reaches it before it allocates anything and has no (n, t) check of
+    its own; only confusable and max_code_size, which answer or shift
+    before they read a mask, test (n, t) first.  The cache is typed, so
+    the verdict on (5, 1.0) does not depend on whether (5, 1) was cached.
     """
-    if n < 1 or t < 0:
-        raise PreconditionError("need n >= 1 and t >= 0")
+    if not (_integer(n) and _integer(t) and 1 <= n <= KERNEL_BITS and t >= 0):
+        raise PreconditionError(f"need integers 1 <= n <= {KERNEL_BITS}, t >= 0: n={n!r}, t={t!r}")
     empty = np.zeros((2, 1), np.int64)
     short = rows = empty
     for k in range(2, n + 1):
@@ -370,10 +389,11 @@ def in_blocks(kernel, values: np.ndarray, n: int, t: int) -> Iterator[np.ndarray
 def preimage_counts(n: int, t: int) -> np.ndarray:
     """|B(y)| for every y in 0 .. 2^n - 1, as an int32 array: the number
     of support masks disjoint from the run-boundary mask of y."""
+    masks = _mask_array(n, t).tolist()
     ys = np.arange(1 << n, dtype=np.int64)
     d = ys ^ (ys >> 1)
     counts = np.zeros(1 << n, dtype=np.int32)
-    for mask in _mask_array(n, t).tolist():
+    for mask in masks:
         counts += (d & mask) == 0
     return counts
 

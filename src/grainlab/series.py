@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 
 from .bounds import binary_entropy
 from .errors import PreconditionError
@@ -41,8 +42,8 @@ def _check(p: float | None = None, depth: int | None = None) -> None:
     outside 2..DEPTH_MAX (each checked when given)."""
     if p is not None and not 0.0 <= p <= 1.0:
         raise PreconditionError(f"p={p} outside [0, 1]")
-    if depth is not None and depth < 2:
-        raise PreconditionError("depth must be >= 2")
+    if depth is not None and (not isinstance(depth, Integral) or depth < 2):
+        raise PreconditionError(f"depth must be an integer >= 2, got {depth!r}")
     if depth is not None and depth > DEPTH_MAX:
         raise PreconditionError(
             f"depth {depth} exceeds {DEPTH_MAX}: the deeper terms underflow to 0"

@@ -11,6 +11,7 @@ pin that formula and its defect.  See the README section "SIR
 truncation bounds".
 """
 
+import hashlib
 import math
 import sys
 import time
@@ -78,6 +79,10 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 #: slack when comparing depth-64 series values to exact finite-n
 #: quantities: series tail past depth 64 plus numerical noise
 SERIES_TAIL_64 = 5e-9
+
+#: sha256 over repr((m, s, parts, witnesses)) of every greedy partition
+#: of REFERENCE_PARTITION_SIZES, keys ascending
+GREEDY_PARTITIONS_DIGEST = "8ca91750f7e02846077c29fde60a42d8661bcb03f48ff77ba55d7edd40f44a16"
 
 
 @contextmanager
@@ -156,14 +161,18 @@ def test_criterion_4_partition_table_reproduction():
     with criterion(4, "clique-partition table m<=16: certified, within +10%",
                    limit=600):
         forced = {(2, 1): 2, (4, 2): 4, (6, 3): 8}
+        # the greedy's exact parts and witnesses over all 48 cells, pinned
+        digest = hashlib.sha256()
         for (m, s), printed in sorted(REFERENCE_PARTITION_SIZES.items()):
             part = greedy_clique_partition(m, s)
+            digest.update(repr((m, s, part.parts, part.witnesses)).encode())
             assert verify_clique_partition(part), (m, s)
             assert part.size <= printed * 1.1 + 1e-9, (
                 f"({m},{s}): {part.size} exceeds {printed} by >10%"
             )
             if (m, s) in forced:
                 assert part.size == forced[(m, s)]
+        assert digest.hexdigest() == GREEDY_PARTITIONS_DIGEST
 
 
 def test_criterion_5_construction_validity():

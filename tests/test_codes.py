@@ -63,7 +63,9 @@ class TestCode:
         [(2, [0b100]), (2, [-1]), (70, [1 << 70]), (0, []), (3, [5, 1, 5]),
          (2, [1 << 70]), (63, [1 << 63]),
          # not truncated to 1, to [1, 6], nor reported as a duplicate
-         (3, [1.5]), (3, [1.5, 6.9]), (3, [1.5, 1.2]), (3, ["1"])],
+         (3, [1.5]), (3, [1.5, 6.9]), (3, [1.5, 1.2]), (3, ["1"]),
+         # not 1-D: neither kept as a 2-D code nor a bare ValueError/AxisError
+         (3, [[1], [2]]), (3, [[1, 2], [3, 4]]), (3, 5)],
     )
     def test_rejects_bad_values(self, n, values):
         with pytest.raises(PreconditionError):

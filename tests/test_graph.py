@@ -410,7 +410,16 @@ class TestMaxCodeSize:
         result = max_code_size(8, 1)
         assert 0 < result.nodes < 13548 // 2  # 13 548 nodes without absorption
         assert result.absorbed > 0
-        assert (max_code_size(5, 0).nodes, max_code_size(5, 0).absorbed) == (0, 0)
+        # t = 0 has no edges: the seed takes every word and one node proves it
+        assert (max_code_size(5, 0).nodes, max_code_size(5, 0).absorbed) == (1, 0)
+
+    def test_no_edges_keep_every_word(self):
+        # at t = 0, or n = 1, the half graph has no edges; the one search
+        # path keeps every word, exact
+        for n, t in [(n, 0) for n in range(1, 11)] + [(1, t) for t in range(1, 5)]:
+            result = max_code_size(n, t)
+            assert (result.size, result.exact) == (1 << n, True), (n, t)
+            assert [w.value for w in result.words] == list(range(1 << n)), (n, t)
 
     def test_witnesses_pinned(self):
         for (n, t), (size, digest) in PINNED_WITNESSES.items():

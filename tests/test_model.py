@@ -111,6 +111,13 @@ class TestWord:
             Word(0, 0)
         with pytest.raises(PreconditionError):
             Word(3, 8)
+        # non-integer fields: not built to fail at render(), nor a TypeError
+        with pytest.raises(PreconditionError):
+            Word(3, 1.0)
+        with pytest.raises(PreconditionError):
+            Word(3.0, 1)
+        # numpy ints are integers
+        assert Word(np.int64(3), np.int64(5)).render() == "101"
 
     def test_length_cap_is_at_least_32(self):
         Word.parse("0" * 32)  # must be accepted
@@ -174,7 +181,9 @@ class TestErrorVector:
 
     @pytest.mark.parametrize(
         "n,supp",
-        [(5, (1,)), (5, (2, 3)), (5, (6,)), (5, (4, 2)), (5, (2, 2))],
+        [(5, (1,)), (5, (2, 3)), (5, (6,)), (5, (4, 2)), (5, (2, 2)),
+         # non-integer fields: not built to fail at .mask
+         (3, (2.0,)), (3.0, (2,))],
     )
     def test_invalid_support_rejected(self, n, supp):
         with pytest.raises(PreconditionError):

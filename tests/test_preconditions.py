@@ -1,0 +1,184 @@
+"""Library preconditions across the layers: a bad input raises
+PreconditionError at the call, not a bare TypeError or ValueError, and
+a fractional grain budget is refused, not read as the next integer.
+
+model._error_masks is the one check of a grain budget (n, t) in front
+of the masks; every mask reader reaches it before it allocates
+anything.  The checks that answer or shift before any mask is read
+(and bounds and series, which read none) test for integers themselves.
+"""
+
+import numpy as np
+import pytest
+
+from grainlab import bounds, channel, codes, config, graph, model, series
+from grainlab.codes import Code
+from grainlab.errors import PreconditionError
+from grainlab.graph import CliquePartition
+from grainlab.model import ErrorVector, Word, _error_masks
+
+DOUBLING_4 = Code(4, [0b0000, 0b0011, 0b1100, 0b1111])
+
+#: every entry that reads the grain masks, as a function of the budget t
+MASK_READERS = {
+    "image_values": lambda t: model.image_values(5, 4, t),
+    "preimage_values": lambda t: model.preimage_values(5, 4, t),
+    "preimage_counts": lambda t: model.preimage_counts(4, t),
+    "in_blocks": lambda t: model.in_blocks(model.image_values, np.arange(4), 4, t),
+    "enumerate_error_vectors": lambda t: model.enumerate_error_vectors(4, t),
+    "grain_image_list": lambda t: model.grain_image_list(Word(4, 5), t),
+    "greedy_clique_partition": lambda t: graph.greedy_clique_partition(4, t),
+    "verify_list_decodable": lambda t: codes.verify_list_decodable(DOUBLING_4, t, 1),
+    "verify_known_pattern": lambda t: codes.verify_known_pattern(DOUBLING_4, t),
+    "construct_greedy_known": lambda t: codes.construct_greedy_known(4, t),
+    "max_code_size": lambda t: graph.max_code_size(4, t),
+}
+
+
+@pytest.mark.parametrize("t", [0.5, 1.5, -1])
+@pytest.mark.parametrize("reader", MASK_READERS)
+def test_mask_readers_refuse_a_bad_budget(reader, t):
+    # max_code_size(4, 0.5) reported M(4, 1) = 6 under the label t = 0.5
+    with pytest.raises(PreconditionError):
+        MASK_READERS[reader](t)
+
+
+def test_numpy_int_budgets_are_integers():
+    got = model.image_values(5, np.int64(4), np.int64(1))
+    assert got.tolist() == model.image_values(5, 4, 1).tolist()
+
+
+def test_gate_verdict_does_not_depend_on_the_cache():
+    _error_masks.cache_clear()
+    with pytest.raises(PreconditionError):
+        _error_masks(5, 1.0)  # cold
+    assert _error_masks(5, 1).shape == (2, 5)
+    with pytest.raises(PreconditionError):
+        _error_masks(5, 1.0)  # (5, 1) cached: lru_cache alone keys 1.0 as 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # built an object-dtype mask array, then failed with TypeError
+        lambda: model.image_values(0, 70, 1),
+        # a bare ValueError from a negative shift before the masks were read
+        lambda: model.preimage_counts(-1, 1),
+    ],
+    ids=["image-values-70-bits", "preimage-counts-negative-n"],
+)
+def test_gate_runs_before_any_allocation(call):
+    with pytest.raises(PreconditionError, match="need integers 1 <= n <= 63, t >= 0"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: model.confusable(Word(3, 1), Word(3, 1), 1.5), "t must be >= 0"),
+        (lambda: graph.max_code_size(2.5, 1), "integers"),
+        (
+            lambda: graph.verify_clique_partition(
+                CliquePartition(2, 1.5, ((0, 1), (2, 3)), (0, 2))
+            ),
+            "integers",
+        ),
+        (lambda: bounds.count_error_vectors(5, 0.5), "integers"),
+        (lambda: series.sir(0.5, 2.5), "depth must be an integer"),
+        (lambda: series.run_hazards(0.5, 2.5), "depth must be an integer"),
+        (lambda: channel.output_entropy_bracket(2.5, 0.5), "integer n >= 2"),
+        (lambda: channel.all_zero_output_prob(2.5, 0.5), "integer n >= 1"),
+    ],
+    ids=[
+        "confusable",
+        "max-code-size-n",
+        "verify-partition-s",
+        "count-error-vectors",
+        "sir-depth",
+        "run-hazards-depth",
+        "output-entropy-bracket",
+        "all-zero-output-prob",
+    ],
+)
+def test_checks_before_the_masks_refuse_non_integers(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        # bounds
+        (lambda: bounds.iroot(-1, 2), "value >= 0"),
+        (lambda: bounds.count_error_vectors(0, 1), "n >= 1"),
+        (lambda: bounds.fixed_budget_upper(0, 1), "n >= 1"),
+        (lambda: bounds.fixed_budget_upper(10, 7), "small t"),
+        (lambda: bounds.clique_upper(0, 1, 2, 1, 2), "n,m,s >= 1"),
+        (lambda: bounds.clique_rate_upper(0.1, 0, 1, 2), "m, s >= 1"),
+        (lambda: bounds.list_decoding_lower(0, 1, 1), "list size >= 1"),
+        (lambda: bounds.list_decoding_rate(0.1, 0), "list size"),
+        (lambda: bounds.decoder_informed_lower(0, 1), "n >= 1"),
+        (lambda: bounds.informed_rate_bounds(0.3), "tau=0.3 outside"),
+        (lambda: bounds.rate_curves([0.6]), "tau=0.6 outside"),
+        # codes
+        (lambda: codes.construct_doubling(0), "n >= 1"),
+        (lambda: codes.hamming_prefix_size(7), "m out of range"),
+        (lambda: codes.construct_greedy_known(0, 1), "n <= 63"),
+        (lambda: codes.verify_list_decodable(DOUBLING_4, 1, 0), "list size"),
+        (
+            lambda: codes.decode_known_pattern(DOUBLING_4, Word(3, 1), ErrorVector(4, ())),
+            "length mismatch",
+        ),
+        # config
+        (lambda: config.parse_cap_string("abc"), "malformed cap entry"),
+        # graph
+        (lambda: graph.max_code_size(0, 1), "n >= 1"),
+        (lambda: graph.greedy_clique_partition(0, 1), "n <= 63"),
+        (lambda: graph.verify_clique_partition(CliquePartition(0, 1, (), ())), "m >= 1"),
+        # model
+        (lambda: Word(3, 1).bit(0), "position 0 outside"),
+        (lambda: ErrorVector(0, ()), "positive integer"),
+        (lambda: ErrorVector.parse("3"), "missing ':'"),
+        (lambda: ErrorVector.parse("x:2"), "malformed error vector"),
+        (lambda: model.image_count_lower_bound(0, 1), "r >= 1"),
+        # series
+        (lambda: series.sir(0.5, 1), ">= 2"),
+        (lambda: series.run_hazards(0.5, 8).value(1), "index 1 outside"),
+        (lambda: series.indicator_stay_prob(0, 0.5), "j >= 1"),
+        (lambda: series.zero_error_rate(0), "n >= 1"),
+    ],
+    ids=[
+        "iroot",
+        "count-error-vectors",
+        "fixed-budget-n",
+        "fixed-budget-t",
+        "clique-upper",
+        "clique-rate-upper",
+        "list-decoding-lower",
+        "list-decoding-rate",
+        "decoder-informed-lower",
+        "informed-rate-bounds",
+        "rate-curves",
+        "construct-doubling",
+        "hamming-prefix-size",
+        "construct-greedy-known",
+        "verify-list-decodable",
+        "decode-known-pattern",
+        "parse-cap-string",
+        "max-code-size",
+        "greedy-clique-partition",
+        "verify-clique-partition",
+        "word-bit",
+        "error-vector-n",
+        "error-vector-parse-colon",
+        "error-vector-parse-int",
+        "image-count-lower-bound",
+        "sir-depth",
+        "run-hazards-index",
+        "indicator-stay-prob",
+        "zero-error-rate",
+    ],
+)
+def test_library_preconditions_raise(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()
