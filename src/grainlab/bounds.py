@@ -111,8 +111,8 @@ def fixed_budget_upper(n: int, t: int) -> int:
     bound.  For t = 0 the formula degenerates to 3 * 2^n and is not
     meaningful (the true maximum is 2^n).
     """
-    if n < 1 or t < 0:
-        raise PreconditionError("need n >= 1 and t >= 0")
+    if not (isinstance(n, Integral) and isinstance(t, Integral)) or n < 1 or t < 0:
+        raise PreconditionError("need integers n >= 1 and t >= 0")
     if t > 6:
         raise PreconditionError("fixed-budget form is for small t (<= 6)")
     value = Fraction(2**n * (math.factorial(t) * 2**t + 2), n**t)
@@ -192,8 +192,9 @@ def clique_upper(n: int, t: int, m: int, s: int, chi: int) -> int:
     size for (m, s); requires t/n <= s/m.  With t < s the product is
     empty and the bound degenerates to 2^n.
     """
-    if n < 1 or m < 1 or s < 1 or t < 0 or chi < 1:
-        raise PreconditionError("need n,m,s >= 1, t >= 0, chi >= 1")
+    integers = all(isinstance(v, Integral) for v in (n, t, m, s, chi))
+    if not integers or n < 1 or m < 1 or s < 1 or t < 0 or chi < 1:
+        raise PreconditionError("need integers n,m,s >= 1, t >= 0, chi >= 1")
     if t * m > s * n:
         raise PreconditionError(f"t/n = {t}/{n} exceeds s/m = {s}/{m}")
     reps = t // s

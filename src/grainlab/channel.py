@@ -32,9 +32,12 @@ u' = 1 with z = 0, p; from u = 1 to u' = 0 with z = 0 or 1, 1/2 each.
 The indicators u_1..u_n are an error vector of the word x0 x_1..x_n,
 so model's kernel serves: every output is its grain operator on x0 x,
 x0 dropped.  The exact finite-n oracles check the series by enumeration
-at desk scale: the output laws, mutual information and error entropy
-read _indicator_law (model's masks of length n + 1 with closed-form laws),
-the output-entropy bracket and P(y^n = 0^n) read _derivative_matrices.
+at desk scale: mutual information and error entropy read _indicator_law
+(model's masks of length n + 1 with closed-form laws), and so do the
+output laws, through _start_table, cached per (n, spec): it merges the
+initial states into one weight row per fill bit x0, so each law is one
+broadcast pass of its channel over (x0, mask) pairs.  The
+output-entropy bracket and P(y^n = 0^n) read _derivative_matrices.
 """
 
 from __future__ import annotations
@@ -140,9 +143,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     same sequence on every platform, and distinct streams are
     statistically independent.
     """
-    if seed < 0 or stream < 0:
-        raise PreconditionError("seed and stream must be non-negative")
-    key = (stream << 64) | (seed & ((1 << 64) - 1))
+    if not (_integer(seed) and _integer(stream)) or seed < 0 or stream < 0:
+        raise PreconditionError(
+            f"seed and stream must be non-negative integers: {seed!r}, {stream!r}"
+        )
+    key = (int(stream) << 64) | (int(seed) & ((1 << 64) - 1))
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -202,7 +207,8 @@ def simulate_erasures(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) ->
 def _fill(kept, erased, n: int, y0: int):
     """Fill the packed NAE output (kept bits, 0 where erased; erasure
     mask) of length n, ints or int arrays: each erasure copies the bit
-    to its left, y0 left of position 1.  Adjacent erasures would copy
+    to its left, y0 left of position 1 (an int, or a column of fill bits
+    that broadcasts against the masks).  Adjacent erasures would copy
     an erasure."""
     if np.any(erased & (erased >> 1)):
         raise PreconditionError("adjacent erasures cannot be filled")
@@ -229,8 +235,8 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
     """Empirical statistics of one indicator/grains run on a random
     uniform input of length n (used by the CLI and the convergence
     tests)."""
-    if n < 1:
-        raise PreconditionError("need n >= 1")
+    if not _integer(n) or n < 1:
+        raise PreconditionError(f"need n >= 1, an integer: n={n!r}")
     spec = ChannelSpec(p)
     rng = make_rng(seed, stream)
     xbits = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -257,19 +263,37 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[Word, float]:
-    """Exact output law when channel(masks, x0) maps every indicator
-    sequence to its packed output, mixed over the initial states.  It
-    enumerates all F(n + 2) indicator masks, so n is checked against
-    channel_exact_n first."""
-    _check_n(x.n, spec.p)
-    outputs, weights = [], []
+@lru_cache(maxsize=128)
+def _start_table(n: int, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(masks, x0s, weights) for the output laws of length-n words:
+    every indicator mask, the column of fill bits x0 the start uses, and
+    per x0 one read-only weight row, the sum over u0 of w(u0, x0) times
+    _indicator_law's row for u0.  Neither depends on the word, so one
+    table serves every x of length n; stationary starts merge their four
+    states into two rows, which carry the same weights."""
+    rows: dict[int, np.ndarray] = {}
     for u0, x0, w in spec.initial_states():
-        masks, probs = _indicator_law(x.n, spec.p, u0)
-        outputs.append(channel(masks, x0))
-        weights.append(w * probs)
-    ys, inverse = np.unique(np.concatenate(outputs), return_inverse=True)
-    law = np.bincount(inverse, weights=np.concatenate(weights))
+        masks, probs = _indicator_law(n, spec.p, u0)
+        rows[x0] = rows.get(x0, 0.0) + w * probs
+    x0s = np.array(list(rows), dtype=np.int64)[:, None]
+    weights = np.stack(list(rows.values()))
+    x0s.setflags(write=False)
+    weights.setflags(write=False)
+    return masks, x0s, weights
+
+
+def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[Word, float]:
+    """Exact output law when channel(masks, x0s) maps every indicator
+    sequence and fill bit to its packed output, mixed over the initial
+    states.  It enumerates all F(n + 2) indicator masks, so n is checked
+    against channel_exact_n first.  One call broadcasts the masks against
+    the column of fill bits of _start_table to a (rows, F) array, whose
+    outputs one np.unique and one bincount over the cached weight rows
+    sum into the law."""
+    _check_n(x.n, spec.p)
+    masks, x0s, weights = _start_table(x.n, spec)
+    ys, inverse = np.unique(channel(masks, x0s).ravel(), return_inverse=True)
+    law = np.bincount(inverse, weights=weights.ravel())
     live = law > 0.0  # the kernel keeps every output in 0 .. 2^n - 1
     return dict(zip(Word._unchecked(x.n, ys[live].tolist()), law[live].tolist()))
 
@@ -277,7 +301,7 @@ def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[Word, float]:
 def grains_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]:
     """Exact output distribution of the grains channel for input x."""
     cells = (1 << x.n) - 1
-    return _output_law(x, spec, lambda u, x0: _apply_mask((x0 << x.n) | x.value, u) & cells)
+    return _output_law(x, spec, lambda u, x0s: _apply_mask((x0s << x.n) | x.value, u) & cells)
 
 
 def cascaded_erasure_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]:
@@ -286,7 +310,7 @@ def cascaded_erasure_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]
     previous bit.  Computed along the literal two-stage route so the
     result can be compared against grains_output_law; the fill sees
     only the NAE output (kept bits and erasure mask), never x."""
-    return _output_law(x, spec, lambda u, x0: _fill(x.value & ~u, u, x.n, x0))
+    return _output_law(x, spec, lambda u, x0s: _fill(x.value & ~u, u, x.n, x0s))
 
 
 def total_variation(law1: dict[Word, float], law2: dict[Word, float]) -> float:

@@ -28,7 +28,6 @@ to the whole array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +40,7 @@ from .model import (
     _apply_mask,
     _check_image_cap,
     _check_kernel_bits,
+    _integer,
     _mask_array,
     image_values,
     in_blocks,
@@ -62,15 +62,15 @@ class Code:
     provenance: str = "file"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionError(f"code length {self.n} below 1")
+        if not _integer(self.n) or self.n < 1:
+            raise PreconditionError(f"code length {self.n!r} is not an integer >= 1")
         _check_kernel_bits(self.n)
         values = np.asarray(self.values)  # no dtype: ints past int64 stay exact
         if values.ndim != 1:
             raise PreconditionError(f"the codewords in {self.provenance} are not a 1-D sequence")
         # an int array passes as it is; any other (an empty list is float64,
         # ints past int64 are objects) only if every element is an integer
-        if values.dtype.kind not in "iu" and not all(isinstance(v, Integral) for v in values.flat):
+        if values.dtype.kind not in "iu" and not all(_integer(v) for v in values.flat):
             raise PreconditionError(f"a codeword in {self.provenance} is not an integer")
         values = np.sort(values)
         if values.size and not 0 <= values[0] <= values[-1] < 1 << self.n:
@@ -130,8 +130,8 @@ def construct_doubling(n: int) -> Code:
     lengths prefix a free bit.  Message bit i (from the right) becomes
     the pair 3 << 2i.
     """
-    if n < 1:
-        raise PreconditionError("need n >= 1")
+    if not _integer(n) or n < 1:
+        raise PreconditionError("need an integer n >= 1")
     _check_kernel_bits(n)
     check_cap("ceil(n/2)", (n + 1) // 2, "greedy_code_n")
     half = np.arange(n // 2)
@@ -267,8 +267,8 @@ def verify_list_decodable(code: Code, t: int, list_size: int) -> bool:
     list_size * 2^n: some word is then an image of more than list_size
     codewords.
     """
-    if list_size < 1:
-        raise PreconditionError("list size must be >= 1")
+    if not _integer(list_size) or list_size < 1:
+        raise PreconditionError("list size must be an integer >= 1")
     _check_image_cap(code.n)
     blocks, total = [np.zeros(0, dtype=np.int64)], 0
     for images in in_blocks(image_values, code.values, code.n, t):

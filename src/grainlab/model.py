@@ -286,8 +286,8 @@ def image_count_lower_bound(r: int, t: int) -> int:
     rational value is rounded up: the image count is an integer, so the
     ceiling is still a valid lower bound.
     """
-    if r < 1 or t < 0:
-        raise PreconditionError("need r >= 1 and t >= 0")
+    if not (_integer(r) and _integer(t)) or r < 1 or t < 0:
+        raise PreconditionError("need integers r >= 1 and t >= 0")
     total = Fraction(1)
     for i in range(1, t + 1):
         prod = 1

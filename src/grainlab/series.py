@@ -267,8 +267,8 @@ def nonadjacent_error_capacity(p: float) -> float:
 
 def indicator_stay_prob(j: int, p: float) -> float:
     """Closed form P(u_j = 0 | u_1 = 0) = (1 - (-p)^j)/(1 + p)."""
-    if j < 1 or not 0.0 <= p <= 1.0:
-        raise PreconditionError("need j >= 1 and p in [0, 1]")
+    if not isinstance(j, Integral) or j < 1 or not 0.0 <= p <= 1.0:
+        raise PreconditionError("need an integer j >= 1 and p in [0, 1]")
     signed = p**j if j % 2 == 0 else -(p**j)
     return (1.0 - signed) / (1.0 + p)
 
@@ -303,8 +303,8 @@ def zero_error_rate(n: int, initial: str | int = "stationary") -> Fraction:
     achievable (and achieved by the bit-doubling code).  With u0 = 1
     the first cell is also safe: ceil(n/2)/n.  Either way -> 1/2.
     """
-    if n < 1:
-        raise PreconditionError("need n >= 1")
+    if not isinstance(n, Integral) or n < 1:
+        raise PreconditionError("need an integer n >= 1")
     if initial == "stationary" or initial == 0:
         first_can_fire = True
     elif initial == 1:

@@ -13,8 +13,10 @@ from grainlab.channel import (
     _STAR_LEAF,
     ChannelSpec,
     _indicator_law,
+    _fill,
     _prefix_masses,
     _star_entropy,
+    _start_table,
     all_zero_output_prob,
     cascade_fill,
     cascaded_erasure_output_law,
@@ -32,7 +34,7 @@ from grainlab.channel import (
 )
 from grainlab.config import caps_override
 from grainlab.errors import CapExceeded, PreconditionError
-from grainlab.model import Word
+from grainlab.model import Word, _apply_mask
 from grainlab.series import (
     DEPTH_MAX,
     IndecomposabilityResult,
@@ -352,7 +354,47 @@ class TestCascadeFill:
 # ---------------------------------------------------------------------------
 
 
+def output_law_per_start(x: Word, spec: ChannelSpec, cascade: bool) -> tuple[list, list]:
+    """The grains (or NAE + fill) output law of x as its support, ascending
+    packed values, and their masses, one numpy pass per initial state."""
+    outputs, weights = [], []
+    for u0, x0, w in spec.initial_states():
+        masks, probs = _indicator_law(x.n, spec.p, u0)
+        if cascade:
+            outputs.append(_fill(x.value & ~masks, masks, x.n, x0))
+        else:
+            outputs.append(_apply_mask((x0 << x.n) | x.value, masks) & ((1 << x.n) - 1))
+        weights.append(w * probs)
+    ys, inverse = np.unique(np.concatenate(outputs), return_inverse=True)
+    law = np.bincount(inverse, weights=np.concatenate(weights))
+    live = law > 0.0
+    return ys[live].tolist(), law[live].tolist()
+
+
 class TestDegradation:
+    def test_laws_match_per_start_reference(self):
+        starts = ["stationary", (0, 0), (0, 1), (1, 0), (1, 1)]
+        cases = [
+            (ChannelSpec(p, start), n)
+            for p in (0.0, 0.2, 0.5, 1.0)
+            for start in starts
+            for n in range(1, 7)
+        ]
+        cases.append((ChannelSpec(0.5), 9))
+        for spec, n in cases:
+            for x in words(n):
+                for law, cascade in (
+                    (grains_output_law, False),
+                    (cascaded_erasure_output_law, True),
+                ):
+                    got = law(x, spec)
+                    ys, masses = output_law_per_start(x, spec, cascade)
+                    assert [y.value for y in got] == ys, (spec, x, cascade)
+                    worst = max(abs(a - b) for a, b in zip(got.values(), masses))
+                    assert worst <= 1e-15, (spec, x, cascade, worst)
+        for spec, n in cases:
+            assert not any(a.flags.writeable for a in _start_table(n, spec))
+
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
     def test_exact_law_equality_small(self, p):
         spec = ChannelSpec(p)

@@ -48,6 +48,14 @@ def test_numpy_int_budgets_are_integers():
     assert got.tolist() == model.image_values(5, 4, 1).tolist()
 
 
+def test_numpy_int_seeds_are_integers():
+    # the key shifts the stream 64 bits up, past any numpy int
+    got = channel.make_rng(np.int64(7), np.int64(1)).random(3)
+    assert got.tolist() == channel.make_rng(7, 1).random(3).tolist()
+    stats = channel.simulation_stats(np.int64(50), 0.3, seed=np.int64(2))
+    assert stats == channel.simulation_stats(50, 0.3, seed=2)
+
+
 def test_gate_verdict_does_not_depend_on_the_cache():
     _error_masks.cache_clear()
     with pytest.raises(PreconditionError):
@@ -88,6 +96,17 @@ def test_gate_runs_before_any_allocation(call):
         (lambda: series.run_hazards(0.5, 2.5), "depth must be an integer"),
         (lambda: channel.output_entropy_bracket(2.5, 0.5), "integer n >= 2"),
         (lambda: channel.all_zero_output_prob(2.5, 0.5), "integer n >= 1"),
+        (lambda: channel.simulation_stats(2.5, 0.3, seed=1), "an integer"),
+        (lambda: channel.make_rng(1.5), "non-negative integers"),
+        (lambda: channel.make_rng(1, 0.5), "non-negative integers"),
+        (lambda: bounds.clique_upper(10, 4, 1, 1.5, 5), "integers"),
+        (lambda: bounds.fixed_budget_upper(10, 1.5), "integers"),
+        (lambda: series.indicator_stay_prob(1.5, 0.5), "integer j >= 1"),
+        (lambda: series.zero_error_rate(2.5), "integer n >= 1"),
+        (lambda: codes.construct_doubling(2.5), "integer n >= 1"),
+        (lambda: Code(3.0, [1]), "not an integer"),
+        (lambda: codes.verify_list_decodable(DOUBLING_4, 1, 1.5), "an integer >= 1"),
+        (lambda: model.image_count_lower_bound(3, 1.5), "integers"),
     ],
     ids=[
         "confusable",
@@ -98,6 +117,17 @@ def test_gate_runs_before_any_allocation(call):
         "run-hazards-depth",
         "output-entropy-bracket",
         "all-zero-output-prob",
+        "simulation-stats-n",
+        "make-rng-seed",
+        "make-rng-stream",
+        "clique-upper-s",
+        "fixed-budget-upper-t",
+        "indicator-stay-prob-j",
+        "zero-error-rate-n",
+        "construct-doubling-n",
+        "code-n",
+        "verify-list-decodable-list-size",
+        "image-count-lower-bound-t",
     ],
 )
 def test_checks_before_the_masks_refuse_non_integers(call, match):
