@@ -22,6 +22,14 @@ that check them, and re-exports three series names (sir,
 capacity_curves, output_entropy_series) only because the benchmark
 reads them off channel.
 
+The simulation walks the indicator chain in blocks of _SIM_BLOCK
+symbols through one kernel, _indicator_blocks, which sample_indicator
+and simulation_stats share.  u_i = hit_i and not u_(i-1) carries only
+the last indicator across a block edge, and a double takes one 64-bit
+word of the stream, so the blocks draw what one rng.random(n) draws
+and a seed gives the same run at any block size.  The statistics count
+block by block: they hold the n input bytes and one block.
+
 Under uniform input the output needs only the indicator as state:
 given the outputs so far, u_i = 0 forces x_i = y_i, and u_i = 1 leaves
 x_i a fresh uniform bit that no later output reads (y_{i+1} = x_{i+1}).
@@ -57,6 +65,7 @@ from .series import capacity_curves, output_entropy_series, sir  # noqa: F401
 
 ERASURE = "e"
 _STAR_LEAF = 9  # axes one numpy pass of _star_entropy expands: 3^9 floats
+_SIM_BLOCK = 1 << 16  # indicators one block of the simulation walk draws
 
 
 def _check_n(n: int, p: float, least: int = 1) -> None:
@@ -137,17 +146,23 @@ class ChannelSpec:
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream).
+    """Counter-based generator keyed by (seed, stream), each an integer
+    in [0, 2^64): the Philox key is stream * 2^64 + seed, so a larger
+    seed would alias a smaller one and a larger stream would overflow
+    the 128-bit key.  The CLI's simulate draws its random input word
+    from stream + 1, so there the stream must stay below 2^64 - 1.
 
     Philox is used so that identical (seed, stream) pairs reproduce the
     same sequence on every platform, and distinct streams are
     statistically independent.
     """
-    if not (_integer(seed) and _integer(stream)) or seed < 0 or stream < 0:
+    if not (_integer(seed) and _integer(stream)) or not (
+        0 <= seed < 1 << 64 and 0 <= stream < 1 << 64
+    ):
         raise PreconditionError(
-            f"seed and stream must be non-negative integers: {seed!r}, {stream!r}"
+            f"seed and stream must be non-negative integers below 2^64: {seed!r}, {stream!r}"
         )
-    key = (int(stream) << 64) | (int(seed) & ((1 << 64) - 1))
+    key = (int(stream) << 64) | int(seed)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -164,25 +179,44 @@ def _draw_initial(spec: ChannelSpec, rng: np.random.Generator) -> tuple[int, int
     return spec.initial  # type: ignore[return-value]
 
 
+def _indicator_blocks(n: int, p: float, u0: int, rng: np.random.Generator):
+    """Yield u_1..u_n as uint8 arrays of at most _SIM_BLOCK indicators.
+    After a 1 the next indicator is forced to 0; otherwise it is
+    Bernoulli(p): u_i = hit_i and not u_(i-1), hit_i = (uniform_i < p).
+    So inside each maximal run of hits the indicators alternate 1, 0,
+    1, ...; the indicator in front of a block (u0 before the first)
+    counts as a hit at its position 0, and it is all a block carries.
+    A double takes one 64-bit word of the stream, so the blocks' draws
+    are one rng.random(n)."""
+    u_prev = u0
+    for start in range(0, n, _SIM_BLOCK):
+        k = min(_SIM_BLOCK, n - start)
+        hit = np.empty(k + 1, dtype=bool)
+        hit[0] = u_prev == 1
+        np.less(rng.random(k), p, out=hit[1:])
+        starts = hit.copy()
+        starts[1:] &= ~hit[:-1]
+        idx = np.arange(k + 1, dtype=np.int32)
+        run_start = np.where(starts, idx, 0)
+        np.maximum.accumulate(run_start, out=run_start)
+        idx -= run_start
+        u = (hit[1:] & ((idx[1:] & 1) == 0)).view(np.uint8)
+        u_prev = int(u[-1])
+        yield u
+
+
 def sample_indicator(
     n: int, spec: ChannelSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, int, int]:
-    """Draw (u_1..u_n, u0, x0).  After a 1 the next indicator is forced
-    to 0; otherwise it is Bernoulli(p).  So inside each maximal run of
-    uniforms below p (hits) the indicators alternate 1, 0, 1, ...; u0 = 1
-    counts as a hit in front of position 1."""
+    """Draw (u_1..u_n, u0, x0): the initial state, then the indicators
+    of _indicator_blocks, copied block by block into one uint8 array."""
     u0, x0 = _draw_initial(spec, rng)
-    hit = np.empty(n + 1, dtype=bool)
-    hit[0] = u0 == 1
-    np.less(rng.random(n), spec.p, out=hit[1:])
-    starts = hit.copy()
-    starts[1:] &= ~hit[:-1]
-    idx = np.arange(n + 1, dtype=np.int32 if n < 2**31 - 1 else np.int64)
-    run_start = np.where(starts, idx, 0)
-    np.maximum.accumulate(run_start, out=run_start)
-    idx -= run_start
-    u = hit[1:] & ((idx[1:] & 1) == 0)
-    return u.view(np.uint8), u0, x0
+    u = np.empty(n, dtype=np.uint8)
+    at = 0
+    for block in _indicator_blocks(n, spec.p, u0, rng):
+        u[at : at + len(block)] = block
+        at += len(block)
+    return u, u0, x0
 
 
 def simulate_grains(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) -> Word:
@@ -234,25 +268,40 @@ def cascade_fill(y: str | Sequence[str], y0: int) -> Word:
 def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
     """Empirical statistics of one indicator/grains run on a random
     uniform input of length n (used by the CLI and the convergence
-    tests)."""
+    tests).
+
+    The stream is read in sample_indicator's order after the input: the
+    n input bits in one draw, then (u0, x0), then the indicators, walked
+    in blocks of _indicator_blocks.  Each block adds its ones, its errors
+    u_i and (x_(i-1) != x_i) with x_prev carried in front, and its four
+    transitions (u_(i-1), u_i), counted from the sampled pairs with u_prev
+    carried in front.  So the run holds the n input bytes and one block,
+    and each rate is count / n, the float mean of the 0/1 array."""
     if not _integer(n) or n < 1:
         raise PreconditionError(f"need n >= 1, an integer: n={n!r}")
     spec = ChannelSpec(p)
     rng = make_rng(seed, stream)
     xbits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    u, u0, x0 = sample_indicator(n, spec, rng)
-    prev = np.insert(xbits[:-1], 0, x0)
-    z = (u == 1) & (prev != xbits)
-    full = np.insert(u, 0, u0)
-    counts = np.bincount(2 * full[:-1] + full[1:], minlength=4)
+    u0, x0 = _draw_initial(spec, rng)
+    ones = errors = at = 0
+    counts = np.zeros(4, dtype=np.int64)
+    u_prev, x_prev = u0, x0
+    for u in _indicator_blocks(n, spec.p, u0, rng):
+        x = xbits[at : at + len(u)]
+        prev = np.insert(x[:-1], 0, x_prev)
+        full = np.insert(u, 0, u_prev)
+        ones += int(np.count_nonzero(u))
+        errors += int(np.count_nonzero(u & (prev != x)))
+        counts += np.bincount(2 * full[:-1] + full[1:], minlength=4)
+        u_prev, x_prev, at = int(u[-1]), int(x[-1]), at + len(u)
     trans = {f"{k >> 1}{k & 1}": int(c) for k, c in enumerate(counts)}
     return {
         "n": n,
         "p": p,
         "seed": seed,
         "stream": stream,
-        "indicator_rate": float(u.mean()),
-        "error_rate": float(z.mean()),
+        "indicator_rate": ones / n,
+        "error_rate": errors / n,
         "transitions": trans,
         "adjacent_indicator_pairs": trans["11"],
     }

@@ -256,12 +256,22 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """One pass of --x, or of a random word of --n symbols (100 when
+    neither is given) drawn from stream --stream + 1; --stats reports a
+    random run of --n symbols instead.  A flag the run would not read is
+    an error, not ignored."""
     from . import channel, model
 
-    if args.n < 1:
+    x = None if args.x is None else model.Word.parse(args.x)
+    if x is not None and args.stats:
+        raise PreconditionError("--stats simulates a random input; it takes no --x")
+    if x is not None and args.n not in (None, x.n):
+        raise PreconditionError(f"--n {args.n} differs from the length {x.n} of --x")
+    n = 100 if args.n is None else args.n
+    if n < 1:
         raise PreconditionError("--n must be >= 1")
     if args.stats:
-        stats = channel.simulation_stats(args.n, args.p, args.seed, args.stream)
+        stats = channel.simulation_stats(n, args.p, args.seed, args.stream)
         for key in ("n", "p", "seed", "stream"):
             print(f"{key} = {fmt(stats[key])}")
         print(f"indicator_rate = {fmt(stats['indicator_rate'])} "
@@ -272,11 +282,9 @@ def cmd_simulate(args) -> int:
         ))
         print(f"adjacent_indicator_pairs = {stats['adjacent_indicator_pairs']}")
         return 0
-    if args.x:
-        x = model.Word.parse(args.x)
-    else:
+    if x is None:
         rng = channel.make_rng(args.seed, args.stream + 1)
-        x = model.Word.from_array(rng.integers(0, 2, size=args.n, dtype=int))
+        x = model.Word.from_array(rng.integers(0, 2, size=n, dtype=int))
     spec = channel.ChannelSpec(args.p)
     if args.channel == "grains":
         print(channel.simulate_grains(x, spec, args.seed, args.stream))
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity, columns=_CAPACITY_COLUMNS)
 
     p = sub.add_parser("simulate", help="simulate one channel pass")
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=int, help="input length (default: len(--x), else 100)")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stream", type=int, default=0)

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from grainlab.bounds import binary_entropy
 from grainlab.channel import (
+    _SIM_BLOCK,
     _STAR_LEAF,
     ChannelSpec,
     _indicator_law,
@@ -264,17 +265,75 @@ def sample_indicator_loop(n, spec, rng):
     return u, u0, x0
 
 
+def whole_array_stats(n, p, seed, stream=0):
+    """Reference simulation_stats: every per-symbol array at once, the
+    indicators from one run-parity pass over all n uniforms."""
+    spec = ChannelSpec(p)
+    rng = make_rng(seed, stream)
+    xbits = rng.integers(0, 2, size=n, dtype=np.uint8)
+    u0 = 1 if rng.random() < spec.stationary_weights[1] else 0
+    x0 = int(rng.integers(2))
+    hit = np.empty(n + 1, dtype=bool)
+    hit[0] = u0 == 1
+    np.less(rng.random(n), p, out=hit[1:])
+    starts = hit.copy()
+    starts[1:] &= ~hit[:-1]
+    idx = np.arange(n + 1, dtype=np.int64)
+    run_start = np.where(starts, idx, 0)
+    np.maximum.accumulate(run_start, out=run_start)
+    idx -= run_start
+    u = (hit[1:] & ((idx[1:] & 1) == 0)).view(np.uint8)
+    prev = np.insert(xbits[:-1], 0, x0)
+    z = (u == 1) & (prev != xbits)
+    full = np.insert(u, 0, u0)
+    counts = np.bincount(2 * full[:-1] + full[1:], minlength=4)
+    trans = {f"{k >> 1}{k & 1}": int(c) for k, c in enumerate(counts)}
+    return {
+        "n": n,
+        "p": p,
+        "seed": seed,
+        "stream": stream,
+        "indicator_rate": float(u.mean()),
+        "error_rate": float(z.mean()),
+        "transitions": trans,
+        "adjacent_indicator_pairs": trans["11"],
+    }
+
+
+BLOCK_EDGES = (1, 2, 3, _SIM_BLOCK - 1, _SIM_BLOCK, _SIM_BLOCK + 1, 3 * _SIM_BLOCK + 17)
+
+
 class TestIndicatorKernel:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("initial", INITIALS)
     def test_sampler_matches_per_symbol_loop(self, p, initial):
         spec = ChannelSpec(p, initial=initial)
-        for seed in range(20):
-            for n in (0, 1, 2, 3, 257):
-                u, u0, x0 = sample_indicator(n, spec, make_rng(seed, 1))
-                ref, ref_u0, ref_x0 = sample_indicator_loop(n, spec, make_rng(seed, 1))
-                assert (u0, x0) == (ref_u0, ref_x0)
-                assert u.dtype == np.uint8 and np.array_equal(u, ref), (seed, n)
+        cases = [(seed, n) for seed in range(20) for n in (0, 1, 2, 3, 257)]
+        cases += [(seed, _SIM_BLOCK + 1) for seed in range(2)]  # across a block edge
+        for seed, n in cases:
+            u, u0, x0 = sample_indicator(n, spec, make_rng(seed, 1))
+            ref, ref_u0, ref_x0 = sample_indicator_loop(n, spec, make_rng(seed, 1))
+            assert (u0, x0) == (ref_u0, ref_x0)
+            assert u.dtype == np.uint8 and np.array_equal(u, ref), (seed, n)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_block_walk_matches_whole_array_stats(self, p):
+        for n in BLOCK_EDGES:
+            for seed in (0, 1, 20101895):
+                for stream in (0, 5):
+                    got = simulation_stats(n, p, seed, stream)
+                    assert repr(got) == repr(whole_array_stats(n, p, seed, stream)), (n, seed)
+
+    def test_traced_peak_of_simulation_at_1e6(self):
+        # the n input bytes and one block; all per-symbol arrays at once took 16 MB
+        simulation_stats(10**6, 0.3, 7)
+        tracemalloc.start()
+        try:
+            simulation_stats(10**6, 0.3, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     @pytest.mark.parametrize("u0", [0, 1])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])

@@ -377,6 +377,11 @@ class TestSimulate:
         assert set(word) <= {"0", "1", "e"}
         assert "ee" not in word
 
+    def test_explicit_n_equal_to_the_word_length(self, capsys):
+        argv = ["simulate", "--p", "0.5", "--seed", "9", "--x", "0101010101"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--n", "10")[:2] == (0, out)
+
     def test_stats(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--p", "0.3", "--seed", "7", "--n", "5000", "--stats"
@@ -449,6 +454,13 @@ class TestErrorPaths:
             ["--config", "{tmp}/missing.cfg", "phi", "--x", "01", "--t", "1"],
             ["simulate", "--n", "-3", "--p", "0.3", "--seed", "1"],
             ["simulate", "--stats", "--n", "0", "--p", "0.3", "--seed", "1"],
+            ["simulate", "--n", "20", "--p", "0.3", "--seed", "18446744073709551621"],
+            ["simulate", "--stats", "--p", "0.3", "--seed", "18446744073709551621"],
+            ["simulate", "--p", "0.3", "--seed", "5", "--stream", "18446744073709551616"],
+            ["simulate", "--p", "0.3", "--seed", "5", "--stream", "18446744073709551615"],
+            ["simulate", "--stats", "--x", "0101", "--p", "0.3", "--seed", "1"],
+            ["simulate", "--x", "01011", "--n", "3", "--p", "0.3", "--seed", "1"],
+            ["simulate", "--x", "0101", "--n", "0", "--p", "0.3", "--seed", "1"],
             ["bounds", "--tau-grid", "0.3", "--list", "0"],
             ["clique-table", "--m", "5:2", "--s", "1"],
             ["fig1", "--tau-grid", "0.3:0.1:0.1"],
@@ -468,7 +480,9 @@ class TestErrorPaths:
             ["bounds", "--tau-grid", "0.4", "--table", "{tmp}/parts0.csv"],
         ],
         ids=["grid", "range", "chi-row", "code-file", "binary-file", "config-file",
-             "sim-n", "stats-n", "list", "reversed-range", "reversed-grid",
+             "sim-n", "stats-n", "sim-seed-2^64", "stats-seed-2^64", "sim-stream-2^64",
+             "sim-input-stream-2^64", "stats-with-x", "n-not-len-x", "n-0-with-x",
+             "list", "reversed-range", "reversed-grid",
              "inf-grid", "nan-step", "confusable-same", "confusable-first-bit",
              "confusable-images", "doubling-no-n", "hamming-prefix-no-m",
              "greedy-known-no-t", "zero-step", "empty-table", "phi-negative-t",

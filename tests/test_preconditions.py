@@ -56,6 +56,28 @@ def test_numpy_int_seeds_are_integers():
     assert stats == channel.simulation_stats(50, 0.3, seed=2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        # drew what make_rng(5) draws: the key kept the seed's low 64 bits
+        lambda: channel.make_rng(5 + 2**64),
+        # a bare ValueError from Philox: the key passed 128 bits
+        lambda: channel.make_rng(5, 2**64),
+        lambda: channel.simulation_stats(10, 0.3, seed=5 + 2**64),
+        lambda: channel.simulation_stats(10, 0.3, seed=5, stream=2**64),
+    ],
+    ids=["make-rng-seed", "make-rng-stream", "simulation-stats-seed", "simulation-stats-stream"],
+)
+def test_seeds_and_streams_past_64_bits_are_refused(call):
+    with pytest.raises(PreconditionError, match=r"below 2\^64"):
+        call()
+
+
+def test_largest_seed_and_stream_are_accepted():
+    top = 2**64 - 1
+    assert channel.make_rng(top, top).random() != channel.make_rng(top - 1, top).random()
+
+
 def test_gate_verdict_does_not_depend_on_the_cache():
     _error_masks.cache_clear()
     with pytest.raises(PreconditionError):
