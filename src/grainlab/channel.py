@@ -46,6 +46,11 @@ output laws, through _start_table, cached per (n, spec): it merges the
 initial states into one weight row per fill bit x0, so each law is one
 broadcast pass of its channel over (x0, mask) pairs.  The
 output-entropy bracket and P(y^n = 0^n) read _derivative_matrices.
+The bracket sweeps the chain's prefix masses in blocks of
+2^_PREFIX_LEAF prefixes, one block per start state at a time, and adds
+each block's entropy terms to its sums, so it never holds all 2^(n-1)
+prefixes.  Every oracle reads p as a Python float, so a float32 p is
+computed in float64 like any other.
 """
 
 from __future__ import annotations
@@ -65,14 +70,24 @@ from .series import capacity_curves, output_entropy_series, sir  # noqa: F401
 
 ERASURE = "e"
 _STAR_LEAF = 9  # axes one numpy pass of _star_entropy expands: 3^9 floats
-_SIM_BLOCK = 1 << 16  # indicators one block of the simulation walk draws
+#: steps one block of the prefix sweep extends, 2^12 prefixes per start
+#: state.  output_entropy_bracket(20, 0.5) took 18/13/11.3/10.6/11.1 ms
+#: with blocks of 2^10..2^14 at a traced peak of 0.17/0.32/0.63/1.25/2.49
+#: MB (the whole sweep: 26 ms, 33.6 MB), so past 2^12 only the peak grows
+_PREFIX_LEAF = 12
+#: indicators one block of the simulation walk draws; a seed gives the
+#: same run at any size.  At 10^6 symbols 2^14 took 13.7 ms with 0.36 MB
+#: of block temporaries over the n input bytes, 2^16 13.0 ms with 1.44 MB
+_SIM_BLOCK = 1 << 14
 
 
-def _check_n(n: int, p: float, least: int = 1) -> None:
-    """Reject n above channel_exact_n, then n < least or p outside [0, 1]."""
+def _check_n(n: int, p: float, least: int = 1) -> float:
+    """Reject n above channel_exact_n, then n < least or p outside [0, 1];
+    return p as a Python float, so that a float32 p computes in float64."""
     check_cap("n", n, "channel_exact_n")
     if not _integer(n) or n < least or not 0.0 <= p <= 1.0:
         raise PreconditionError(f"need an integer n >= {least} and p in [0, 1]")
+    return float(p)
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +132,14 @@ class ChannelSpec:
 
     initial is either the string "stationary" (indicator drawn from its
     stationary law, previous bit x0 uniform) or an explicit pair
-    (u0, x0).
+    (u0, x0).  p is stored as a Python float.
     """
 
     p: float
     initial: str | tuple[int, int] = "stationary"
 
     def __post_init__(self):
-        _check(self.p)
+        object.__setattr__(self, "p", _check(self.p))
         pair = self.initial
         if pair != "stationary" and not (
             isinstance(pair, tuple) and len(pair) == 2 and all(b in (0, 1) for b in pair)
@@ -380,7 +395,7 @@ def erasure_mi_exact(n: int, p: float) -> float:
     reveals u exactly, so H(y|x,u0) = H(u|u0), and conditioned on u the
     non-erased outputs are uniform.  Comes out to 1/(1+p) for every n.
     """
-    _check_n(n, p)
+    p = _check_n(n, p)
     kept = n - _error_masks(n + 1, n)[1]  # non-erased positions
     mi = 0.0
     for u0, w in enumerate(_stationary_weights(p)):
@@ -409,21 +424,40 @@ def _entropy(q: np.ndarray) -> float:
     return 0.0 - float(terms.sum())
 
 
-def _prefix_masses(p: float, n: int, u0: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(z^{n-1}) and P(z^n) of the derivative chain from indicator u0,
-    indexed by the prefix read MSB-first.  A forward sweep keeps alpha
-    over (prefix, u): row i of alpha @ [D0 | D1] holds prefix i extended
-    by 0, then by 1, so reshaping keeps the prefixes ascending.  The last
-    step needs only alpha(z^{n-1}) D_b 1, one product with the row sums
-    of D0 and D1, so no 2^n x 2 array is built."""
+def _sweep(alpha: np.ndarray, d01: np.ndarray, steps: int) -> np.ndarray:
+    """Extend each row of alpha, a mass over (prefix, u), by steps
+    derivatives: row i of alpha @ [D0 | D1] holds prefix i extended by
+    0, then by 1, so reshaping keeps the prefixes ascending."""
+    for _ in range(steps):
+        alpha = (alpha @ d01).reshape(-1, 2)
+    return alpha
+
+
+def _prefix_masses(p: float, n: int):
+    """Yield P(z^{n-1}) and P(z^n) of the derivative chain, row u0 from
+    indicator u0, indexed by the prefix read MSB-first, as pairs of
+    blocks (shorter, longer) whose rows concatenate to the whole laws.
+
+    The first k = n - 1 - _PREFIX_LEAF steps (none for short n) are
+    swept whole from eye(2), both start states at once, into 2^k roots
+    per state.  The last m = n - 1 - k steps are one table: the same
+    sweep from eye(2), its masses summed over u (shorter) and times the
+    row sums of D0 and D1 (longer; the last step needs only
+    alpha(z^{n-1}) D_b 1).  Root i of both states, a 2 x 2 mass over
+    (u0, u), times the table is block i: 2^m shorter and 2^(m+1) longer
+    masses per state, in prefix order."""
     d0, d1 = _derivative_matrices(p)
     d01 = np.hstack((d0, d1))
-    alpha = np.eye(2)[u0 : u0 + 1]
-    for _ in range(n - 1):
-        alpha = (alpha @ d01).reshape(-1, 2)
-    shorter = alpha[:, 0] + alpha[:, 1]
-    longer = alpha @ np.column_stack((d0.sum(axis=1), d1.sum(axis=1)))
-    return shorter, longer.ravel()
+    k = max(n - 1 - _PREFIX_LEAF, 0)
+    roots = _sweep(np.eye(2), d01, k).reshape(2, -1, 2)
+    leaves = _sweep(np.eye(2), d01, n - 1 - k).reshape(2, -1, 2)
+    size = leaves.shape[1]
+    sums = np.column_stack((d0.sum(axis=1), d1.sum(axis=1)))
+    table = np.hstack((leaves.sum(axis=2), (leaves @ sums).reshape(2, -1)))
+    del leaves
+    for i in range(roots.shape[1]):
+        masses = roots[:, i] @ table
+        yield masses[:, :size], masses[:, size:]
 
 
 def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
@@ -440,16 +474,27 @@ def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
     is uniform whatever u_1, z_2..z_n is emitted from u_1 without
     reading y_1, and u_1 is stationary; so H(y^n) = 1 + H(b) with
     b = sum_u w_u a_u at n - 1, and H(y^{n-1}) = 1 + H(b'), b' the
-    pairwise sums of b (the last z summed out): upper = H(b) - H(b')."""
-    _check_n(n, p, least=2)
-    lower = b = 0.0
-    for u, w in enumerate(_stationary_weights(p)):
-        if w > 0.0:
-            shorter, longer = _prefix_masses(p, n, u)
-            lower += w * (_entropy(longer) - _entropy(shorter))
-            b = b + w * shorter
-            del shorter, longer  # before the next sweep, whose arrays set the peak
-    return lower, _entropy(b) - _entropy(b[0::2] + b[1::2])
+    pairwise sums of b (the last z summed out): upper = H(b) - H(b').
+
+    The sweeps walk in the blocks of _prefix_masses, one block per
+    start state at a time, and each block adds its terms to the three
+    sums, exactly up to float reordering:
+    - -sum q log2 q is a sum over prefixes, so it splits over any
+      partition of them;
+    - the two start states' blocks cover the same prefixes, so b can be
+      formed block by block;
+    - b' sums the pairs (2i, 2i+1), and an even-sized block never
+      splits a pair."""
+    p = _check_n(n, p, least=2)
+    weights = _stationary_weights(p)
+    lower = h_b = h_pairs = 0.0
+    for shorter, longer in _prefix_masses(p, n):
+        for w, s, l in zip(weights, shorter, longer):
+            lower += w * (_entropy(l) - _entropy(s))
+        b = np.dot(weights, shorter)
+        h_b += _entropy(b)
+        h_pairs += _entropy(b[0::2] + b[1::2])
+    return lower, h_b - h_pairs
 
 
 def all_zero_output_prob(n: int, p: float) -> float:
@@ -459,6 +504,7 @@ def all_zero_output_prob(n: int, p: float) -> float:
     w the stationary indicator law (as in output_entropy_bracket)."""
     if not _integer(n) or n < 1 or not 0.0 <= p <= 1.0:
         raise PreconditionError("need an integer n >= 1 and p in [0, 1]")
+    p = float(p)
     d0 = _derivative_matrices(p)[0]
     return 0.5 * float(np.sum(_stationary_weights(p) @ np.linalg.matrix_power(d0, n - 1)))
 
@@ -501,7 +547,7 @@ def error_entropy_exact(n: int, p: float) -> float:
     valid mask of _indicator_law with its closed-form probability, so
     this is a brute-force enumeration, independent of the series it
     checks, whose limit the successive differences approach."""
-    _check_n(n, p)
+    p = _check_n(n, p)
     w0, w1 = _stationary_weights(p)
     masks, q0 = _indicator_law(n, p, 0)
     f = np.zeros(1 << n)

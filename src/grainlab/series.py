@@ -37,9 +37,11 @@ from .errors import PreconditionError
 DEPTH_MAX = 4096
 
 
-def _check(p: float | None = None, depth: int | None = None) -> None:
+def _check(p: float | None = None, depth: int | None = None) -> float | None:
     """Reject a grain probability outside [0, 1] and a series depth
-    outside 2..DEPTH_MAX (each checked when given)."""
+    outside 2..DEPTH_MAX (each checked when given).  Return p as a
+    Python float (None when not given), so that a float32 p computes in
+    float64."""
     if p is not None and not 0.0 <= p <= 1.0:
         raise PreconditionError(f"p={p} outside [0, 1]")
     if depth is not None and (not isinstance(depth, Integral) or depth < 2):
@@ -48,6 +50,7 @@ def _check(p: float | None = None, depth: int | None = None) -> None:
         raise PreconditionError(
             f"depth {depth} exceeds {DEPTH_MAX}: the deeper terms underflow to 0"
         )
+    return None if p is None else float(p)
 
 
 def _stationary_weights(p: float) -> tuple[float, float]:
@@ -119,7 +122,7 @@ def _hazard_closed_form(p: float, j: int) -> float | None:
 
 
 def run_hazards(p: float, depth: int) -> RunHazards:
-    _check(p, depth)
+    p = _check(p, depth)
     values = [0.5 * (1.0 - p)]
     for _ in range(3, depth + 1):
         prev = values[-1]
@@ -143,14 +146,14 @@ def output_entropy_series(p: float, depth: int) -> float:
     entropy of one hazard weighted by the zero-run survival product,
     scaled by the probability (4(1+p))^-1 of the run's '10' prefix
     (doubled for the complementary symbol)."""
-    return _output_entropy_partial(p, depth)[0]
+    return _output_entropy_partial(_check(p, depth), depth)[0]
 
 
 def error_entropy_series(p: float, depth: int) -> float:
     """Partial sum S_J of the error-sequence entropy rate given the
     input: ((1 + p/2)/(1 + p)) sum_j 2^-j h((1 - (-p)^j)/(1 + p)),
     with the alternating power computed sign-tracked."""
-    _check(p, depth)
+    p = _check(p, depth)
     terms = []
     for j in range(2, depth + 1):
         terms.append(math.ldexp(binary_entropy(indicator_stay_prob(j, p)), -j))
@@ -170,7 +173,8 @@ def truncation_error(p: float, depth: int) -> float:
     exactly 2^-8, while this formula gives 0.00198.  SirResult's
     certified_bound is the proven bound.
     """
-    _check(p, depth)
+    p = _check(p, depth)
+    depth = int(depth)
     return (
         (1.0 + p / 2.0) * math.ldexp(1.0, -depth)
         + math.ldexp(1.0, -((depth + 1) // 2))
@@ -229,6 +233,8 @@ def sir(p: float, depth: int = 64) -> SirResult:
     capacity lower bound is max(1/2, SIR); the NAE degradation gives
     the upper bound 1/(1+p).
     """
+    p = _check(p, depth)
+    depth = int(depth)
     t_j, survival = _output_entropy_partial(p, depth)
     s_j = error_entropy_series(p, depth)
     value = t_j - s_j
@@ -250,7 +256,7 @@ def sir(p: float, depth: int = 64) -> SirResult:
 def erasure_capacity(p: float) -> float:
     """Capacity 1/(1+p) of the NAE channel: one minus the stationary
     erasure frequency p/(1+p)."""
-    _check(p)
+    p = _check(p)
     return 1.0 / (1.0 + p)
 
 
@@ -261,7 +267,7 @@ def nonadjacent_error_capacity(p: float) -> float:
     Not a valid bound for the grains channel in either direction; it is
     reported for reference only and flagged as such by the CLI.
     """
-    _check(p)
+    p = _check(p)
     return 1.0 - binary_entropy(p) / (1.0 + p)
 
 
@@ -269,6 +275,7 @@ def indicator_stay_prob(j: int, p: float) -> float:
     """Closed form P(u_j = 0 | u_1 = 0) = (1 - (-p)^j)/(1 + p)."""
     if not isinstance(j, Integral) or j < 1 or not 0.0 <= p <= 1.0:
         raise PreconditionError("need an integer j >= 1 and p in [0, 1]")
+    p = float(p)
     signed = p**j if j % 2 == 0 else -(p**j)
     return (1.0 - signed) / (1.0 + p)
 
@@ -289,7 +296,7 @@ def indecomposability_check(p: float) -> IndecomposabilityResult:
     """Single-step check that the initial state washes out: the state
     (0, x_1) is reached in one step with probability min_u0 P(u_1=0|u0)
     = 1 - p from every initial state, positive exactly when p < 1."""
-    _check(p)
+    p = _check(p)
     witness = 1.0 - p
     return IndecomposabilityResult(p, witness > 0.0, witness)
 

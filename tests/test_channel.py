@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from grainlab import channel
 from grainlab.bounds import binary_entropy
 from grainlab.channel import (
+    _PREFIX_LEAF,
     _SIM_BLOCK,
     _STAR_LEAF,
     ChannelSpec,
+    _derivative_matrices,
+    _entropy,
     _indicator_law,
     _fill,
     _prefix_masses,
@@ -721,6 +725,43 @@ def derivative_law(n: int, spec: ChannelSpec, x0: int) -> np.ndarray:
     return law / 2**n
 
 
+def prefix_masses_whole(p: float, n: int, u0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-array reference for _prefix_masses: one forward sweep that
+    keeps every (prefix, u) mass at once, the last step one product with
+    the row sums of D0 and D1."""
+    d0, d1 = _derivative_matrices(p)
+    d01 = np.hstack((d0, d1))
+    alpha = np.eye(2)[u0 : u0 + 1]
+    for _ in range(n - 1):
+        alpha = (alpha @ d01).reshape(-1, 2)
+    shorter = alpha[:, 0] + alpha[:, 1]
+    longer = alpha @ np.column_stack((d0.sum(axis=1), d1.sum(axis=1)))
+    return shorter, longer.ravel()
+
+
+def bracket_whole(n: int, p: float) -> tuple[float, float]:
+    """output_entropy_bracket on the whole-array sweeps."""
+    lower = b = 0.0
+    for u, w in enumerate(ChannelSpec(p).stationary_weights):
+        if w > 0.0:
+            shorter, longer = prefix_masses_whole(p, n, u)
+            lower += w * (_entropy(longer) - _entropy(shorter))
+            b = b + w * shorter
+    return lower, _entropy(b) - _entropy(b[0::2] + b[1::2])
+
+
+def concatenated_masses(p: float, n: int, u0: int) -> tuple[np.ndarray, np.ndarray]:
+    """_prefix_masses's blocks of start state u0, joined."""
+    blocks = list(_prefix_masses(p, n))
+    return tuple(np.concatenate([part[u0] for part in parts]) for parts in zip(*blocks))
+
+
+def prefix_block_edges(leaf: int) -> list[int]:
+    """n with n - 1 in {B - 1, B, B + 1, 2B + 1}, B = leaf, as far as
+    the bracket (2 <= n) and the cap (n <= 20) admit."""
+    return [m + 1 for m in (leaf - 1, leaf, leaf + 1, 2 * leaf + 1) if 2 <= m + 1 <= 20]
+
+
 class TestOutputEntropyBracket:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_bracket_contains_series_limit(self, p):
@@ -756,13 +797,29 @@ class TestOutputEntropyBracket:
         (u0, x0), for either x0."""
         for n in range(1, 9):
             for u0 in (0, 1):
-                shorter, longer = _prefix_masses(p, n, u0)
+                shorter, longer = concatenated_masses(p, n, u0)
                 for x0 in (0, 1):
                     want = derivative_law(n, ChannelSpec(p, initial=(u0, x0)), x0)
                     np.testing.assert_allclose(longer, want, rtol=0.0, atol=1e-15)
                     np.testing.assert_allclose(
                         shorter, want[0::2] + want[1::2], rtol=0.0, atol=1e-15
                     )
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("leaf", [1, 4, _PREFIX_LEAF])
+    def test_blocks_match_whole_sweep(self, monkeypatch, leaf, p):
+        """Blocks of 2^leaf prefixes concatenate to the whole sweep, and
+        the blocked bracket agrees with the whole-array one, at the
+        block edges n - 1 in {B - 1, B, B + 1, 2B + 1} and at the cap."""
+        monkeypatch.setattr(channel, "_PREFIX_LEAF", leaf)
+        edges = prefix_block_edges(leaf) + ([20] if leaf == _PREFIX_LEAF else [])
+        for n in edges:
+            for u0 in (0, 1):
+                got, want = concatenated_masses(p, n, u0), prefix_masses_whole(p, n, u0)
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=1e-13, atol=0.0, err_msg=str(n))
+            got, want = output_entropy_bracket(n, p), bracket_whole(n, p)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13, err_msg=str(n))
 
     def test_traced_memory_at_n18(self):
         output_entropy_bracket(18, 0.5)  # warm imports and caches
@@ -773,6 +830,17 @@ class TestOutputEntropyBracket:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    def test_traced_memory_at_n20(self):
+        # one block per start state; the whole sweep held 33.6 MB
+        output_entropy_bracket(20, 0.5)
+        tracemalloc.start()
+        try:
+            output_entropy_bracket(20, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestAllZeroOutputProb:

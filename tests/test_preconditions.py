@@ -59,6 +59,55 @@ def test_numpy_int_seeds_are_integers():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda depth: series.sir(0.5, depth),
+        lambda depth: series.truncation_error(0.5, depth),
+        lambda depth: series.capacity_curves([0.5], depth),
+    ],
+    ids=["sir", "truncation-error", "capacity-curves"],
+)
+def test_numpy_int_depths_are_integers(call):
+    # each raised a bare TypeError from math.ldexp
+    assert call(np.int64(15)) == call(15)
+
+
+#: every oracle that reads a grain probability, as a function of p, each
+#: giving a list of floats
+P_ORACLES = {
+    "erasure_mi_exact": lambda p: [channel.erasure_mi_exact(8, p)],
+    "error_entropy_exact": lambda p: [channel.error_entropy_exact(10, p)],
+    "output_entropy_bracket": lambda p: list(channel.output_entropy_bracket(10, p)),
+    "all_zero_output_prob": lambda p: [channel.all_zero_output_prob(10, p)],
+    "grains_output_law": lambda p: list(
+        channel.grains_output_law(Word(6, 45), channel.ChannelSpec(p)).values()
+    ),
+    "channel_spec": lambda p: [channel.ChannelSpec(p).p],
+    "sir": lambda p: [v for k, v in vars(series.sir(p, 64)).items() if k != "depth"],
+    "output_entropy_series": lambda p: [series.output_entropy_series(p, 64)],
+    "error_entropy_series": lambda p: [series.error_entropy_series(p, 64)],
+    "truncation_error": lambda p: [series.truncation_error(p, 15)],
+    "run_hazards": lambda p: list(series.run_hazards(p, 16).values),
+    "erasure_capacity": lambda p: [series.erasure_capacity(p)],
+    "nonadjacent_error_capacity": lambda p: [series.nonadjacent_error_capacity(p)],
+    "indicator_stay_prob": lambda p: [series.indicator_stay_prob(5, p)],
+    "indecomposability_check": lambda p: [series.indecomposability_check(p).witness],
+}
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+@pytest.mark.parametrize("oracle", P_ORACLES)
+def test_numpy_floats_compute_as_python_floats(oracle, p):
+    # output_entropy_bracket(10, np.float32(0.25)) computed in float32,
+    # and its lower end came out above the true upper end
+    want = P_ORACLES[oracle](p)
+    assert all(type(v) is float for v in want)
+    for numpy_p in (np.float32(p), np.float64(p)):
+        got = P_ORACLES[oracle](numpy_p)
+        assert got == want and all(type(v) is float for v in got), numpy_p
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         # drew what make_rng(5) draws: the key kept the seed's low 64 bits
         lambda: channel.make_rng(5 + 2**64),
         # a bare ValueError from Philox: the key passed 128 bits
