@@ -10,7 +10,8 @@ Modules:
   channel  - grains / no-adjacent-erasures channels, simulation, exact oracles
   cli      - the `grainlab` command
 
-errors, config, manifest, bounds, series and cli import no numpy.
+errors, config, manifest, bounds, series and cli import no numpy, nor
+does model outside its bulk kernels, so phi and confusable run without it.
 """
 
 __version__ = "0.1.0"

@@ -20,10 +20,11 @@ significant digits.  CSV artifacts end with a '#' manifest block and
 are byte-identical across reruns of the same invocation.
 
 Each handler imports the library modules it uses, so `--version`,
-`--help` and argument errors never import numpy, and neither do the
-scalar commands (sir, capacity, fig3, zero-error, bounds, fig1): their
-modules, series and bounds, are numpy-free, as are config, manifest
-and errors, which this module imports at the top.
+`--help` and argument errors never import numpy, and neither do phi,
+confusable and the scalar commands (sir, capacity, fig3, zero-error,
+bounds, fig1): their modules, model, series and bounds, are numpy-free
+on these paths (model imports numpy only inside its bulk kernels), as
+are config, manifest and errors, which this module imports at the top.
 """
 
 from __future__ import annotations
@@ -106,8 +107,13 @@ def _emit(args, header, rows, manifest) -> None:
 
 
 def cmd_phi(args) -> int:
+    """The image of --x under one pattern --e, or its whole image set
+    under the budget --t; giving both is an error, as one would be
+    ignored."""
     from . import model
 
+    if args.e is not None and args.t is not None:
+        raise PreconditionError("phi takes --t (image set) or --e (one pattern), not both")
     x = model.Word.parse(args.x)
     if args.e is not None:
         e = model.ErrorVector.parse(args.e)

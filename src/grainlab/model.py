@@ -11,8 +11,12 @@ error vectors of x0 x_1..x_n, so it reads these masks and operator.
 
 Everything here is pure and deterministic.  Words pack their bits into
 a Python int (leftmost bit = most significant) so the grain operator is
-a couple of mask operations; image_values and preimage_values vectorise
-them over numpy arrays in closed form.
+a couple of mask operations.  One-word queries (grain_image_list,
+confusable, enumerate_error_vectors) walk the grain supports inside a
+bit mask on Python ints and import no numpy; bulk work runs on the
+numpy kernels (_error_masks, image_values, preimage_values,
+preimage_counts), which vectorise the same closed form over arrays and
+import numpy when first called.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .config import check_cap
 from .errors import PreconditionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: word-length ceilings, whatever the caps say: a Word's bit conversions
 #: take time linear in its length; the kernels and a Code pack into int64
@@ -68,6 +73,10 @@ class Word:
             raise PreconditionError(f"word length {self.n} outside 1..{WORD_LEN_MAX}")
         if not 0 <= self.value < (1 << self.n):
             raise PreconditionError(f"value {self.value} does not fit in {self.n} bits")
+        if type(self.n) is not int or type(self.value) is not int:
+            # a numpy int lacks int.bit_length, which the walk reads
+            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(self, "value", int(self.value))
 
     @classmethod
     def _unchecked(cls, n: int, values: Iterable[int]) -> list["Word"]:
@@ -98,6 +107,8 @@ class Word:
     @classmethod
     def from_array(cls, bits: np.ndarray) -> "Word":
         """The word of a 0/1 array (nonzero counts as 1), packed by numpy."""
+        import numpy as np
+
         packed = int.from_bytes(np.packbits(bits).tobytes(), "big")
         return cls(len(bits), packed >> (-len(bits) % 8))
 
@@ -200,12 +211,38 @@ def apply_grains(x: Word, e: ErrorVector) -> Word:
 # ---------------------------------------------------------------------------
 
 
+def _supports_inside(d: int, t: int) -> list[int]:
+    """The grain supports of weight <= t inside the bit mask d (Word
+    packing, position 1 clear), in support-lex order, which is
+    _error_masks' order: the empty support, then for each position j of
+    d from the left, {j} and then {j} u S for each nonempty S of weight
+    < t inside the part of d right of j + 1, in this same order.
+    Picking j drops its right neighbour j + 1 (one bit lower), so no two
+    picked positions are adjacent."""
+    out = [0]
+
+    def walk(base: int, rest: int, budget: int) -> None:
+        while rest:
+            top = 1 << (rest.bit_length() - 1)
+            rest ^= top
+            mask = base | top
+            out.append(mask)
+            if budget > 1:
+                walk(mask, rest & ~(top >> 1), budget - 1)
+
+    if t:
+        walk(0, d, t)
+    return out
+
+
 def enumerate_error_vectors(n: int, t: int) -> list[ErrorVector]:
-    """All error vectors of length n, weight <= t, support-lex order."""
+    """All error vectors of length n, weight <= t, support-lex order:
+    the grain supports inside positions 2..n."""
     _check_image_cap(n)
+    _check_budget(t)
     return [
         ErrorVector(n, tuple(j for j in range(2, n + 1) if mask >> (n - j) & 1))
-        for mask in _mask_array(n, t).tolist()
+        for mask in _supports_inside((1 << (n - 1)) - 1, t)
     ]
 
 
@@ -220,20 +257,34 @@ def _check_kernel_bits(n: int) -> None:
 
 
 def _check_image_cap(n: int) -> None:
+    if not _integer(n) or n < 1:
+        raise PreconditionError(f"word length {n!r} is not an integer >= 1")
     _check_kernel_bits(n)
     check_cap("n", n, "error_enum_n")
 
 
-def _images(x: Word, t: int) -> np.ndarray:
-    _check_image_cap(x.n)
-    return image_values(x.value, x.n, t)
+def _check_budget(t: int) -> None:
+    """The walk's check of a grain budget: an integer t >= 0, so a
+    fractional budget is refused, not read as the next integer."""
+    if not _integer(t) or t < 0:
+        raise PreconditionError(f"t must be >= 0 and an integer, got {t!r}")
+
+
+def _boundaries(x: Word) -> int:
+    """The run-boundary mask d(x) = x ^ (x >> 1) on positions 2..n:
+    position j is set iff x_j != x_{j-1}."""
+    return (x.value ^ (x.value >> 1)) & ((1 << (x.n - 1)) - 1)
 
 
 def grain_image_list(x: Word, t: int) -> list[Word]:
     """Images of x under at most t length-2 grains, without repeats: x
-    first, then one per support mask inside the run-boundary mask of x,
-    in enumeration order (closed form (a) of image_values)."""
-    return Word._unchecked(x.n, _images(x, t).tolist())
+    first, then x ^ M for each grain support M of weight <= t inside the
+    run-boundary mask d(x), in support-lex order (closed form (a) of
+    image_values, in its order)."""
+    _check_image_cap(x.n)
+    _check_budget(t)
+    v = x.value
+    return Word._unchecked(x.n, [v ^ m for m in _supports_inside(_boundaries(x), t)])
 
 
 def grain_images(x: Word, t: int) -> frozenset[Word]:
@@ -243,10 +294,7 @@ def grain_images(x: Word, t: int) -> frozenset[Word]:
 
 def run_count(x: Word) -> int:
     """Number of maximal runs of identical symbols in x."""
-    if x.n == 1:
-        return 1
-    d = (x.value ^ (x.value >> 1)) & ((1 << (x.n - 1)) - 1)
-    return d.bit_count() + 1
+    return _boundaries(x).bit_count() + 1
 
 
 def derivative(x: Word) -> Word:
@@ -257,14 +305,22 @@ def derivative(x: Word) -> Word:
     """
     if x.n < 2:
         raise PreconditionError("derivative needs n >= 2")
-    return Word(x.n - 1, (x.value ^ (x.value >> 1)) & ((1 << (x.n - 1)) - 1))
+    return Word(x.n - 1, _boundaries(x))
 
 
 def confusable(x1: Word, x2: Word, t: int) -> bool:
     """True iff some medium with <= t length-2 grains per side records
-    x1 and x2 identically (their image sets intersect)."""
-    if not _integer(t) or t < 0:
-        raise PreconditionError(f"t must be >= 0 and an integer, got {t!r}")
+    x1 and x2 identically (their image sets intersect).
+
+    By closed form (a) of image_values the images of x are x ^ M for the
+    grain supports M of weight <= t inside d(x).  So the image sets meet
+    iff x1 ^ M1 = x2 ^ M2 for some such M1 of x1 and M2 of x2, that is,
+    iff some M1 inside d(x1) makes M2 = M1 ^ x1 ^ x2 a grain support of
+    weight <= t inside d(x2): at most t positions, no two of them
+    adjacent, and none at position 1, which d(x2) leaves out.  The walk
+    over M1 tests each M2 directly and builds no image set.
+    """
+    _check_budget(t)
     if x1.n != x2.n:
         raise PreconditionError(f"length mismatch: {x1.n} vs {x2.n}")
     if x1 == x2:
@@ -273,7 +329,13 @@ def confusable(x1: Word, x2: Word, t: int) -> bool:
     # can never collide
     if x1.bit(1) != x2.bit(1):
         return False
-    return not set(_images(x1, t).tolist()).isdisjoint(_images(x2, t).tolist())
+    _check_image_cap(x1.n)
+    diff, d2 = x1.value ^ x2.value, _boundaries(x2)
+    for m1 in _supports_inside(_boundaries(x1), t):
+        m2 = m1 ^ diff
+        if not m2 & ~d2 and not m2 & (m2 >> 1) and m2.bit_count() <= t:
+            return True
+    return False
 
 
 def image_count_lower_bound(r: int, t: int) -> int:
@@ -318,16 +380,20 @@ def _error_masks(n: int, t: int) -> np.ndarray:
     (a length-(k-2) mask, all below bit k-2), then the nonempty supports
     on 3..k (a length-(k-1) mask).  No mask of weight > t is built.
 
-    This is the one check of a grain budget t and a mask length n: both
-    must be integers, 1 <= n <= KERNEL_BITS and t >= 0, so a fractional
-    budget is refused, not read as the next integer.  Every reader of
-    the masks (the kernels, in_blocks, the enumeration, the greedy
-    partition, the verifiers, the greedy-known code, the exact search)
-    reaches it before it allocates anything and has no (n, t) check of
-    its own; only confusable and max_code_size, which answer or shift
-    before they read a mask, test (n, t) first.  The cache is typed, so
-    the verdict on (5, 1.0) does not depend on whether (5, 1) was cached.
+    This is the budget check of every mask reader: n and t must be
+    integers, 1 <= n <= KERNEL_BITS and t >= 0, so a fractional budget
+    is refused, not read as the next integer.  The readers (the kernels,
+    in_blocks, the greedy partition, the verifiers, the greedy-known
+    code, the exact search) reach it before they allocate anything and
+    have no (n, t) check of their own; only max_code_size, which shifts
+    before it reads a mask, tests (n, t) first.  The walk of
+    _supports_inside reads no mask: grain_image_list, confusable and
+    enumerate_error_vectors check t with confusable's check,
+    _check_budget.  The cache is typed, so the verdict on (5, 1.0) does
+    not depend on whether (5, 1) was cached.
     """
+    import numpy as np
+
     if not (_integer(n) and _integer(t) and 1 <= n <= KERNEL_BITS and t >= 0):
         raise PreconditionError(f"need integers 1 <= n <= {KERNEL_BITS}, t >= 0: n={n!r}, t={t!r}")
     empty = np.zeros((2, 1), np.int64)
@@ -363,6 +429,8 @@ def image_values(x, n: int, t: int) -> np.ndarray:
     adjacent positions, never position 1), so bit j of d(y ^ M) is
     d(y)_j ^ 1: M lies inside d(y ^ M) iff it is disjoint from d(y).
     """
+    import numpy as np
+
     masks = _mask_array(n, t)
     x = np.asarray(x, dtype=np.int64)[..., None]
     return (x ^ masks)[(masks & ~(x ^ (x >> 1))) == 0]
@@ -371,6 +439,8 @@ def image_values(x, n: int, t: int) -> np.ndarray:
 def preimage_values(y, n: int, t: int) -> np.ndarray:
     """Preimage cliques B(y) of the packed word y (an int or an int
     array), concatenated word by word; closed form (b) of image_values."""
+    import numpy as np
+
     masks = _mask_array(n, t)
     y = np.asarray(y, dtype=np.int64)[..., None]
     return (y ^ masks)[(masks & (y ^ (y >> 1))) == 0]
@@ -389,6 +459,8 @@ def in_blocks(kernel, values: np.ndarray, n: int, t: int) -> Iterator[np.ndarray
 def preimage_counts(n: int, t: int) -> np.ndarray:
     """|B(y)| for every y in 0 .. 2^n - 1, as an int32 array: the number
     of support masks disjoint from the run-boundary mask of y."""
+    import numpy as np
+
     masks = _mask_array(n, t).tolist()
     ys = np.arange(1 << n, dtype=np.int64)
     d = ys ^ (ys >> 1)

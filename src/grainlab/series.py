@@ -334,12 +334,13 @@ def capacity_curves(
     """Rows (p, sir, capacity_lower, capacity_upper, error_bound) plus
     the first grid point where the SIR limit is certified below 1/2,
     sir + certified_bound < 1/2 (there the SIR stops being the binding
-    lower bound whatever the truncation error), or None."""
+    lower bound whatever the truncation error), or None.  Each grid
+    point is reported as the Python float the SIR was computed at."""
     rows = []
     crossing = None
     for p in p_values:
         r = sir(p, depth)
-        rows.append((p, r.sir, r.capacity_lower, r.capacity_upper, r.error_bound))
+        rows.append((r.p, r.sir, r.capacity_lower, r.capacity_upper, r.error_bound))
         if crossing is None and r.sir + r.certified_bound < 0.5:
-            crossing = p
+            crossing = r.p
     return rows, crossing

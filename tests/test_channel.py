@@ -1005,6 +1005,15 @@ class TestCapacityCurves:
         assert crossing is not None
         assert 0.5 <= crossing <= 0.6
 
+    def test_grid_points_come_back_as_python_floats(self):
+        # float32 points came back as np.float32 in column 0 and as the crossing
+        grid = [np.float32(0.25), np.float32(0.9), 0, 1]
+        rows, crossing = capacity_curves(grid, 15)
+        assert [row[0] for row in rows] == [0.25, 0.8999999761581421, 0.0, 1.0]
+        assert all(type(v) is float for row in rows for v in row)
+        assert type(crossing) is float and crossing == rows[1][0]
+        assert rows[2][1:] == capacity_curves([0.0], 15)[0][0][1:]
+
     @pytest.mark.parametrize(
         "step,depth,want", [(0.005, 15, 0.57), (0.005, 64, 0.56), (0.01, 64, 0.56)]
     )

@@ -478,6 +478,7 @@ class TestErrorPaths:
             ["bounds", "--tau-grid", "0.1", "--table", "{tmp}/m0.csv"],
             ["bounds", "--tau-grid", "0.1", "--table", "{tmp}/s0.csv"],
             ["bounds", "--tau-grid", "0.4", "--table", "{tmp}/parts0.csv"],
+            ["phi", "--x", "0110", "--t", "1", "--e", "4:3"],
         ],
         ids=["grid", "range", "chi-row", "code-file", "binary-file", "config-file",
              "sim-n", "stats-n", "sim-seed-2^64", "stats-seed-2^64", "sim-stream-2^64",
@@ -486,7 +487,7 @@ class TestErrorPaths:
              "inf-grid", "nan-step", "confusable-same", "confusable-first-bit",
              "confusable-images", "doubling-no-n", "hamming-prefix-no-m",
              "greedy-known-no-t", "zero-step", "empty-table", "phi-negative-t",
-             "table-m-0", "table-s-0", "table-parts-0-inadmissible"],
+             "table-m-0", "table-s-0", "table-parts-0-inadmissible", "phi-t-and-e"],
     )
     def test_malformed_input_exit_2(self, capsys, tmp_path, argv):
         """Malformed text, a missing or undecodable input file or an
@@ -760,6 +761,34 @@ def test_scalar_commands_import_no_numpy(tmp_path):
     written = {path.name for path in tmp_path.iterdir()}
     assert {"bounds.csv", "capacity.csv", "fig1.csv", "fig1.svg", "fig3.csv",
             "fig3.svg"} <= written
+
+
+def test_phi_and_confusable_import_no_numpy():
+    """phi --t, phi --e and confusable walk the grain supports on Python
+    ints; model imports numpy only inside its bulk kernels."""
+    script = (
+        "import sys\n"
+        "from grainlab.cli import main\n"
+        "codes = [main(argv) for argv in (\n"
+        "    ['phi', '--x', '01101001', '--t', '2'],\n"
+        "    ['phi', '--x', '100001000010000', '--e', '15:4,7,9,14'],\n"
+        "    ['confusable', '--x1', '01101001', '--x2', '00101000', '--t', '2'],\n"
+        ")]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    assert proc.stdout.splitlines() == [
+        "01101001 00101001 00111001 00100001 00101101 00101000 01111001 "
+        "01111101 01111000 01100001 01100000 01101101 01101100 01101000",
+        "100001100010000",
+        "true",
+        "[0, 0, 0] False",
+    ]
 
 
 class TestBenchRecord:

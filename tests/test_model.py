@@ -2,7 +2,10 @@ import ast
 import dataclasses
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +296,11 @@ class TestEnumeration:
                 mine = {e.support for e in enumerate_error_vectors(n, t)}
                 assert mine == set(supports_ref(n, t))
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, "3"])
+    def test_bad_length_rejected(self, n):
+        with pytest.raises(PreconditionError):
+            enumerate_error_vectors(n, 1)
+
     def test_cap(self):
         with caps_override(error_enum_n=24), pytest.raises(CapExceeded):
             enumerate_error_vectors(25, 1)
@@ -462,6 +470,61 @@ class TestClosedFormKernel:
     def test_negative_budget_rejected(self):
         with pytest.raises(PreconditionError):
             image_values(0, 4, -1)
+
+
+class TestWalkAgainstKernel:
+    """The one-word queries walk the grain supports inside a bit mask;
+    the bulk kernels test every mask.  They agree, order included."""
+
+    def test_image_list_is_the_kernel_row(self):
+        for n in range(1, 11):
+            for t in range(5):
+                for x in range(1 << n):
+                    got = [w.value for w in grain_image_list(Word(n, x), t)]
+                    assert got == image_values(x, n, t).tolist(), (n, x, t)
+
+    def test_enumeration_is_the_mask_row(self):
+        for n in range(1, 13):
+            for t in range(7):
+                got = [e.mask for e in enumerate_error_vectors(n, t)]
+                assert got == _mask_array(n, t).tolist(), (n, t)
+
+    def test_confusable_is_the_image_set_intersection(self):
+        for n in range(1, 8):
+            for t in range(4):
+                images = [set(image_values(x, n, t).tolist()) for x in range(1 << n)]
+                for a, b in itertools.product(range(1 << n), repeat=2):
+                    want = bool(images[a] & images[b])
+                    assert confusable(Word(n, a), Word(n, b), t) == want, (n, a, b, t)
+
+    def test_numpy_int_words(self):
+        w = Word(np.int64(8), np.int64(0b01101001))
+        assert type(w.n) is int and type(w.value) is int
+        assert grain_image_list(w, 2) == grain_image_list(Word(8, 0b01101001), 2)
+        assert confusable(w, Word(np.int64(8), np.int64(0b00101001)), np.int64(1))
+
+
+def test_model_queries_import_no_numpy():
+    """One-word queries walk the supports on Python ints: numpy stays
+    out of a process that imports model and asks them."""
+    script = (
+        "import sys\n"
+        "from grainlab.model import (ErrorVector, Word, apply_grains, confusable,\n"
+        "    enumerate_error_vectors, grain_image_list)\n"
+        "x = Word.parse('01101001')\n"
+        "images = grain_image_list(x, 2)\n"
+        "hit = confusable(x, images[-1], 2)\n"
+        "vectors = enumerate_error_vectors(8, 2)\n"
+        "y = apply_grains(x, ErrorVector.parse('8:3,6'))\n"
+        "print(len(images), hit, len(vectors), y, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(grainlab.__file__).resolve().parents[1])},
+    )
+    assert proc.stdout.splitlines()[-1] == "14 True 23 01101101 False"
 
 
 class TestInBlocks:

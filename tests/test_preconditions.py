@@ -4,8 +4,11 @@ a fractional grain budget is refused, not read as the next integer.
 
 model._error_masks is the one check of a grain budget (n, t) in front
 of the masks; every mask reader reaches it before it allocates
-anything.  The checks that answer or shift before any mask is read
-(and bounds and series, which read none) test for integers themselves.
+anything.  The one-word queries that walk the supports instead
+(grain_image_list, enumerate_error_vectors, confusable) share
+model._check_budget, and the checks that answer or shift before any
+mask is read (and bounds and series, which read none) test for
+integers themselves.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ from grainlab.model import ErrorVector, Word, _error_masks
 
 DOUBLING_4 = Code(4, [0b0000, 0b0011, 0b1100, 0b1111])
 
-#: every entry that reads the grain masks, as a function of the budget t
+#: every entry that reads or walks the grain masks, as a function of the budget t
 MASK_READERS = {
     "image_values": lambda t: model.image_values(5, 4, t),
     "preimage_values": lambda t: model.preimage_values(5, 4, t),
