@@ -6,19 +6,19 @@ independent set of this graph.  Clique partitions of the graph yield the
 cardinality upper bounds evaluated in grainlab.bounds.
 
 The graph is never built as an object: images and preimage cliques B(y)
-come from the closed-form kernel of grainlab.model, whose mask builder
-is the one check of the grain budget (integers, 1 <= n <= 63, t >= 0):
-the greedy partition has no (m, s) check of its own.  The exact search
-holds adjacency bitmasks of one half-space, the greedy partition an int32
-count array of |B(y)| over the uncovered words, and a CliquePartition
-the packed word values themselves.  Only the witness code of
-max_code_size carries Words.
+are gathered from grainlab.model.support_table, built per (m, s) behind
+the one check of the grain budget (integers, 1 <= n <= 63, t >= 0): the
+greedy partition has no (m, s) check of its own.  The exact search
+holds adjacency bitmasks of one half-space, the greedy partition an
+int32 count array of |B(y)| over the uncovered words, and a
+CliquePartition the packed word values themselves.  Only the witness
+code of max_code_size carries Words.
 
 The greedy partition takes its parts one count level at a time: all
 words y of the largest count are scanned in ascending order, and a few
 vectorised calls per level replace an arg-max per part, with the same
 parts.  A part is certified only through its witness y, the image all
-its members share: the certificate does not read the kernel, but
+its members share: the certificate does not read the table, but
 checks each member against y under the one mask that can map it
 there, the XOR of the two, in one vectorised pass.
 
@@ -50,21 +50,7 @@ import numpy as np
 
 from .config import check_cap, get_caps
 from .errors import PreconditionError
-from .model import (
-    Word,
-    _apply_mask,
-    _integer,
-    image_values,
-    in_blocks,
-    preimage_counts,
-    preimage_values,
-)
-
-
-def _neighbor_values(xv: int, n: int, t: int) -> set[int]:
-    """Values of the words sharing an image with xv: the union of the
-    preimage cliques of its images, xv itself excluded."""
-    return set(preimage_values(image_values(xv, n, t), n, t).tolist()) - {xv}
+from .model import Word, _apply_mask, _integer, support_table
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +75,18 @@ def _half_adjacency(n: int, t: int) -> list[int]:
     The first bit survives every grain pattern, so there are no edges
     between the two half-spaces, and complementing every bit is an
     isomorphism between the halves.  Solving one half therefore solves
-    the whole graph.
+    the whole graph.  Two gathers from the support table mark the
+    members of the cliques B(y) of the images y of each word.
     """
     half = 1 << (n - 1)
-    return [sum(1 << v for v in _neighbor_values(xv, n, t)) for xv in range(half)]
+    table = support_table(n, t)
+    xs = np.arange(half)
+    adj = np.zeros((half, half), dtype=bool)
+    for owner, images in table.gather(xs):
+        for inner, members in table.gather(images, cliques=True):
+            adj[owner[inner], members] = True
+    adj[xs, xs] = False
+    return [int.from_bytes(row, "little") for row in np.packbits(adj, axis=1, bitorder="little")]
 
 
 def _renumber(v: int, cadj: list[int], classes: list[int]) -> bool:
@@ -405,30 +399,33 @@ def greedy_clique_partition(m: int, s: int) -> CliquePartition:
     next level begins.  The loop ends when the largest count is 0: every
     uncovered word is its own image under the empty mask, so it counts
     in its own B, and the largest count is 0 exactly when every word is
-    covered.  The kernel calls go through model.in_blocks, a bounded
-    block of words at a time.  The budget has no check here: the first
-    call, preimage_counts, raises PreconditionError for a bad (m, s)
-    before it allocates anything.
+    covered.  The counts, the rows and the images of the words taken
+    come from model.support_table, a bounded block at a time.  The
+    budget has no check here: support_table raises PreconditionError for
+    a bad (m, s) before it allocates anything.
     """
     check_cap("m", m, "partition_m")
-    counts = preimage_counts(m, s)
+    table = support_table(m, s)
+    counts = table.lengths(np.arange(1 << m), cliques=True).astype(np.int32)
     alive = np.ones(1 << m, dtype=bool)
     parts: list[tuple[int, ...]] = []
     witnesses: list[int] = []
     while (c := counts.max()) > 0:
         ys = np.flatnonzero(counts == c)
-        rows = [members[alive[members]] for members in in_blocks(preimage_values, ys, m, s)]
+        rows = [members[alive[members]] for _, members in table.gather(ys, cliques=True)]
         rows = np.concatenate(rows).reshape(ys.size, c)
         rows.sort(axis=1)
         taken: set[int] = set()
-        for y, row in zip(ys.tolist(), rows.tolist()):
-            if taken.isdisjoint(row):
-                taken.update(row)
-                parts.append(tuple(row))
-                witnesses.append(y)
+        step = max(1, 4096 // c)  # rows made Python ints at once, not a whole level
+        for lo in range(0, ys.size, step):
+            for y, row in zip(ys[lo : lo + step].tolist(), rows[lo : lo + step].tolist()):
+                if taken.isdisjoint(row):
+                    taken.update(row)
+                    parts.append(tuple(row))
+                    witnesses.append(y)
         gone = np.fromiter(taken, dtype=np.int64, count=len(taken))
         alive[gone] = False
-        for images in in_blocks(image_values, gone, m, s):
+        for _, images in table.gather(gone):
             # an int32 1, like counts: a Python int sends ufunc.at down its slow path
             np.subtract.at(counts, images, np.int32(1))
     return CliquePartition(m, s, tuple(parts), tuple(witnesses))

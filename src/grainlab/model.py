@@ -13,10 +13,9 @@ Everything here is pure and deterministic.  Words pack their bits into
 a Python int (leftmost bit = most significant) so the grain operator is
 a couple of mask operations.  One-word queries (grain_image_list,
 confusable, enumerate_error_vectors) walk the grain supports inside a
-bit mask on Python ints and import no numpy; bulk work runs on the
-numpy kernels (_error_masks, image_values, preimage_values,
-preimage_counts), which vectorise the same closed form over arrays and
-import numpy when first called.
+bit mask on Python ints and import no numpy; bulk work vectorises the
+same closed form on numpy, imported when first called: the graph layer
+gathers from support_table, the code verifiers call image_values.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ KERNEL_BITS = 63
 #: (words x masks) temporaries would set the peak memory; and past 2^15
 #: entries (256 KiB of int64) they ran slower: greedy_clique_partition(16, 4)
 #: took 0.4-0.6 s with 4 * 2^16 entries and 0.26 s with 2^15 on a shared
-#: 2-CPU VM
+#: 2-CPU VM.  support_table and SupportTable.gather size their blocks from it
 KERNEL_BLOCK = 1 << 15
 
 
@@ -365,7 +364,7 @@ def image_count_lower_bound(r: int, t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# closed-form image / preimage kernel
+# closed-form kernels: image_values and the support table
 # ---------------------------------------------------------------------------
 
 
@@ -383,10 +382,10 @@ def _error_masks(n: int, t: int) -> np.ndarray:
     This is the budget check of every mask reader: n and t must be
     integers, 1 <= n <= KERNEL_BITS and t >= 0, so a fractional budget
     is refused, not read as the next integer.  The readers (the kernels,
-    in_blocks, the greedy partition, the verifiers, the greedy-known
-    code, the exact search) reach it before they allocate anything and
-    have no (n, t) check of their own; only max_code_size, which shifts
-    before it reads a mask, tests (n, t) first.  The walk of
+    in_blocks, support_table, the greedy partition, the verifiers, the
+    greedy-known code, the exact search) reach it before they allocate
+    anything and have no (n, t) check of their own; only max_code_size,
+    which shifts before it reads a mask, tests (n, t) first.  The walk of
     _supports_inside reads no mask: grain_image_list, confusable and
     enumerate_error_vectors check t with confusable's check,
     _check_budget.  The cache is typed, so the verdict on (5, 1.0) does
@@ -428,6 +427,9 @@ def image_values(x, n: int, t: int) -> np.ndarray:
     d(y ^ M) = d(y) ^ M ^ (M >> 1).  For j in M, j - 1 is not in M (no
     adjacent positions, never position 1), so bit j of d(y ^ M) is
     d(y)_j ^ 1: M lies inside d(y ^ M) iff it is disjoint from d(y).
+
+    It tests every mask against each word, for the code verifiers, whose
+    sparse word lists reach n = 24, past a 2^(n-1)-row support_table.
     """
     import numpy as np
 
@@ -436,36 +438,75 @@ def image_values(x, n: int, t: int) -> np.ndarray:
     return (x ^ masks)[(masks & ~(x ^ (x >> 1))) == 0]
 
 
-def preimage_values(y, n: int, t: int) -> np.ndarray:
-    """Preimage cliques B(y) of the packed word y (an int or an int
-    array), concatenated word by word; closed form (b) of image_values."""
-    import numpy as np
-
-    masks = _mask_array(n, t)
-    y = np.asarray(y, dtype=np.int64)[..., None]
-    return (y ^ masks)[(masks & (y ^ (y >> 1))) == 0]
-
-
 def in_blocks(kernel, values: np.ndarray, n: int, t: int) -> Iterator[np.ndarray]:
     """kernel(block, n, t) for consecutive blocks of the packed words
     values, max(1, KERNEL_BLOCK // |S|) words each (the last may be
-    shorter), S the support masks of weight <= t; kernel is image_values
-    or preimage_values.  The step is taken at the call, so a bad n or t
+    shorter), S the support masks of weight <= t; kernel is
+    image_values.  The step is taken at the call, so a bad n or t
     raises here, not at the first block."""
     step = max(1, KERNEL_BLOCK // _mask_array(n, t).size)
     return (kernel(values[lo : lo + step], n, t) for lo in range(0, len(values), step))
 
 
-def preimage_counts(n: int, t: int) -> np.ndarray:
-    """|B(y)| for every y in 0 .. 2^n - 1, as an int32 array: the number
-    of support masks disjoint from the run-boundary mask of y."""
+@dataclass(frozen=True, eq=False)
+class SupportTable:
+    """Row d < 2^(n-1), entries[offsets[d] : offsets[d + 1]], lists the
+    grain supports of weight <= t inside d in _supports_inside(d, t)'s
+    order.  By closed forms (a) and (b) of image_values the images of x
+    are x ^ row d(x) and B(y) = y ^ row (d(y) ^ low), low = positions 2..n."""
+
+    n: int
+    offsets: np.ndarray  # int64
+    entries: np.ndarray  # uint16 while n <= 17
+
+    def _rows(self, values: np.ndarray, cliques: bool) -> np.ndarray:
+        low = (1 << (self.n - 1)) - 1
+        return (values ^ (values >> 1) ^ (low if cliques else 0)) & low
+
+    def lengths(self, values: np.ndarray, cliques: bool = False) -> np.ndarray:
+        """The row lengths: image counts of the packed words, or |B(y)|."""
+        rows = self._rows(values, cliques)
+        return self.offsets[rows + 1] - self.offsets[rows]
+
+    def gather(self, values: np.ndarray, cliques: bool = False) -> Iterator[tuple]:
+        """Blocks (owner, words) of the rows of the int64 words values, in
+        order, words[i] from values[owner[i]]: the rows that begin in one
+        span of KERNEL_BLOCK / 8 entries, reading only the hits."""
+        import numpy as np
+
+        if not len(values):
+            return
+        rows = self._rows(values, cliques)
+        lengths = self.offsets[rows + 1] - self.offsets[rows]
+        begins = np.cumsum(lengths) - lengths
+        shift = self.offsets[rows] - begins  # entry index less output index
+        span = begins // (KERNEL_BLOCK >> 3)
+        firsts = [0, *(np.flatnonzero(span[1:] != span[:-1]) + 1).tolist(), len(values)]
+        for lo, hi in zip(firsts, firsts[1:]):
+            owner = np.repeat(np.arange(lo, hi), lengths[lo:hi])
+            index = shift[owner]
+            index += np.arange(begins[lo], begins[lo] + owner.size)
+            yield owner, values[owner] ^ self.entries[index]
+
+
+def support_table(n: int, t: int) -> SupportTable:
+    """The read-only SupportTable of length-n words at budget t, built
+    per call, never cached, and allocated at its size (357 KB at (13, 4),
+    6.42 MB at (16, 4)): C(n-w, w) supports of weight w lie inside
+    2^(n-1-w) masks d each.  Aligned blocks of at most KERNEL_BLOCK / |S|
+    rows test the masks whose higher bits lie inside the block's, in order."""
     import numpy as np
 
-    masks = _mask_array(n, t).tolist()
-    ys = np.arange(1 << n, dtype=np.int64)
-    d = ys ^ (ys >> 1)
-    counts = np.zeros(1 << n, dtype=np.int32)
-    for mask in masks:
-        counts += (d & mask) == 0
-    return counts
-
+    masks = _mask_array(n, t)  # the budget check, before any allocation
+    k = n - 1
+    size = sum(math.comb(n - w, w) << (k - w) for w in range(min(t, k) + 1))
+    offsets = np.zeros((1 << k) + 1, np.int64)
+    entries = np.empty(size, "uint16" if n <= 17 else "int64")
+    low = np.arange(min(1 << k, 1 << max(1, KERNEL_BLOCK // masks.size).bit_length() - 1))
+    for d in range(0, 1 << k, low.size):
+        hits = masks[(masks & ~(d | low[-1])) == 0].astype(entries.dtype)
+        inside = (hits & ~(d | low[:, None])) == 0
+        offsets[d + 1 : d + low.size + 1] = offsets[d] + np.cumsum(inside.sum(axis=1))
+        entries[offsets[d] : offsets[d + low.size]] = np.broadcast_to(hits, inside.shape)[inside]
+    offsets.flags.writeable = entries.flags.writeable = False
+    return SupportTable(n, offsets, entries)

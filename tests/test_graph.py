@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grainlab import graph
 from grainlab.codes import Code, verify_grain_correcting
 from grainlab.config import Caps, caps_override
 from grainlab.errors import CapExceeded
@@ -15,7 +16,6 @@ from grainlab.graph import (
     _colour,
     _half_adjacency,
     _max_independent_set,
-    _neighbor_values,
     _renumber,
     _witness_hits,
     greedy_clique_partition,
@@ -23,15 +23,7 @@ from grainlab.graph import (
     partition_size_table,
     verify_clique_partition,
 )
-from grainlab.model import (
-    Word,
-    confusable,
-    enumerate_error_vectors,
-    grain_images,
-    image_values,
-    preimage_counts,
-    preimage_values,
-)
+from grainlab.model import Word, confusable, enumerate_error_vectors, grain_images
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
@@ -92,8 +84,9 @@ def random_adjacency(rng, nv, p):
 
 def literal_images(n, t):
     """Image sets of every word value, applying each grain mask literally."""
-    masks = [e.mask for e in enumerate_error_vectors(n, t)]
-    return [{(x & ~mk) | ((x >> 1) & mk) for mk in masks} for x in range(1 << n)]
+    masks = np.array([e.mask for e in enumerate_error_vectors(n, t)])
+    xs = np.arange(1 << n)[:, None]
+    return [set(row) for row in ((xs & ~masks) | ((xs >> 1) & masks)).tolist()]
 
 
 def greedy_partition_scan(m, s):
@@ -124,17 +117,22 @@ def greedy_partition_scan(m, s):
 def greedy_partition_argmax(m, s):
     """Reference greedy partition with one arg-max per part: the smallest
     y of largest surviving count gives the next part, and the counts are
-    lowered at that part's images before the next arg-max."""
-    counts = preimage_counts(m, s)
-    alive = np.ones(1 << m, dtype=bool)
+    lowered at that part's images before the next arg-max.  The preimage
+    sets come from literal_images, not from the support table."""
+    images = literal_images(m, s)
+    buckets = [[] for _ in images]
+    for x, img in enumerate(images):
+        for y in img:
+            buckets[y].append(x)
+    counts = np.array([len(bucket) for bucket in buckets])
+    covered = set()
     parts, witnesses = [], []
-    while alive.any():
+    while len(covered) < len(images):
         y = int(counts.argmax())
-        members = preimage_values(y, m, s)
-        part = np.sort(members[alive[members]])
-        alive[part] = False
-        np.subtract.at(counts, image_values(part, m, s), np.int32(1))
-        parts.append(tuple(part.tolist()))
+        part = [x for x in buckets[y] if x not in covered]
+        covered.update(part)
+        np.subtract.at(counts, [z for x in part for z in images[x]], 1)
+        parts.append(tuple(part))
         witnesses.append(y)
     return tuple(parts), tuple(witnesses)
 
@@ -251,14 +249,102 @@ PINNED_WITNESSES = {
 }
 
 
+# sha256 of repr((parts, witnesses)) of greedy_clique_partition(m, s), its
+# first 16 hex digits, recorded before the greedy read the support table
+PINNED_PARTITIONS = {
+    (1, 0): "78fd52d30833482a",
+    (2, 0): "cba65862f3f57ab3",
+    (3, 0): "c562616dd92c2ed3",
+    (4, 0): "2feab9bed0773e58",
+    (5, 0): "42d6b867c6a8b42f",
+    (6, 0): "399cec0d1b912c50",
+    (7, 0): "ef99c2b1f16852ce",
+    (8, 0): "f22f3a01777fd220",
+    (9, 0): "c61479a66a336059",
+    (10, 0): "c487cfe2fd2ee456",
+    (11, 0): "68b3c0838e5dbda9",
+    (12, 0): "7fecd7f97cd7ed41",
+    (13, 0): "f8a2395937bd8078",
+    (14, 0): "1c9768caec145606",
+    (1, 1): "78fd52d30833482a",
+    (2, 1): "6b6b78a0ab41dd17",
+    (3, 1): "10e11c447ec4b85c",
+    (4, 1): "03890a474ef38ae7",
+    (5, 1): "d1794b8cf199bffd",
+    (6, 1): "4b56dd107a29fedf",
+    (7, 1): "76311584b2abdf7e",
+    (8, 1): "d667752d7907ebd5",
+    (9, 1): "062019639895c2ab",
+    (10, 1): "387ad9f3fa9199a7",
+    (11, 1): "5766999b12bba4be",
+    (12, 1): "fc311f06b206da0a",
+    (13, 1): "14dce549e6466f04",
+    (14, 1): "3d98a754c34f6d57",
+    (1, 2): "78fd52d30833482a",
+    (2, 2): "6b6b78a0ab41dd17",
+    (3, 2): "10e11c447ec4b85c",
+    (4, 2): "a7dc7a30a5a6910e",
+    (5, 2): "131583dc8ab782c5",
+    (6, 2): "42f722b82a35277b",
+    (7, 2): "c8ae44da7a3d5d09",
+    (8, 2): "aa2d8c0debad89e4",
+    (9, 2): "05b8729bf874f3df",
+    (10, 2): "4ebc78358f6b8aa0",
+    (11, 2): "516724e790d3016f",
+    (12, 2): "afa31c84c2ac5411",
+    (13, 2): "f1f9d7121e84313a",
+    (14, 2): "5333ff49f4115999",
+    (1, 3): "78fd52d30833482a",
+    (2, 3): "6b6b78a0ab41dd17",
+    (3, 3): "10e11c447ec4b85c",
+    (4, 3): "a7dc7a30a5a6910e",
+    (5, 3): "131583dc8ab782c5",
+    (6, 3): "0e5e4ddb30513818",
+    (7, 3): "0003d4c54bffdb26",
+    (8, 3): "24b2953b3ef1550d",
+    (9, 3): "4e92c0bd53e7956e",
+    (10, 3): "c773ffdaafeb4e4a",
+    (11, 3): "f738afd31eda2404",
+    (12, 3): "e6dd59e509e594e7",
+    (13, 3): "d4e251e07998d0a0",
+    (14, 3): "2aec524869b2d27b",
+    (1, 4): "78fd52d30833482a",
+    (2, 4): "6b6b78a0ab41dd17",
+    (3, 4): "10e11c447ec4b85c",
+    (4, 4): "a7dc7a30a5a6910e",
+    (5, 4): "131583dc8ab782c5",
+    (6, 4): "0e5e4ddb30513818",
+    (7, 4): "0003d4c54bffdb26",
+    (8, 4): "a6cc51691e2eac96",
+    (9, 4): "29c74d8b54d0c83a",
+    (10, 4): "06f22a694367de75",
+    (11, 4): "edc9f8f1f6002493",
+    (12, 4): "28568193b8b30d63",
+    (13, 4): "c5bcedb74bd80752",
+    (14, 4): "8e9ea2fdb598c617",
+}
+
+# (nodes, absorbed) of max_code_size(n, t)
+PINNED_SEARCH_COUNTERS = {
+    (7, 1): (78, 56),
+    (8, 1): (3328, 4571),
+    (8, 2): (34, 6),
+    (9, 2): (184, 124),
+}
+
+
 def edges_kernel(n, t):
-    """Edges from the kernel's neighbour relation, as sorted Word pairs."""
-    return {
-        (Word(n, x), Word(n, o))
-        for x in range(1 << n)
-        for o in _neighbor_values(x, n, t)
-        if o > x
-    }
+    """Edges of the half adjacency the exact search builds, over the
+    whole space: the half of first bit 1 mirrors it by complement."""
+    top = 1 << (n - 1)
+    flip = (1 << n) - 1
+    edges = set()
+    for x, adj in enumerate(_half_adjacency(n, t)):
+        for o in range(x + 1, top):
+            if (adj >> o) & 1:
+                edges.add((Word(n, x), Word(n, o)))
+                edges.add((Word(n, o ^ flip), Word(n, x ^ flip)))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +353,8 @@ def edges_kernel(n, t):
 
 
 class TestBuildGraph:
-    """The edge relation the exact search builds from the kernel
-    (_neighbor_values), over the whole space."""
+    """The edge relation the exact search builds from the support table
+    (_half_adjacency), over the whole space."""
 
     def test_edges_2_1(self):
         assert edges_kernel(2, 1) == {
@@ -288,7 +374,7 @@ class TestBuildGraph:
         expected = sum(
             1 for other in words(3) if other != w and confusable(w, other, 1)
         )
-        assert len(_neighbor_values(w.value, 3, 1)) == expected
+        assert _half_adjacency(3, 1)[w.value].bit_count() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +493,10 @@ class TestMaxCodeSize:
         assert absorbed > 0
 
     def test_search_counters(self):
-        result = max_code_size(8, 1)
-        assert 0 < result.nodes < 13548 // 2  # 13 548 nodes without absorption
-        assert result.absorbed > 0
+        # (8, 1) took 13 548 nodes without absorption
+        for (n, t), counters in PINNED_SEARCH_COUNTERS.items():
+            result = max_code_size(n, t)
+            assert (result.nodes, result.absorbed) == counters, (n, t)
         # t = 0 has no edges: the seed takes every word and one node proves it
         assert (max_code_size(5, 0).nodes, max_code_size(5, 0).absorbed) == (1, 0)
 
@@ -467,9 +554,8 @@ class TestMaxCodeSize:
             result = max_code_size(9, 1)
         assert not result.exact
         assert result.size >= 32
-        values = [w.value for w in result.words]
-        for x in values:
-            assert not _neighbor_values(x, 9, 1) & set(values)
+        for a, b in itertools.combinations(result.words, 2):
+            assert not confusable(a, b, 1)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_half_adjacency_matches_reference(self, n):
@@ -531,18 +617,26 @@ class TestGreedyPartition:
             part = greedy_clique_partition(m, s)
             assert (part.parts, part.witnesses) == greedy_partition_argmax(m, s), s
 
-    def test_traced_peak_at_13_4(self):
-        # the chunked kernel calls keep the (words x masks) temporaries
-        # at model.KERNEL_BLOCK = 2^15 = 4 * 2^13 entries; one arg-max
-        # per part peaked at about 1.7 MB
-        greedy_clique_partition(13, 4)  # warm the mask cache
+    @staticmethod
+    def traced_peak(m, s):
         tracemalloc.start()
         try:
-            greedy_clique_partition(13, 4)
-            peak = tracemalloc.get_traced_memory()[1]
+            greedy_clique_partition(m, s)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5e6
+
+    def test_traced_peak_at_13_4(self):
+        # the support table is 357 KB and a gather block 2^13 entries;
+        # one arg-max per part peaked at about 1.7 MB, and the kernel
+        # that tested every mask at 1.07 MB
+        assert self.traced_peak(13, 4) < 1.5e6
+
+    def test_traced_peak_at_16_4(self):
+        # the table is 6.42 MB and the parts' ints about 2.6 MB; the
+        # kernel that tested every mask peaked at 3.75 MB and took three
+        # times as long
+        assert self.traced_peak(16, 4) < 11e6
 
     def test_builds_no_word(self, built_words):
         part = greedy_clique_partition(10, 2)
@@ -564,6 +658,20 @@ class TestGreedyPartition:
         # shape: "k: y_k : x x x ..."
         assert lines[0] == "1: 00 : 00 01"
         assert lines[1] == "2: 11 : 10 11"
+
+    def test_partitions_pinned(self):
+        for (m, s), digest in PINNED_PARTITIONS.items():
+            part = greedy_clique_partition(m, s)
+            got = hashlib.sha256(repr((part.parts, part.witnesses)).encode()).hexdigest()
+            assert got[:16] == digest, (m, s)
+
+    def test_cap_comes_before_the_table(self, monkeypatch):
+        def unsized(m, s):
+            raise AssertionError("support table sized past the cap")
+
+        monkeypatch.setattr(graph, "support_table", unsized)
+        with pytest.raises(CapExceeded):
+            greedy_clique_partition(17, 1)
 
     def test_caps(self):
         with pytest.raises(CapExceeded):

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -20,7 +21,9 @@ from grainlab.model import (
     KERNEL_BLOCK,
     ErrorVector,
     Word,
+    _error_masks,
     _mask_array,
+    _supports_inside,
     apply_grains,
     confusable,
     derivative,
@@ -30,9 +33,8 @@ from grainlab.model import (
     image_count_lower_bound,
     image_values,
     in_blocks,
-    preimage_counts,
-    preimage_values,
     run_count,
+    support_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,16 @@ def supports_ref(n: int, t: int):
 
 def images_ref(x: str, t: int) -> set[str]:
     return {apply_ref(x, s) for s in supports_ref(len(x), t)}
+
+
+@functools.lru_cache(maxsize=None)
+def literal_images(n: int, t: int) -> tuple[frozenset[int], ...]:
+    """The image set of every word value of length n under at most t
+    grains: every error vector applied to every word, as apply_grains
+    applies it (position j copies position j - 1)."""
+    masks = np.array([e.mask for e in enumerate_error_vectors(n, t)])
+    xs = np.arange(1 << n)[:, None]
+    return tuple(map(frozenset, ((xs & ~masks) | ((xs >> 1) & masks)).tolist()))
 
 
 def words_of_length(n: int):
@@ -424,22 +436,33 @@ class TestImageCountLowerBound:
                     assert bound <= len(grain_images(w, t)), (w, t)
 
 
+def cliques(n, t, ys):
+    """The preimage cliques B(y) of the packed words ys, one list each,
+    from the support table's gather."""
+    ys = np.asarray(ys, dtype=np.int64)
+    out = [[] for _ in ys]
+    for owner, members in support_table(n, t).gather(ys, cliques=True):
+        for i, x in zip(owner.tolist(), members.tolist()):
+            out[i].append(x)
+    return out
+
+
 class TestPreimages:
     def test_example_2_1(self):
         # B(00) = {00, 01}
-        assert sorted(preimage_values(0b00, 2, 1).tolist()) == [0b00, 0b01]
+        assert sorted(cliques(2, 1, [0b00])[0]) == [0b00, 0b01]
 
     def test_budget_zero_identity(self):
-        for y in range(1 << 3):
-            assert preimage_values(y, 3, 0).tolist() == [y]
+        assert cliques(3, 0, range(1 << 3)) == [[y] for y in range(1 << 3)]
 
     @pytest.mark.parametrize("m,s", [(2, 1), (4, 1), (5, 2), (6, 3)])
     def test_double_counting_identity(self, m, s):
         total_img = sum(len(grain_images(w, s)) for w in words_of_length(m))
-        assert int(preimage_counts(m, s).sum()) == total_img
+        table = support_table(m, s)
+        assert int(table.lengths(np.arange(1 << m), cliques=True).sum()) == total_img
 
     def test_union_covers_space(self):
-        union = set(preimage_values(np.arange(1 << 4), 4, 2).tolist())
+        union = {x for clique in cliques(4, 2, range(1 << 4)) for x in clique}
         assert union == set(range(1 << 4))
 
 
@@ -447,25 +470,14 @@ class TestClosedFormKernel:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_literal_grains(self, n):
         for t in range(0, 5):
-            vectors = enumerate_error_vectors(n, t)
-            inverse: dict[int, set[int]] = {}
-            for x in words_of_length(n):
-                images = {apply_grains(x, e).value for e in vectors}
-                got = image_values(x.value, n, t).tolist()
+            for x, images in enumerate(literal_images(n, t)):
+                got = image_values(x, n, t).tolist()
                 assert len(got) == len(images) and set(got) == images, (x, t)
-                for y in images:
-                    inverse.setdefault(y, set()).add(x.value)
-            for y in range(1 << n):
-                got = preimage_values(y, n, t).tolist()
-                assert len(got) == len(inverse[y]) and set(got) == inverse[y], (y, t)
-            counts = preimage_counts(n, t)
-            assert counts.tolist() == [len(inverse[y]) for y in range(1 << n)]
 
     def test_array_input_concatenates_per_word(self):
         xs = np.arange(1 << 6)
-        for fn in (image_values, preimage_values):
-            whole = fn(xs, 6, 2).tolist()
-            assert whole == [v for x in range(1 << 6) for v in fn(x, 6, 2).tolist()]
+        whole = image_values(xs, 6, 2).tolist()
+        assert whole == [v for x in range(1 << 6) for v in image_values(x, 6, 2).tolist()]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(PreconditionError):
@@ -533,16 +545,15 @@ class TestInBlocks:
     def test_blocks_concatenate_to_the_unblocked_kernel(self, n, t, step):
         assert max(1, KERNEL_BLOCK // _mask_array(n, t).size) == step
         xs = np.random.default_rng(n).integers(0, 1 << n, size=2 * step + 3)
-        for kernel in (image_values, preimage_values):
-            calls = []
+        calls = []
 
-            def recorded(block, n_, t_):
-                calls.append(block.size)
-                return kernel(block, n_, t_)
+        def recorded(block, n_, t_):
+            calls.append(block.size)
+            return image_values(block, n_, t_)
 
-            blocks = list(in_blocks(recorded, xs, n, t))
-            assert np.array_equal(np.concatenate(blocks), kernel(xs, n, t))
-            assert sum(calls) == xs.size and max(calls) == step
+        blocks = list(in_blocks(recorded, xs, n, t))
+        assert np.array_equal(np.concatenate(blocks), image_values(xs, n, t))
+        assert sum(calls) == xs.size and max(calls) == step
 
     def test_empty_values_call_no_kernel(self):
         def refuse(block, n, t):
@@ -555,10 +566,82 @@ class TestInBlocks:
             in_blocks(image_values, np.arange(4), 4, -1)
 
 
+class TestSupportTable:
+    def test_rows_are_the_walk(self):
+        for n in range(1, 13):
+            for t in range(5):
+                table = support_table(n, t)
+                offsets, entries = table.offsets.tolist(), table.entries.tolist()
+                assert len(offsets) == (1 << (n - 1)) + 1 and offsets[0] == 0, (n, t)
+                for d in range(1 << (n - 1)):
+                    row = entries[offsets[d] : offsets[d + 1]]
+                    assert row == _supports_inside(d, t), (n, t, d)
+
+    @pytest.mark.parametrize("n,t", [(1, 0), (5, 2), (12, 4), (13, 4), (16, 1), (17, 2)])
+    def test_size_and_dtypes(self, n, t):
+        # each support M lies inside 2^(n-1-|M|) masks d
+        size = sum(1 << (n - 1 - w) for w in _error_masks(n, t)[1].tolist())
+        table = support_table(n, t)
+        assert table.entries.size == table.offsets[-1] == size
+        assert (table.offsets.dtype, table.entries.dtype) == (np.int64, np.uint16)
+        assert not (table.offsets.flags.writeable or table.entries.flags.writeable)
+
+    def test_documented_sizes(self):
+        assert support_table(13, 4).entries.nbytes == 2 * 178_688
+        assert support_table(16, 4).entries.nbytes == 2 * 3_209_216
+
+    def test_wide_words_keep_int64_entries(self):
+        table = support_table(18, 0)
+        assert table.entries.dtype == np.int64 and table.entries.size == 1 << 17
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_gathers_match_literal_grains(self, n):
+        xs = np.arange(1 << n)
+        for t in range(0, 5):
+            images = literal_images(n, t)
+            inverse: list[set[int]] = [set() for _ in xs]
+            for x, ys in enumerate(images):
+                for y in ys:
+                    inverse[y].add(x)
+            table = support_table(n, t)
+            for want, cliques_, lengths in [
+                (images, False, [len(i) for i in images]),
+                (inverse, True, [len(b) for b in inverse]),
+            ]:
+                rows = [[] for _ in xs]
+                for owner, words in table.gather(xs, cliques=cliques_):
+                    for i, v in zip(owner.tolist(), words.tolist()):
+                        rows[i].append(v)
+                assert [len(row) for row in rows] == lengths, (t, cliques_)
+                assert [set(row) for row in rows] == list(want), (t, cliques_)
+                assert table.lengths(xs, cliques=cliques_).tolist() == lengths, (t, cliques_)
+            # the image rows come in the kernel's order
+            assert [v for x in xs for v in image_values(x, n, t).tolist()] == [
+                v for _, words in table.gather(xs) for v in words.tolist()
+            ], t
+
+    def test_gather_blocks_take_whole_rows(self):
+        # a block holds the rows that begin in one span of KERNEL_BLOCK / 8
+        table = support_table(13, 4)
+        ys = np.random.default_rng(5).permutation(1 << 13)
+        lengths = table.lengths(ys, cliques=True).tolist()
+        begins = np.cumsum([0] + lengths[:-1])
+        owners, spans = [], []
+        for owner, members in table.gather(ys, cliques=True):
+            assert owner.size == members.size
+            assert owner[0] == 0 or owner[0] != owners[-1]
+            spans.append(set((begins[owner] // (KERNEL_BLOCK >> 3)).tolist()))
+            owners += owner.tolist()
+        assert owners == [i for i, k in enumerate(lengths) for _ in range(k)]
+        assert all(len(span) == 1 for span in spans) and len(spans) > 1
+        assert sorted(set.union(*spans)) == [next(iter(span)) for span in spans]
+        assert list(table.gather(np.zeros(0, np.int64))) == []
+
+
 def test_only_model_reads_the_kernel_block():
     """The block size is model's decision: every other module of the
-    package walks the kernel through in_blocks and never names
-    KERNEL_BLOCK, by import or as a module attribute."""
+    package walks the kernel through in_blocks or a SupportTable gather
+    and never names KERNEL_BLOCK, by import or as a module attribute."""
     readers = []
     for path in sorted(Path(grainlab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -3,12 +3,12 @@ PreconditionError at the call, not a bare TypeError or ValueError, and
 a fractional grain budget is refused, not read as the next integer.
 
 model._error_masks is the one check of a grain budget (n, t) in front
-of the masks; every mask reader reaches it before it allocates
-anything.  The one-word queries that walk the supports instead
-(grain_image_list, enumerate_error_vectors, confusable) share
-model._check_budget, and the checks that answer or shift before any
-mask is read (and bounds and series, which read none) test for
-integers themselves.
+of the masks and the support table; every mask reader reaches it
+before it allocates anything.  The one-word queries that walk the
+supports instead (grain_image_list, enumerate_error_vectors,
+confusable) share model._check_budget, and the checks that answer or
+shift before any mask is read (and bounds and series, which read none)
+test for integers themselves.
 """
 
 import numpy as np
@@ -25,8 +25,7 @@ DOUBLING_4 = Code(4, [0b0000, 0b0011, 0b1100, 0b1111])
 #: every entry that reads or walks the grain masks, as a function of the budget t
 MASK_READERS = {
     "image_values": lambda t: model.image_values(5, 4, t),
-    "preimage_values": lambda t: model.preimage_values(5, 4, t),
-    "preimage_counts": lambda t: model.preimage_counts(4, t),
+    "support_table": lambda t: model.support_table(4, t),
     "in_blocks": lambda t: model.in_blocks(model.image_values, np.arange(4), 4, t),
     "enumerate_error_vectors": lambda t: model.enumerate_error_vectors(4, t),
     "grain_image_list": lambda t: model.grain_image_list(Word(4, 5), t),
@@ -145,9 +144,22 @@ def test_gate_verdict_does_not_depend_on_the_cache():
         # built an object-dtype mask array, then failed with TypeError
         lambda: model.image_values(0, 70, 1),
         # a bare ValueError from a negative shift before the masks were read
-        lambda: model.preimage_counts(-1, 1),
+        lambda: model.support_table(-1, 1),
+        # a 2^63-row table, or one of 2^59 rows at a bad budget, could not
+        # be allocated: the check runs first
+        lambda: model.support_table(0, 1),
+        lambda: model.support_table(64, 1),
+        lambda: model.support_table(60, 1.5),
+        lambda: model.support_table(60, -1),
     ],
-    ids=["image-values-70-bits", "preimage-counts-negative-n"],
+    ids=[
+        "image-values-70-bits",
+        "support-table-negative-n",
+        "support-table-zero-n",
+        "support-table-64-bits",
+        "support-table-fractional-t",
+        "support-table-negative-t",
+    ],
 )
 def test_gate_runs_before_any_allocation(call):
     with pytest.raises(PreconditionError, match="need integers 1 <= n <= 63, t >= 0"):
