@@ -26,6 +26,9 @@ DOUBLING_4 = Code(4, [0b0000, 0b0011, 0b1100, 0b1111])
 MASK_READERS = {
     "image_values": lambda t: model.image_values(5, 4, t),
     "support_table": lambda t: model.support_table(4, t),
+    # the preimages B(y) and their sizes |B(y)|, read from the support table
+    "preimage_values": lambda t: list(model.support_table(4, t).gather(np.array([5]), cliques=True)),
+    "preimage_counts": lambda t: model.support_table(4, t).lengths(np.arange(16), cliques=True),
     "in_blocks": lambda t: model.in_blocks(model.image_values, np.arange(4), 4, t),
     "enumerate_error_vectors": lambda t: model.enumerate_error_vectors(4, t),
     "grain_image_list": lambda t: model.grain_image_list(Word(4, 5), t),
