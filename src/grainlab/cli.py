@@ -289,6 +289,13 @@ def cmd_simulate(args) -> int:
         print(f"adjacent_indicator_pairs = {stats['adjacent_indicator_pairs']}")
         return 0
     if x is None:
+        # make_rng would name stream + 1, not the --stream given
+        if not (0 <= args.seed < 1 << 64 and 0 <= args.stream < (1 << 64) - 1):
+            raise PreconditionError(
+                f"--seed {args.seed}, --stream {args.stream}: need 0 <= --seed < 2^64, "
+                "and a random input word, drawn from stream --stream + 1, "
+                "needs 0 <= --stream < 2^64 - 1"
+            )
         rng = channel.make_rng(args.seed, args.stream + 1)
         x = model.Word.from_array(rng.integers(0, 2, size=n, dtype=int))
     spec = channel.ChannelSpec(args.p)

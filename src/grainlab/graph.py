@@ -269,10 +269,15 @@ def _max_independent_set(
     for i, v in enumerate(order):
         label[v] = i
 
-    def relabel(mask: int) -> int:
-        return sum(1 << label[v] for v in range(nv) if (mask >> v) & 1)
+    def relabel(mask: int, to: list[int]) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << to[low.bit_length() - 1]
+            mask ^= low
+        return out
 
-    radj = [relabel(adj[v]) for v in order]
+    radj = [relabel(adj[v], label) for v in order]
     cadj = [full & ~radj[i] & ~(1 << i) for i in range(nv)]
     seed, free = 0, full
     while free:
@@ -304,8 +309,7 @@ def _max_independent_set(
             candidates ^= bit
 
     expand(0, 0, full)
-    mask = sum(1 << order[i] for i in range(nv) if (best[1] >> i) & 1)
-    return best[0], mask, not timed_out[0], counts[0], counts[1]
+    return best[0], relabel(best[1], order), not timed_out[0], counts[0], counts[1]
 
 
 def max_code_size(n: int, t: int) -> MaxCodeResult:

@@ -11,6 +11,13 @@ error-entropy rate given the input, sums the closed-form indicator
 law P(u_j = 0 | u_1 = 0).  Both are truncated at a depth J with
 2 <= J <= DEPTH_MAX.
 
+Each public function checks p and the depth once, where they enter,
+and returns Python floats; the series loops behind them
+(_output_entropy_partial, _error_entropy_partial, and _sir_fields,
+which sir and capacity_curves share) take the checked values and run
+unchecked, apart from binary_entropy's own range check.  So a
+201-point capacity curve checks each grid point once, not each term.
+
 Everything here is scalar float or rational arithmetic, so the
 commands that need only these numbers (sir, capacity, fig3,
 zero-error) never import numpy.  channel checks the series against
@@ -121,24 +128,50 @@ def _hazard_closed_form(p: float, j: int) -> float | None:
     return 2.0 * (1.0 - rj) / ((3.0 + b_disc + p) - (3.0 - b_disc + p) * rj)
 
 
+def _hazards(p: float, depth: int) -> list[float]:
+    """b_2, ..., b_J by the recursion, for a checked p and depth."""
+    b = 0.5 * (1.0 - p)
+    values = [b]
+    rise = 1.0 + p
+    for _ in range(3, depth + 1):
+        b = 0.5 * (1.0 - rise * b) / (1.0 - b)
+        values.append(b)
+    return values
+
+
 def run_hazards(p: float, depth: int) -> RunHazards:
     p = _check(p, depth)
-    values = [0.5 * (1.0 - p)]
-    for _ in range(3, depth + 1):
-        prev = values[-1]
-        values.append(0.5 * (1.0 - (1.0 + p) * prev) / (1.0 - prev))
-    return RunHazards(p, depth, tuple(values))
+    return RunHazards(p, depth, tuple(_hazards(p, int(depth))))
+
+
+def _stay_probs(p: float, first: int, last: int) -> list[float]:
+    """P(u_j = 0 | u_1 = 0) = (1 - (-p)^j)/(1 + p) for j = first..last,
+    with the alternating power computed sign-tracked; p is checked."""
+    rise = 1.0 + p
+    return [
+        (1.0 - (p**j if j % 2 == 0 else -(p**j))) / rise
+        for j in range(first, last + 1)
+    ]
 
 
 def _output_entropy_partial(p: float, depth: int) -> tuple[float, float]:
     """T_J and the survival product S_{J+1} = prod_{i=2}^{J} (1 - b_i)
-    left over after its last term."""
+    left over after its last term, for a checked float p and int depth."""
     terms = []
     survival = 1.0
-    for b in run_hazards(p, depth).values:
+    for b in _hazards(p, depth):
         terms.append(binary_entropy(b) * survival)
         survival *= 1.0 - b
     return math.fsum(terms) / (2.0 * (1.0 + p)), survival
+
+
+def _error_entropy_partial(p: float, depth: int) -> float:
+    """S_J for a checked float p and int depth."""
+    terms = [
+        math.ldexp(binary_entropy(q), -j)
+        for j, q in enumerate(_stay_probs(p, 2, depth), 2)
+    ]
+    return math.fsum(terms) * (1.0 + p / 2.0) / (1.0 + p)
 
 
 def output_entropy_series(p: float, depth: int) -> float:
@@ -146,18 +179,21 @@ def output_entropy_series(p: float, depth: int) -> float:
     entropy of one hazard weighted by the zero-run survival product,
     scaled by the probability (4(1+p))^-1 of the run's '10' prefix
     (doubled for the complementary symbol)."""
-    return _output_entropy_partial(_check(p, depth), depth)[0]
+    return _output_entropy_partial(_check(p, depth), int(depth))[0]
 
 
 def error_entropy_series(p: float, depth: int) -> float:
     """Partial sum S_J of the error-sequence entropy rate given the
-    input: ((1 + p/2)/(1 + p)) sum_j 2^-j h((1 - (-p)^j)/(1 + p)),
-    with the alternating power computed sign-tracked."""
-    p = _check(p, depth)
-    terms = []
-    for j in range(2, depth + 1):
-        terms.append(math.ldexp(binary_entropy(indicator_stay_prob(j, p)), -j))
-    return math.fsum(terms) * (1.0 + p / 2.0) / (1.0 + p)
+    input: ((1 + p/2)/(1 + p)) sum_j 2^-j h((1 - (-p)^j)/(1 + p))."""
+    return _error_entropy_partial(_check(p, depth), int(depth))
+
+
+def _truncation_error(p: float, depth: int) -> float:
+    """truncation_error for a checked float p and int depth."""
+    return (
+        (1.0 + p / 2.0) * math.ldexp(1.0, -depth)
+        + math.ldexp(1.0, -((depth + 1) // 2))
+    ) / (1.0 + p)
 
 
 def truncation_error(p: float, depth: int) -> float:
@@ -173,12 +209,7 @@ def truncation_error(p: float, depth: int) -> float:
     exactly 2^-8, while this formula gives 0.00198.  SirResult's
     certified_bound is the proven bound.
     """
-    p = _check(p, depth)
-    depth = int(depth)
-    return (
-        (1.0 + p / 2.0) * math.ldexp(1.0, -depth)
-        + math.ldexp(1.0, -((depth + 1) // 2))
-    ) / (1.0 + p)
+    return _truncation_error(_check(p, depth), int(depth))
 
 
 @dataclass(frozen=True)
@@ -233,31 +264,32 @@ def sir(p: float, depth: int = 64) -> SirResult:
     capacity lower bound is max(1/2, SIR); the NAE degradation gives
     the upper bound 1/(1+p).
     """
-    p = _check(p, depth)
-    depth = int(depth)
+    return SirResult(*_sir_fields(_check(p, depth), int(depth)))
+
+
+def _sir_fields(p: float, depth: int) -> tuple:
+    """SirResult's fields, in order, for a checked float p and int depth."""
     t_j, survival = _output_entropy_partial(p, depth)
-    s_j = error_entropy_series(p, depth)
+    s_j = _error_entropy_partial(p, depth)
     value = t_j - s_j
-    return SirResult(
-        p=p,
-        depth=depth,
-        output_entropy=t_j,
-        error_entropy=s_j,
-        sir=value,
-        error_bound=truncation_error(p, depth),
-        certified_bound=max(
-            2.0 * survival, (1.0 + p / 2.0) * math.ldexp(1.0, -depth)
-        ) / (1.0 + p),
-        capacity_lower=max(0.5, value),
-        capacity_upper=erasure_capacity(p),
+    certified = max(2.0 * survival, (1.0 + p / 2.0) * math.ldexp(1.0, -depth))
+    return (
+        p,
+        depth,
+        t_j,
+        s_j,
+        value,
+        _truncation_error(p, depth),
+        certified / (1.0 + p),
+        max(0.5, value),
+        _stationary_weights(p)[0],
     )
 
 
 def erasure_capacity(p: float) -> float:
     """Capacity 1/(1+p) of the NAE channel: one minus the stationary
     erasure frequency p/(1+p)."""
-    p = _check(p)
-    return 1.0 / (1.0 + p)
+    return _stationary_weights(_check(p))[0]
 
 
 def nonadjacent_error_capacity(p: float) -> float:
@@ -275,9 +307,7 @@ def indicator_stay_prob(j: int, p: float) -> float:
     """Closed form P(u_j = 0 | u_1 = 0) = (1 - (-p)^j)/(1 + p)."""
     if not isinstance(j, Integral) or j < 1 or not 0.0 <= p <= 1.0:
         raise PreconditionError("need an integer j >= 1 and p in [0, 1]")
-    p = float(p)
-    signed = p**j if j % 2 == 0 else -(p**j)
-    return (1.0 - signed) / (1.0 + p)
+    return _stay_probs(float(p), int(j), int(j))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +366,15 @@ def capacity_curves(
     sir + certified_bound < 1/2 (there the SIR stops being the binding
     lower bound whatever the truncation error), or None.  Each grid
     point is reported as the Python float the SIR was computed at."""
+    _check(depth=depth)
+    depth = int(depth)
     rows = []
     crossing = None
     for p in p_values:
-        r = sir(p, depth)
-        rows.append((r.p, r.sir, r.capacity_lower, r.capacity_upper, r.error_bound))
-        if crossing is None and r.sir + r.certified_bound < 0.5:
-            crossing = r.p
+        p, _, _, _, value, error_bound, certified, lower, upper = _sir_fields(
+            _check(p), depth
+        )
+        rows.append((p, value, lower, upper, error_bound))
+        if crossing is None and value + certified < 0.5:
+            crossing = p
     return rows, crossing

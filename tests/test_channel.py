@@ -1030,3 +1030,60 @@ class TestCapacityCurves:
         r = sir(crossing, depth)
         assert r.sir + r.certified_bound < 0.5
         assert sir(0.555, 400).sir > 0.5 > sir(0.56, 400).sir
+
+
+#: the fig3 grid, both ends, 5e-324 and 0.999999 next to them, and
+#: seeded random points
+KERNEL_PS = (
+    [round(k * 0.005, 12) for k in range(201)]
+    + [0.0, 1.0, 5e-324, 0.999999]
+    + [float(v) for v in np.random.default_rng(32).random(16)]
+)
+#: at DEPTH_MAX p = 0, 0.1, ..., 1, the ends and four random points
+DEEP_PS = KERNEL_PS[:201:20] + KERNEL_PS[201:209]
+
+
+def per_term_series(p, depth):
+    """T_J, S_J and S_{J+1} by the public per-term route, which checks
+    every hazard index and stay probability it reads."""
+    hazards = run_hazards(p, depth)
+    t_terms, survival = [], 1.0
+    for j in range(2, depth + 1):
+        b = hazards.value(j)
+        t_terms.append(binary_entropy(b) * survival)
+        survival *= 1.0 - b
+    s_terms = [
+        math.ldexp(binary_entropy(indicator_stay_prob(j, p)), -j) for j in range(2, depth + 1)
+    ]
+    t_j = math.fsum(t_terms) / (2.0 * (1.0 + p))
+    s_j = math.fsum(s_terms) * (1.0 + p / 2.0) / (1.0 + p)
+    return t_j, s_j, survival
+
+
+class TestSeriesKernel:
+    """The series functions check p and J where they enter and run the
+    term loops unchecked; every float must equal the checked routes."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 15, 64, DEPTH_MAX])
+    def test_curves_equal_sir_point_by_point(self, depth):
+        ps = KERNEL_PS if depth < DEPTH_MAX else DEEP_PS
+        rows, crossing = capacity_curves(ps, depth)
+        results = [sir(p, depth) for p in ps]
+        assert rows == [
+            (r.p, r.sir, r.capacity_lower, r.capacity_upper, r.error_bound) for r in results
+        ]
+        first = (r.p for r in results if r.sir + r.certified_bound < 0.5)
+        assert crossing == next(first, None)
+
+    @pytest.mark.parametrize("depth", [2, 3, 15, 64, DEPTH_MAX])
+    def test_series_equal_the_per_term_route(self, depth):
+        for p in KERNEL_PS if depth < DEPTH_MAX else DEEP_PS:
+            t_j, s_j, survival = per_term_series(p, depth)
+            r = sir(p, depth)
+            assert output_entropy_series(p, depth) == r.output_entropy == t_j, p
+            assert error_entropy_series(p, depth) == r.error_entropy == s_j, p
+            assert r.sir == t_j - s_j, p
+            assert r.error_bound == truncation_error(p, depth), p
+            assert r.capacity_upper == erasure_capacity(p), p
+            tail = max(2.0 * survival, (1.0 + p / 2.0) * math.ldexp(1.0, -depth))
+            assert r.certified_bound == tail / (1.0 + p), p

@@ -506,6 +506,19 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "seed, stream",
+        [("-1", None), ("5", "18446744073709551615"), ("-1", "-1")],
+        ids=["negative-seed", "input-stream-2^64", "negative-both"],
+    )
+    def test_random_input_names_the_given_seed_and_stream(self, capsys, seed, stream):
+        # the input word's stream is --stream + 1, which the message named
+        argv = ["simulate", "--p", "0.3", "--seed", seed] + (["--stream", stream] if stream else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --seed {seed}, --stream {stream or 0}: ")
+        assert "--stream < 2^64 - 1" in err and err.count("\n") == 1
+
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["phi", "--x", "01", "--t", "1", "--bogus"])

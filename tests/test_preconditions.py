@@ -75,6 +75,36 @@ def test_numpy_int_depths_are_integers(call):
     assert call(np.int64(15)) == call(15)
 
 
+#: every series entry that reads a grain probability and a depth; each
+#: checks both where it enters and runs its term loops unchecked
+SERIES_ENTRIES = {
+    "sir": series.sir,
+    "output_entropy_series": series.output_entropy_series,
+    "error_entropy_series": series.error_entropy_series,
+    "truncation_error": series.truncation_error,
+    "run_hazards": series.run_hazards,
+    "capacity_curves": lambda p, depth: series.capacity_curves([0.5, p], depth),
+}
+
+
+@pytest.mark.parametrize(
+    "p,depth,match",
+    [
+        (1.5, 15, r"p=1.5 outside \[0, 1\]"),
+        (-1e-300, 15, r"outside \[0, 1\]"),
+        (float("nan"), 15, r"p=nan outside \[0, 1\]"),
+        (0.5, 2.5, "depth must be an integer >= 2, got 2.5"),
+        (0.5, 1, "depth must be an integer >= 2, got 1"),
+        (0.5, series.DEPTH_MAX + 1, "depth 4097 exceeds 4096"),
+    ],
+    ids=["p-above-1", "p-below-0", "p-nan", "depth-fraction", "depth-1", "depth-past-max"],
+)
+@pytest.mark.parametrize("entry", SERIES_ENTRIES)
+def test_series_entries_check_p_and_depth(entry, p, depth, match):
+    with pytest.raises(PreconditionError, match=match):
+        SERIES_ENTRIES[entry](p, depth)
+
+
 #: every oracle that reads a grain probability, as a function of p, each
 #: giving a list of floats
 P_ORACLES = {
