@@ -39,12 +39,13 @@ u' = 1 with z = 0, p; from u = 1 to u' = 0 with z = 0 or 1, 1/2 each.
 
 The indicators u_1..u_n are an error vector of the word x0 x_1..x_n,
 so model's kernel serves: every output is its grain operator on x0 x,
-x0 dropped.  The exact finite-n oracles check the series by enumeration
-at desk scale: mutual information and error entropy read _indicator_law
-(model's masks of length n + 1 with closed-form laws), and so do the
-output laws, through _start_table, cached per (n, spec): it merges the
-initial states into one weight row per fill bit x0, so each law is one
-broadcast pass of its channel over (x0, mask) pairs.  The
+x0 dropped.  The exact finite-n oracles check the series at desk
+scale.  The mutual information reads _indicator_law (model's masks of
+length n + 1 with closed-form laws), and so do the output laws,
+through _start_table, cached per (n, spec): it merges the initial
+states into one weight row per fill bit x0, so each law is one
+broadcast pass of its channel over (x0, mask) pairs.  The error
+entropy is a forward recursion on indicator_transition_matrix.  The
 output-entropy bracket and P(y^n = 0^n) read _derivative_matrices.
 The bracket sweeps the chain's prefix masses in blocks of
 2^_PREFIX_LEAF prefixes, one block per start state at a time, and adds
@@ -55,6 +56,7 @@ computed in float64 like any other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -69,7 +71,6 @@ from .series import _check, _stationary_weights
 from .series import capacity_curves, output_entropy_series, sir  # noqa: F401
 
 ERASURE = "e"
-_STAR_LEAF = 9  # axes one numpy pass of _star_entropy expands: 3^9 floats
 #: steps one block of the prefix sweep extends, 2^12 prefixes per start
 #: state.  output_entropy_bracket(20, 0.5) took 18/13/11.3/10.6/11.1 ms
 #: with blocks of 2^10..2^14 at a traced peak of 0.17/0.32/0.63/1.25/2.49
@@ -132,7 +133,7 @@ class ChannelSpec:
 
     initial is either the string "stationary" (indicator drawn from its
     stationary law, previous bit x0 uniform) or an explicit pair
-    (u0, x0).  p is stored as a Python float.
+    (u0, x0) of integer bits, stored as Python ints; p as a Python float.
     """
 
     p: float
@@ -141,10 +142,13 @@ class ChannelSpec:
     def __post_init__(self):
         object.__setattr__(self, "p", _check(self.p))
         pair = self.initial
-        if pair != "stationary" and not (
-            isinstance(pair, tuple) and len(pair) == 2 and all(b in (0, 1) for b in pair)
+        if pair == "stationary":
+            return
+        if not (isinstance(pair, tuple) and len(pair) == 2) or not all(
+            _integer(b) and b in (0, 1) for b in pair
         ):
             raise PreconditionError("explicit initial state must be bit pair")
+        object.__setattr__(self, "initial", (int(pair[0]), int(pair[1])))
 
     @property
     def stationary_weights(self) -> tuple[float, float]:
@@ -509,28 +513,6 @@ def all_zero_output_prob(n: int, p: float) -> float:
     return 0.5 * float(np.sum(_stationary_weights(p) @ np.linalg.matrix_power(d0, n - 1)))
 
 
-def _star_entropy(f: np.ndarray, k: int) -> float:
-    """Sum of -q log2 q over the star transform of f (k binary axes,
-    MSB-first): f at every string in {0, 1, *}^k, a * summing its axis.
-    Recurses on (f|0, f|1, f|0 + f|1) above 3^_STAR_LEAF floats.
-
-    Zero half.  If f|1 = 0, the strings led by 1 carry only zeros and
-    those led by * carry f|0 + 0 = f|0, the same values as those led by
-    0, so the sum is exactly 2 * (the sum for f|0), in floats too.  The
-    indicator law has no adjacent 1s, so f|1 on one axis has a zero
-    half on the next, and the shortcut repeats down the recursion."""
-    if k > _STAR_LEAF:
-        lo, hi = np.split(f, 2)
-        if not hi.any():
-            return 2.0 * _star_entropy(lo, k - 1)
-        return sum(_star_entropy(g, k - 1) for g in (lo, hi, lo + hi))
-    g = f.reshape(1, -1)
-    for _ in range(k):
-        g = g.reshape(len(g), 2, -1)
-        g = np.concatenate([g, g[:, :1] + g[:, 1:]], axis=1).reshape(3 * len(g), -1)
-    return _entropy(g)
-
-
 def error_entropy_exact(n: int, p: float) -> float:
     """Exact H(z^n | x^n) with z the error indicator sequence, the
     input uniform, and the initial state (u0, x0) hidden stationary.
@@ -539,23 +521,52 @@ def error_entropy_exact(n: int, p: float) -> float:
     x0 x^n, u independent of the input.  c_2..c_n is a function of x^n
     and c_1 is uniform and independent of it (x0 is), so H(z|x) is
     2^-(n-1) times the sum over tails c_2..c_n of H(Z|c), c_1 mixed at
-    1/2.  On positions 2..n each pair (c, z <= c) is one string over
-    {0, 1, *}, * where c_i = 0, and P(z|c) is the law f of u_1..u_n
-    summed over u_i at every *; so that sum is the sum of -g log2 g
-    over the star transform g of f on axes 2..n.  Axis 1 mixes c_1:
-    z_1 = 0 has f|0 + f|1 / 2 and z_1 = 1 has f|1 / 2.  f holds every
-    valid mask of _indicator_law with its closed-form probability, so
-    this is a brute-force enumeration, independent of the series it
-    checks, whose limit the successive differences approach."""
+    1/2.  On positions 2..n each pair (c, z <= c) is one string s over
+    {0, 1, *}, * where c_i = 0, and P(z|c) is the law of u summed over
+    u_i at every *; mixing c_1 weighs u_1 by c = (1, 1/2) in the z_1 = 0
+    half and by c = (0, 1/2) in the z_1 = 1 half.  If s holds a_1..a_r at
+    its fixed positions i_1 < ... < i_r, u being Markov gives
+        g(s) = alpha(i_1, a_1) prod_j P^(i_(j+1) - i_j)(a_j, a_(j+1)),
+        alpha(i, a) = sum_u c(u) mu(u) P^(i-1)(u, a),
+    mu the stationary law, P indicator_transition_matrix(p); trailing
+    stars contribute a factor 1, as P is stochastic.
+
+    Recursion.  Per last fixed position and value (i, a), carry A = sum g
+    and B = sum g log2 g.  A string starts at (i, a) with g = alpha(i, a)
+    or extends one ending at (j, b), j < i, by phi = P^(i-j)(b, a), which
+    maps (A, B) to (phi A, phi (B + A log2 phi)); phi = 0 is skipped.  The
+    all-star string has g = G0 = sum c mu, so a half sums to -(G0 log2 G0
+    + sum B): 4 C(n-1, 2) steps, not 3^(n-1) star strings.  The tests
+    check it against those enumerations, which are independent of the
+    series whose limit the successive differences approach."""
     p = _check_n(n, p)
+    (p00, p01), (p10, p11) = indicator_transition_matrix(p).tolist()
+    powers = [((1.0, 0.0), (0.0, 1.0))]  # P^k for k = 0 .. n - 1
+    for _ in range(n - 1):
+        powers.append(tuple((r0 * p00 + r1 * p10, r0 * p01 + r1 * p11) for r0, r1 in powers[-1]))
     w0, w1 = _stationary_weights(p)
-    masks, q0 = _indicator_law(n, p, 0)
-    f = np.zeros(1 << n)
-    f[masks] = w0 * q0 + w1 * _indicator_law(n, p, 1)[1]
-    f0, f1 = np.split(f, 2)
-    total = _star_entropy(f0 + 0.5 * f1, n - 1) + _star_entropy(0.5 * f1, n - 1)
-    return total / (1 << (n - 1))
+    total = 0.0
+    for start in ((w0, 0.5 * w1), (0.0, 0.5 * w1)):  # c mu per half
+        g0 = start[0] + start[1]
+        total += g0 * math.log2(g0) if g0 > 0.0 else 0.0
+        ends: list[tuple[int, int, float, float]] = []  # (i, a, A, B)
+        for i in range(2, n + 1):
+            grown = []
+            for a in (0, 1):
+                big_a = start[0] * powers[i - 1][0][a] + start[1] * powers[i - 1][1][a]
+                big_b = big_a * math.log2(big_a) if big_a > 0.0 else 0.0
+                for j, b, a_j, b_j in ends:
+                    phi = powers[i - j][b][a]
+                    if phi > 0.0:
+                        big_a += phi * a_j
+                        big_b += phi * (b_j + a_j * math.log2(phi))
+                grown.append((i, a, big_a, big_b))
+                total += big_b
+            ends += grown
+    return 0.0 - total / (1 << (int(n) - 1))
 
 
 def indicator_transition_matrix(p: float) -> np.ndarray:
+    """P[u, u'] = P(u_i = u' | u_(i-1) = u), p checked like every entry."""
+    p = _check(p)
     return np.array([[1.0 - p, p], [1.0, 0.0]])

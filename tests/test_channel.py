@@ -13,14 +13,12 @@ from grainlab.bounds import binary_entropy
 from grainlab.channel import (
     _PREFIX_LEAF,
     _SIM_BLOCK,
-    _STAR_LEAF,
     ChannelSpec,
     _derivative_matrices,
     _entropy,
     _indicator_law,
     _fill,
     _prefix_masses,
-    _star_entropy,
     _start_table,
     all_zero_output_prob,
     cascade_fill,
@@ -139,9 +137,18 @@ class TestChannelSpec:
             ChannelSpec(1.5)
         with pytest.raises(PreconditionError):
             ChannelSpec(0.5, initial=(2, 0))
-        for initial in ("foo", (0, 1, 1)):
+        for initial in ("foo", (0, 1, 1), (0, 1.0), (0.0, 1)):
             with pytest.raises(PreconditionError, match="bit pair"):
                 ChannelSpec(0.5, initial=initial)
+
+    def test_explicit_bits_are_stored_as_ints(self):
+        # (0, 1.0) used to pass, and simulate_grains then raised a bare
+        # TypeError shifting the float x0
+        for initial in ((True, 0), (np.int64(1), np.uint8(0))):
+            spec = ChannelSpec(0.5, initial=initial)
+            assert spec.initial == (1, 0) and all(type(b) is int for b in spec.initial)
+            assert spec == ChannelSpec(0.5, initial=(1, 0))
+        assert type(simulate_grains(Word(6, 45), spec, 3)) is Word
 
 
 class TestRng:
@@ -880,13 +887,44 @@ def error_entropy_loop(n: int, p: float) -> float:
     return total / top
 
 
-def star_entropy_dense(f: np.ndarray, k: int) -> float:
-    """_star_entropy without the zero-half shortcut: every blocked level
-    recurses on all three of (f|0, f|1, f|0 + f|1)."""
-    if k > _STAR_LEAF:
+#: axes one numpy pass of star_entropy expands: 3^9 floats
+STAR_LEAF = 9
+
+
+def star_entropy(f: np.ndarray, k: int, shortcut: bool = True) -> float:
+    """Sum of -q log2 q over the star transform of f (k binary axes,
+    MSB-first): f at every string in {0, 1, *}^k, a * summing its axis.
+    Recurses on (f|0, f|1, f|0 + f|1) above 3^STAR_LEAF floats.
+
+    Zero half (with shortcut).  If f|1 = 0, the strings led by 1 carry
+    only zeros and those led by * carry f|0 + 0 = f|0, the same values
+    as those led by 0, so the sum is exactly 2 * (the sum for f|0).  The
+    indicator law has no adjacent 1s, so f|1 on one axis has a zero half
+    on the next, and the shortcut repeats down the recursion."""
+    if k > STAR_LEAF:
         lo, hi = np.split(f, 2)
-        return sum(star_entropy_dense(g, k - 1) for g in (lo, hi, lo + hi))
-    return _star_entropy(f, k)
+        if shortcut and not hi.any():
+            return 2.0 * star_entropy(lo, k - 1)
+        return sum(star_entropy(g, k - 1, shortcut) for g in (lo, hi, lo + hi))
+    g = f.reshape(1, -1)
+    for _ in range(k):
+        g = g.reshape(len(g), 2, -1)
+        g = np.concatenate([g, g[:, :1] + g[:, 1:]], axis=1).reshape(3 * len(g), -1)
+    return _entropy(g)
+
+
+def error_entropy_star(n: int, p: float, shortcut: bool = True) -> float:
+    """Star-transform reference: the dense law f of u_1..u_n, from
+    _indicator_law's closed form, split on u_1 into the z_1 = 0 half
+    f|0 + f|1 / 2 and the z_1 = 1 half f|1 / 2, each star-transformed
+    over positions 2..n (3^(n-1) strings), the sum scaled by 2^-(n-1)."""
+    w0, w1 = ChannelSpec(p).stationary_weights
+    masks, q0 = _indicator_law(n, p, 0)
+    f = np.zeros(1 << n)
+    f[masks] = w0 * q0 + w1 * _indicator_law(n, p, 1)[1]
+    f0, f1 = np.split(f, 2)
+    halves = (f0 + 0.5 * f1, 0.5 * f1)
+    return sum(star_entropy(g, n - 1, shortcut) for g in halves) / (1 << (n - 1))
 
 
 class TestErrorEntropyExact:
@@ -896,34 +934,34 @@ class TestErrorEntropyExact:
             want = error_entropy_loop(n, p)
             assert error_entropy_exact(n, p) == pytest.approx(want, rel=1e-12), n
 
-    @pytest.mark.parametrize("n", [14, 16])
-    def test_traced_peak_below_two_dense_arrays_and_three_star_leaves(self, n):
-        # measured for n = 14..18: 2 float64 arrays of 2^n and 2.02 of 3^_STAR_LEAF
-        error_entropy_exact(n, 0.5)  # warm the _indicator_law cache
+    @pytest.mark.parametrize("shortcut", [True, False], ids=["zero-half", "dense"])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
+    def test_matches_star_transform(self, p, shortcut):
+        for n in range(1, 15):
+            want = error_entropy_star(n, p, shortcut)
+            assert error_entropy_exact(n, p) == pytest.approx(want, rel=1e-12), n
+
+    @pytest.mark.parametrize("n", [14, 16, 20])
+    def test_traced_peak_below_64_kib(self, n):
+        # the star transform held two float64 arrays of 2^n (16 MiB at n = 20)
         tracemalloc.start()
         try:
             error_entropy_exact(n, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * 2**n + 3 * 8 * 3**_STAR_LEAF
+        assert peak <= 64 * 1024
+
+    def test_numpy_n_gives_python_float(self):
+        # np.int64(3) gave an np.float64
+        for n in (np.int64(3), np.uint8(14)):
+            got = error_entropy_exact(n, 0.5)
+            assert type(got) is float and got == error_entropy_exact(int(n), 0.5), n
 
     def test_p0_zero(self):
         for n in (1, 6, 10, 14):
             got = error_entropy_exact(n, 0.0)
             assert got == 0.0 and math.copysign(1.0, got) == 1.0, n
-
-    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
-    def test_zero_half_shortcut_is_exact(self, p):
-        n = 14
-        w0, w1 = ChannelSpec(p).stationary_weights
-        masks, q0 = _indicator_law(n, p, 0)
-        f = np.zeros(1 << n)
-        f[masks] = w0 * q0 + w1 * _indicator_law(n, p, 1)[1]
-        f0, f1 = np.split(f, 2)
-        halves = (f0 + 0.5 * f1, 0.5 * f1)
-        dense = sum(star_entropy_dense(g, n - 1) for g in halves)
-        assert error_entropy_exact(n, p) == dense / (1 << (n - 1))
 
     @pytest.mark.parametrize("pfrac", [Fraction(1, 4), Fraction(1, 2), Fraction(4, 5)])
     def test_matches_rational_oracle(self, pfrac):
@@ -944,6 +982,12 @@ class TestErrorEntropyExact:
         delta = error_entropy_exact(11, p) - error_entropy_exact(10, p)
         s64 = error_entropy_series(p, 64)
         assert delta == pytest.approx(s64, abs=1e-3)
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_successive_difference_at_the_cap_meets_series(self, p):
+        # at most 1.1e-10 measured at n = 20; at n = 14 the gap is 1.0e-7 (p = 0.8)
+        delta = error_entropy_exact(20, p) - error_entropy_exact(19, p)
+        assert delta == pytest.approx(error_entropy_series(p, 64), abs=1e-8)
 
 
 class TestIndicatorStayProb:

@@ -116,6 +116,9 @@ P_ORACLES = {
         channel.grains_output_law(Word(6, 45), channel.ChannelSpec(p)).values()
     ),
     "channel_spec": lambda p: [channel.ChannelSpec(p).p],
+    "indicator_transition_matrix": lambda p: (
+        channel.indicator_transition_matrix(p).ravel().tolist()
+    ),
     "sir": lambda p: [v for k, v in vars(series.sir(p, 64)).items() if k != "depth"],
     "output_entropy_series": lambda p: [series.output_entropy_series(p, 64)],
     "error_entropy_series": lambda p: [series.error_entropy_series(p, 64)],
@@ -269,6 +272,10 @@ def test_checks_before_the_masks_refuse_non_integers(call, match):
         (lambda: bounds.decoder_informed_lower(0, 1), "n >= 1"),
         (lambda: bounds.informed_rate_bounds(0.3), "tau=0.3 outside"),
         (lambda: bounds.rate_curves([0.6]), "tau=0.6 outside"),
+        # channel
+        (lambda: channel.ChannelSpec(0.5, (0, 1.0)), "bit pair"),
+        (lambda: channel.indicator_transition_matrix(1.5), r"p=1.5 outside \[0, 1\]"),
+        (lambda: channel.indicator_transition_matrix(float("nan")), r"p=nan outside \[0, 1\]"),
         # codes
         (lambda: codes.construct_doubling(0), "n >= 1"),
         (lambda: codes.hamming_prefix_size(7), "m out of range"),
@@ -308,6 +315,9 @@ def test_checks_before_the_masks_refuse_non_integers(call, match):
         "decoder-informed-lower",
         "informed-rate-bounds",
         "rate-curves",
+        "channel-spec-float-bit",
+        "indicator-transition-matrix-p-above-1",
+        "indicator-transition-matrix-p-nan",
         "construct-doubling",
         "hamming-prefix-size",
         "construct-greedy-known",
