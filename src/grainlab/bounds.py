@@ -57,6 +57,12 @@ def binary_entropy(q: float) -> float:
     """h(q) = -q log2 q - (1-q) log2 (1-q), with h(0) = h(1) = 0."""
     if not -1e-12 <= q <= 1 + 1e-12:
         raise PreconditionError(f"entropy argument {q} outside [0, 1]")
+    return _h2(q)
+
+
+def _h2(q: float) -> float:
+    """binary_entropy without the range check, for loops whose arguments
+    lie in [0, 1] by construction (the SIR series terms)."""
     if q <= 0.0 or q >= 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)

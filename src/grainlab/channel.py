@@ -41,11 +41,14 @@ The indicators u_1..u_n are an error vector of the word x0 x_1..x_n,
 so model's kernel serves: every output is its grain operator on x0 x,
 x0 dropped.  The exact finite-n oracles check the series at desk
 scale.  The mutual information reads _indicator_law (model's masks of
-length n + 1 with closed-form laws), and so do the output laws,
-through _start_table, cached per (n, spec): it merges the initial
-states into one weight row per fill bit x0, so each law is one
-broadcast pass of its channel over (x0, mask) pairs.  The error
-entropy is a forward recursion on indicator_transition_matrix.  The
+length n + 1 with closed-form laws), which keeps no cache, since no
+caller reads a row twice; the output laws read it through
+_start_table, cached per (n, spec): it merges the initial states into
+one weight row per fill bit x0, so each law is one broadcast pass of
+its channel over (x0, mask) pairs.  A law is keyed by packed outputs,
+plain ints in ascending order, and builds no Word: one sort groups the
+outputs, and one bincount adds their weights in the pass's order.  The
+error entropy is a forward recursion on indicator_transition_matrix.  The
 output-entropy bracket and P(y^n = 0^n) read _derivative_matrices.
 The bracket sweeps the chain's prefix masses in blocks of
 2^_PREFIX_LEAF prefixes, one block per start state at a time, and adds
@@ -96,11 +99,11 @@ def _check_n(n: int, p: float, least: int = 1) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
 def _indicator_law(n: int, p: float, u0: int) -> tuple[np.ndarray, np.ndarray]:
     """The law of u_1..u_n given u0: every valid mask, model's error
     vectors of x0 x_1..x_n in their order, with its probability, zero
-    included.
+    included.  Uncached: no caller reads a row twice, and _start_table
+    caches the sums the output laws read.
 
     Each step from u_{i-1} = 0 contributes p for u_i = 1 and 1 - p for
     u_i = 0; each step from u_{i-1} = 1 is forced to 0 (factor 1) and
@@ -118,7 +121,6 @@ def _indicator_law(n: int, p: float, u0: int) -> tuple[np.ndarray, np.ndarray]:
     probs = p**ones * (1.0 - p) ** np.maximum(free, 0)
     if u0:
         probs[masks >> (n - 1) == 1] = 0.0
-    probs.setflags(write=False)
     return masks, probs
 
 
@@ -350,38 +352,48 @@ def _start_table(n: int, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.
     return masks, x0s, weights
 
 
-def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[Word, float]:
-    """Exact output law when channel(masks, x0s) maps every indicator
-    sequence and fill bit to its packed output, mixed over the initial
-    states.  It enumerates all F(n + 2) indicator masks, so n is checked
-    against channel_exact_n first.  One call broadcasts the masks against
-    the column of fill bits of _start_table to a (rows, F) array, whose
-    outputs one np.unique and one bincount over the cached weight rows
-    sum into the law."""
+def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[int, float]:
+    """Exact output law {packed output: mass}, ascending, when
+    channel(masks, x0s) maps every indicator sequence and fill bit to its
+    packed output, mixed over the initial states.  It enumerates all
+    F(n + 2) indicator masks, so n is checked against channel_exact_n
+    first.  One call broadcasts the masks against the column of fill bits
+    of _start_table to a (rows, F) array; one sort and its first-of-run
+    mask give the distinct outputs, searchsorted gives each output's
+    index among them, and one bincount adds the cached weight rows in
+    ravel order into the law."""
     _check_n(x.n, spec.p)
     masks, x0s, weights = _start_table(x.n, spec)
-    ys, inverse = np.unique(channel(masks, x0s).ravel(), return_inverse=True)
-    law = np.bincount(inverse, weights=weights.ravel())
+    ys = channel(masks, x0s).ravel()
+    keys = np.sort(ys)
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    law = np.bincount(np.searchsorted(keys, ys), weights=weights.ravel())
     live = law > 0.0  # the kernel keeps every output in 0 .. 2^n - 1
-    return dict(zip(Word._unchecked(x.n, ys[live].tolist()), law[live].tolist()))
+    return dict(zip(keys[live].tolist(), law[live].tolist()))
 
 
-def grains_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]:
-    """Exact output distribution of the grains channel for input x."""
+def grains_output_law(x: Word, spec: ChannelSpec) -> dict[int, float]:
+    """Exact output distribution of the grains channel for input x,
+    keyed by the packed output value (Word packing), ascending."""
     cells = (1 << x.n) - 1
     return _output_law(x, spec, lambda u, x0s: _apply_mask((x0s << x.n) | x.value, u) & cells)
 
 
-def cascaded_erasure_output_law(x: Word, spec: ChannelSpec) -> dict[Word, float]:
+def cascaded_erasure_output_law(x: Word, spec: ChannelSpec) -> dict[int, float]:
     """Exact output distribution of the NAE channel followed by
     erasure filling, with the fill bit matched to the initial state's
-    previous bit.  Computed along the literal two-stage route so the
-    result can be compared against grains_output_law; the fill sees
-    only the NAE output (kept bits and erasure mask), never x."""
+    previous bit, keyed like grains_output_law.  Computed along the
+    literal two-stage route so the result can be compared against
+    grains_output_law; the fill sees only the NAE output (kept bits and
+    erasure mask), never x."""
     return _output_law(x, spec, lambda u, x0s: _fill(x.value & ~u, u, x.n, x0s))
 
 
-def total_variation(law1: dict[Word, float], law2: dict[Word, float]) -> float:
+def total_variation(law1: dict[int, float], law2: dict[int, float]) -> float:
+    """Half the L1 distance of two laws keyed by packed outputs."""
     keys = set(law1) | set(law2)
     return 0.5 * sum(abs(law1.get(k, 0.0) - law2.get(k, 0.0)) for k in keys)
 

@@ -15,8 +15,10 @@ Each public function checks p and the depth once, where they enter,
 and returns Python floats; the series loops behind them
 (_output_entropy_partial, _error_entropy_partial, and _sir_fields,
 which sir and capacity_curves share) take the checked values and run
-unchecked, apart from binary_entropy's own range check.  So a
-201-point capacity curve checks each grid point once, not each term.
+unchecked: their hazards and stay probabilities lie in [0, 1] by
+construction, so each term reads bounds._h2, binary_entropy without
+its range check.  So a 201-point capacity curve checks each grid point
+once, not each term.
 
 Everything here is scalar float or rational arithmetic, so the
 commands that need only these numbers (sir, capacity, fig3,
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from numbers import Integral
 
-from .bounds import binary_entropy
+from .bounds import _h2, binary_entropy
 from .errors import PreconditionError
 
 #: deepest series truncation.  The terms fall at least by half every two
@@ -160,7 +162,7 @@ def _output_entropy_partial(p: float, depth: int) -> tuple[float, float]:
     terms = []
     survival = 1.0
     for b in _hazards(p, depth):
-        terms.append(binary_entropy(b) * survival)
+        terms.append(_h2(b) * survival)
         survival *= 1.0 - b
     return math.fsum(terms) / (2.0 * (1.0 + p)), survival
 
@@ -168,7 +170,7 @@ def _output_entropy_partial(p: float, depth: int) -> tuple[float, float]:
 def _error_entropy_partial(p: float, depth: int) -> float:
     """S_J for a checked float p and int depth."""
     terms = [
-        math.ldexp(binary_entropy(q), -j)
+        math.ldexp(_h2(q), -j)
         for j, q in enumerate(_stay_probs(p, 2, depth), 2)
     ]
     return math.fsum(terms) * (1.0 + p / 2.0) / (1.0 + p)

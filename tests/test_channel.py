@@ -441,7 +441,44 @@ def output_law_per_start(x: Word, spec: ChannelSpec, cascade: bool) -> tuple[lis
     return ys[live].tolist(), law[live].tolist()
 
 
+def output_law_unique(x: Word, spec: ChannelSpec, cascade: bool) -> tuple[list, list]:
+    """The output law of x grouped by np.unique(return_inverse=True) and
+    summed by one bincount over _start_table's weight rows: support and
+    masses, ascending."""
+    masks, x0s, weights = _start_table(x.n, spec)
+    if cascade:
+        ys = _fill(x.value & ~masks, masks, x.n, x0s)
+    else:
+        ys = _apply_mask((x0s << x.n) | x.value, masks) & ((1 << x.n) - 1)
+    keys, inverse = np.unique(ys.ravel(), return_inverse=True)
+    law = np.bincount(inverse, weights=weights.ravel())
+    live = law > 0.0
+    return keys[live].tolist(), law[live].tolist()
+
+
 class TestDegradation:
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
+    def test_laws_equal_unique_route(self, p):
+        """Keys and masses equal the np.unique route's exactly: the sort
+        groups the outputs as np.unique does, and bincount adds each
+        output's weights in the same order."""
+        starts = ["stationary", (0, 0), (0, 1), (1, 0), (1, 1)]
+        lengths = list(range(1, 9)) + ([9] if p == 0.5 else [])
+        for start in starts:
+            spec = ChannelSpec(p, start)
+            for n in lengths:
+                for x in words(n):
+                    for law, cascade in (
+                        (grains_output_law, False),
+                        (cascaded_erasure_output_law, True),
+                    ):
+                        got = law(x, spec)
+                        keys = list(got)
+                        assert all(type(y) is int for y in keys), (spec, x, cascade)
+                        assert keys == sorted(set(keys)), (spec, x, cascade)
+                        want = output_law_unique(x, spec, cascade)
+                        assert (keys, list(got.values())) == want, (spec, x, cascade)
+
     def test_laws_match_per_start_reference(self):
         starts = ["stationary", (0, 0), (0, 1), (1, 0), (1, 1)]
         cases = [
@@ -459,7 +496,7 @@ class TestDegradation:
                 ):
                     got = law(x, spec)
                     ys, masses = output_law_per_start(x, spec, cascade)
-                    assert [y.value for y in got] == ys, (spec, x, cascade)
+                    assert [y for y in got] == ys, (spec, x, cascade)
                     worst = max(abs(a - b) for a, b in zip(got.values(), masses))
                     assert worst <= 1e-15, (spec, x, cascade, worst)
         for spec, n in cases:
@@ -728,7 +765,7 @@ def derivative_law(n: int, spec: ChannelSpec, x0: int) -> np.ndarray:
     law = np.zeros(1 << n)
     for x in words(n):
         for y, q in grains_output_law(x, spec).items():
-            law[y.value ^ ((x0 << (n - 1)) | (y.value >> 1))] += q
+            law[y ^ ((x0 << (n - 1)) | (y >> 1))] += q
     return law / 2**n
 
 
@@ -864,7 +901,7 @@ class TestAllZeroOutputProb:
         spec = ChannelSpec(p)
         for n in range(1, 9):
             laws = (grains_output_law(x, spec) for x in words(n))
-            mass = sum(law.get(Word(n, 0), 0.0) for law in laws) / 2**n
+            mass = sum(law.get(0, 0.0) for law in laws) / 2**n
             assert all_zero_output_prob(n, p) == pytest.approx(mass, rel=1e-13, abs=1e-15)
 
 
