@@ -13,8 +13,10 @@ Filling each erasure with the previous channel output turns the NAE
 channel back into the grains channel, so 1/(1+p) is an upper bound on
 the grains-channel capacity.  The exact degradation oracle follows
 that cascade literally on packed ints: the NAE output is the kept bits
-plus the erasure mask, and one fill, shared with cascade_fill, turns
-it into a grains output without seeing the input.  The lower bound is
+plus the erasure mask, and one pure fill, shared with cascade_fill,
+turns it into a grains output without seeing the input; the erasure
+masks are checked for adjacent erasures where they enter, once per
+parsed string or cached mask table, not per fill.  The lower bound is
 the symmetric information rate (SIR), a difference of two convergent
 series.  The series and the closed-form rates live in series, which
 needs no numpy; this module keeps the simulation and the exact oracles
@@ -46,15 +48,15 @@ caller reads a row twice; the output laws read it through
 _start_table, cached per (n, spec): it merges the initial states into
 one weight row per fill bit x0, so each law is one broadcast pass of
 its channel over (x0, mask) pairs.  A law is keyed by packed outputs,
-plain ints in ascending order, and builds no Word: one sort groups the
-outputs, and one bincount adds their weights in the pass's order.  The
-error entropy is a forward recursion on indicator_transition_matrix.  The
-output-entropy bracket and P(y^n = 0^n) read _derivative_matrices.
-The bracket sweeps the chain's prefix masses in blocks of
-2^_PREFIX_LEAF prefixes, one block per start state at a time, and adds
-each block's entropy terms to its sums, so it never holds all 2^(n-1)
-prefixes.  Every oracle reads p as a Python float, so a float32 p is
-computed in float64 like any other.
+plain ints in ascending order, and builds no Word: one dense bincount
+over the 2^n possible outputs adds the weights in the pass's order, and
+its live bins are the keys.  The error entropy is a forward recursion
+on indicator_transition_matrix.  The output-entropy bracket and
+P(y^n = 0^n) read _derivative_matrices.  The bracket sweeps the
+chain's prefix masses in blocks of 2^_PREFIX_LEAF prefixes, one block
+per start state at a time, and adds each block's entropy terms to its
+sums, so it never holds all 2^(n-1) prefixes.  Every oracle reads p as
+a Python float, so a float32 p is computed in float64 like any other.
 """
 
 from __future__ import annotations
@@ -259,21 +261,30 @@ def simulate_erasures(x: Word, spec: ChannelSpec, seed: int, stream: int = 0) ->
     return out.tobytes().decode("ascii")
 
 
+def _check_erasures(erased) -> None:
+    """Reject an erasure mask (an int or an int array) with two adjacent
+    erasures: the fill would copy an erasure."""
+    if np.any(erased & (erased >> 1)):
+        raise PreconditionError("adjacent erasures cannot be filled")
+
+
 def _fill(kept, erased, n: int, y0: int):
     """Fill the packed NAE output (kept bits, 0 where erased; erasure
     mask) of length n, ints or int arrays: each erasure copies the bit
     to its left, y0 left of position 1 (an int, or a column of fill bits
-    that broadcasts against the masks).  Adjacent erasures would copy
-    an erasure."""
-    if np.any(erased & (erased >> 1)):
-        raise PreconditionError("adjacent erasures cannot be filled")
+    that broadcasts against the masks).  The pure fill: it trusts the
+    mask to hold no adjacent erasures, which its callers check once,
+    cascade_fill on the mask it parses and _start_table on the masks it
+    caches."""
     return _apply_mask((y0 << n) | kept, erased) & ((1 << n) - 1)
 
 
 def cascade_fill(y: str | Sequence[str], y0: int) -> Word:
     """Fill each erasure with the previous raw symbol (y0 before the
     first).  Sound for NAE outputs, where erasures are never adjacent;
-    adjacent erasures would leave a non-binary symbol and are rejected.
+    the erasure mask parsed from y is checked before the fill, so
+    adjacent erasures, which would leave a non-binary symbol, are
+    rejected.
     """
     if y0 not in (0, 1):
         raise PreconditionError("fill bit y0 must be 0 or 1")
@@ -283,6 +294,7 @@ def cascade_fill(y: str | Sequence[str], y0: int) -> Word:
             raise PreconditionError(f"bad channel symbol {c!r}")
         kept = (kept << 1) | (c == "1")
         erased = (erased << 1) | (c == ERASURE)
+    _check_erasures(erased)
     return Word(len(y), _fill(kept, erased, len(y), y0))
 
 
@@ -295,9 +307,10 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
     n input bits in one draw, then (u0, x0), then the indicators, walked
     in blocks of _indicator_blocks.  Each block adds its ones, its errors
     u_i and (x_(i-1) != x_i) with x_prev carried in front, and its four
-    transitions (u_(i-1), u_i), counted from the sampled pairs with u_prev
-    carried in front.  So the run holds the n input bytes and one block,
-    and each rate is count / n, the float mean of the 0/1 array."""
+    transitions (u_(i-1), u_i), each counted from the sampled pair codes
+    2 u_(i-1) + u_i with u_prev carried in front, so "11" checks the
+    sampler.  The run holds the n input bytes and one block, and each
+    rate is count / n, the float mean of the 0/1 array."""
     if not _integer(n) or n < 1:
         raise PreconditionError(f"need n >= 1, an integer: n={n!r}")
     spec = ChannelSpec(p)
@@ -305,17 +318,23 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
     xbits = rng.integers(0, 2, size=n, dtype=np.uint8)
     u0, x0 = _draw_initial(spec, rng)
     ones = errors = at = 0
-    counts = np.zeros(4, dtype=np.int64)
+    counts = [0, 0, 0, 0]
     u_prev, x_prev = u0, x0
     for u in _indicator_blocks(n, spec.p, u0, rng):
-        x = xbits[at : at + len(u)]
-        prev = np.insert(x[:-1], 0, x_prev)
-        full = np.insert(u, 0, u_prev)
+        k = len(u)
+        x = xbits[at : at + k]
+        change = np.empty(k, dtype=bool)
+        change[0] = x_prev != x[0]
+        np.not_equal(x[1:], x[:-1], out=change[1:])
+        pair = np.empty(k, dtype=np.uint8)
+        pair[0] = 2 * u_prev + u[0]
+        np.add(u[:-1] << 1, u[1:], out=pair[1:])
         ones += int(np.count_nonzero(u))
-        errors += int(np.count_nonzero(u & (prev != x)))
-        counts += np.bincount(2 * full[:-1] + full[1:], minlength=4)
-        u_prev, x_prev, at = int(u[-1]), int(x[-1]), at + len(u)
-    trans = {f"{k >> 1}{k & 1}": int(c) for k, c in enumerate(counts)}
+        errors += int(np.count_nonzero(change & u.view(bool)))
+        for code in range(4):  # 15 us a 2^14 block; np.bincount(pair) took 50 us
+            counts[code] += int(np.count_nonzero(pair == code))
+        u_prev, x_prev, at = int(u[-1]), int(x[-1]), at + k
+    trans = {f"{k >> 1}{k & 1}": c for k, c in enumerate(counts)}
     return {
         "n": n,
         "p": p,
@@ -340,11 +359,15 @@ def _start_table(n: int, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.
     per x0 one read-only weight row, the sum over u0 of w(u0, x0) times
     _indicator_law's row for u0.  Neither depends on the word, so one
     table serves every x of length n; stationary starts merge their four
-    states into two rows, which carry the same weights."""
+    states into two rows, which carry the same weights.  The masks are
+    checked for adjacent 1s here, once per cached table, so the
+    cascade's fill, which reads them as erasure masks, need not check
+    them per word."""
     rows: dict[int, np.ndarray] = {}
     for u0, x0, w in spec.initial_states():
         masks, probs = _indicator_law(n, spec.p, u0)
         rows[x0] = rows.get(x0, 0.0) + w * probs
+    _check_erasures(masks)
     x0s = np.array(list(rows), dtype=np.int64)[:, None]
     weights = np.stack(list(rows.values()))
     x0s.setflags(write=False)
@@ -358,21 +381,18 @@ def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[int, float]:
     packed output, mixed over the initial states.  It enumerates all
     F(n + 2) indicator masks, so n is checked against channel_exact_n
     first.  One call broadcasts the masks against the column of fill bits
-    of _start_table to a (rows, F) array; one sort and its first-of-run
-    mask give the distinct outputs, searchsorted gives each output's
-    index among them, and one bincount adds the cached weight rows in
-    ravel order into the law."""
+    of _start_table to a (rows, F) array, and one dense bincount over the
+    2^n possible outputs adds the cached weight rows into their bins in
+    ravel order; the live bins, ascending, are the keys.  The bins cost
+    8 * 2^n bytes for one call: a few kB at the n <= 10 that the
+    degradation checks read, 8 MB at n = channel_exact_n = 20, where a
+    law takes a few ms."""
     _check_n(x.n, spec.p)
     masks, x0s, weights = _start_table(x.n, spec)
-    ys = channel(masks, x0s).ravel()
-    keys = np.sort(ys)
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
-    law = np.bincount(np.searchsorted(keys, ys), weights=weights.ravel())
-    live = law > 0.0  # the kernel keeps every output in 0 .. 2^n - 1
-    return dict(zip(keys[live].tolist(), law[live].tolist()))
+    ys = channel(masks, x0s).ravel()  # the kernel keeps outputs in 0 .. 2^n - 1
+    law = np.bincount(ys, weights=weights.ravel(), minlength=1 << x.n)
+    keys = np.flatnonzero(law > 0.0)
+    return dict(zip(keys.tolist(), law[keys].tolist()))
 
 
 def grains_output_law(x: Word, spec: ChannelSpec) -> dict[int, float]:

@@ -411,7 +411,7 @@ class TestCascadeFill:
         assert cascade_fill("e1", 0) == Word.parse("01")
 
     def test_adjacent_erasures_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^adjacent erasures cannot be filled$"):
             cascade_fill("0ee1", 0)
 
     def test_bad_symbol_rejected(self):
@@ -501,6 +501,53 @@ class TestDegradation:
                     assert worst <= 1e-15, (spec, x, cascade, worst)
         for spec, n in cases:
             assert not any(a.flags.writeable for a in _start_table(n, spec))
+
+    @pytest.mark.parametrize("start", ["stationary", (0, 0), (1, 1)])
+    def test_laws_equal_unique_route_at_n20(self, start):
+        """The dense bincount at channel_exact_n: 2^20 bins, the same keys
+        and masses as the np.unique route."""
+        spec = ChannelSpec(0.37, start)
+        for value in (0, 0xAAAAA, 0b10110011100011110000, (1 << 20) - 1):
+            x = Word(20, value)
+            for law, cascade in (
+                (grains_output_law, False),
+                (cascaded_erasure_output_law, True),
+            ):
+                got = law(x, spec)
+                keys = list(got)
+                assert all(type(y) is int for y in keys), (x, cascade)
+                assert all(a < b for a, b in zip(keys, keys[1:])), (x, cascade)
+                assert (keys, list(got.values())) == output_law_unique(x, spec, cascade)
+
+    def test_traced_peak_of_one_law_at_n20(self):
+        # the 2^20 float64 bins of the dense bincount are 8.4 MB; their
+        # live mask, the (2, F(22)) outputs and the dict add about 2.6 MB
+        x, spec = Word(20, 0xAAAAA), ChannelSpec(0.5)
+        grains_output_law(x, spec)  # warm _start_table's cache
+        tracemalloc.start()
+        try:
+            grains_output_law(x, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+    def test_start_table_masks_are_non_adjacent(self):
+        # the cascade's fill trusts these masks; _start_table checks them
+        starts = ["stationary", (0, 0), (0, 1), (1, 0), (1, 1)]
+        for start in starts:
+            spec = ChannelSpec(0.3, start)
+            for n in range(1, 21):
+                masks = _start_table(n, spec)[0]
+                assert not np.any(masks & (masks >> 1)), (start, n)
+
+    def test_start_table_rejects_adjacent_masks(self, monkeypatch):
+        def adjacent_law(n, p, u0):
+            return np.array([0, 0b11]), np.array([0.5, 0.5])
+
+        monkeypatch.setattr(channel, "_indicator_law", adjacent_law)
+        with pytest.raises(PreconditionError, match="^adjacent erasures cannot be filled$"):
+            _start_table.__wrapped__(2, ChannelSpec(0.5))
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
     def test_exact_law_equality_small(self, p):
