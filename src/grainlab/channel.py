@@ -26,11 +26,12 @@ reads them off channel.
 
 The simulation walks the indicator chain in blocks of _SIM_BLOCK
 symbols through one kernel, _indicator_blocks, which sample_indicator
-and simulation_stats share.  u_i = hit_i and not u_(i-1) carries only
-the last indicator across a block edge, and a double takes one 64-bit
-word of the stream, so the blocks draw what one rng.random(n) draws
-and a seed gives the same run at any block size.  The statistics count
-block by block: they hold the n input bytes and one block.
+and simulation_stats share.  A block is one packed int, on which
+u_i = hit_i and not u_(i-1) takes a few bit operations and carries only
+the last indicator across a block edge; a double takes one 64-bit word
+of the stream, so the blocks draw what one rng.random(n) draws and a
+seed gives the same run at any block size.  The statistics count each
+block with int.bit_count: they hold the n input bytes and one block.
 
 Under uniform input the output needs only the indicator as state:
 given the outputs so far, u_i = 0 forces x_i = y_i, and u_i = 1 leaves
@@ -82,8 +83,8 @@ ERASURE = "e"
 #: MB (the whole sweep: 26 ms, 33.6 MB), so past 2^12 only the peak grows
 _PREFIX_LEAF = 12
 #: indicators one block of the simulation walk draws; a seed gives the
-#: same run at any size.  At 10^6 symbols 2^14 took 13.7 ms with 0.36 MB
-#: of block temporaries over the n input bytes, 2^16 13.0 ms with 1.44 MB
+#: same run at any size.  At 10^6 symbols 2^14 took 9.8 ms with 0.16 MB
+#: of block temporaries over the n input bytes, 2^16 9.2 ms with 0.64 MB
 _SIM_BLOCK = 1 << 14
 
 
@@ -196,49 +197,54 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def _draw_initial(spec: ChannelSpec, rng: np.random.Generator) -> tuple[int, int]:
     if spec.initial == "stationary":
-        u0 = 1 if rng.random() < spec.stationary_weights[1] else 0
-        x0 = int(rng.integers(2))
-        return u0, x0
+        return int(rng.random() < spec.stationary_weights[1]), int(rng.integers(2))
     return spec.initial  # type: ignore[return-value]
 
 
+@lru_cache(maxsize=8)
+def _even_bits(blocks: int) -> int:
+    """The 0x55... mask: every even bit below blocks * _SIM_BLOCK."""
+    return int.from_bytes(b"\x55" * (blocks * _SIM_BLOCK // 8), "little")
+
+
+def _alternate(h: int) -> int:
+    """u_i = h_i and not u_(i-1) on packed bits: each run of set bits
+    keeps its 1st, 3rd, ... bit.  A run's first bit, added, carries
+    through the run, so h & ((h + s) ^ h), s the even-bit starts, is the
+    runs that start at an even bit: those keep their even bits."""
+    even = _even_bits(h.bit_length() // _SIM_BLOCK + 1)
+    starts = h & ~(h << 1)
+    even_runs = h & ((h + (starts & even)) ^ h)
+    return h & (even ^ h ^ even_runs)
+
+
 def _indicator_blocks(n: int, p: float, u0: int, rng: np.random.Generator):
-    """Yield u_1..u_n as uint8 arrays of at most _SIM_BLOCK indicators.
-    After a 1 the next indicator is forced to 0; otherwise it is
-    Bernoulli(p): u_i = hit_i and not u_(i-1), hit_i = (uniform_i < p).
-    So inside each maximal run of hits the indicators alternate 1, 0,
-    1, ...; the indicator in front of a block (u0 before the first)
-    counts as a hit at its position 0, and it is all a block carries.
-    A double takes one 64-bit word of the stream, so the blocks' draws
-    are one rng.random(n)."""
+    """Yield u_1..u_n as (k, w) per block of k <= _SIM_BLOCK indicators:
+    the int w holds the indicator in front (u0 before the first block)
+    at bit 0 and u_i at bit i.  After a 1 the next indicator is forced
+    to 0, otherwise it is Bernoulli(p): u_i = hit_i and not u_(i-1),
+    hit_i = (uniform_i < p), which _alternate computes with the indicator
+    in front as a hit; bit k is all the next block carries.  A double
+    takes one 64-bit word of the stream: the draws are one rng.random(n)."""
     u_prev = u0
     for start in range(0, n, _SIM_BLOCK):
         k = min(_SIM_BLOCK, n - start)
-        hit = np.empty(k + 1, dtype=bool)
-        hit[0] = u_prev == 1
-        np.less(rng.random(k), p, out=hit[1:])
-        starts = hit.copy()
-        starts[1:] &= ~hit[:-1]
-        idx = np.arange(k + 1, dtype=np.int32)
-        run_start = np.where(starts, idx, 0)
-        np.maximum.accumulate(run_start, out=run_start)
-        idx -= run_start
-        u = (hit[1:] & ((idx[1:] & 1) == 0)).view(np.uint8)
-        u_prev = int(u[-1])
-        yield u
+        hit = np.packbits(rng.random(k) < p, bitorder="little")
+        w = _alternate(int.from_bytes(hit, "little") << 1 | u_prev)
+        u_prev = w >> k
+        yield k, w
 
 
 def sample_indicator(
     n: int, spec: ChannelSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, int, int]:
     """Draw (u_1..u_n, u0, x0): the initial state, then the indicators
-    of _indicator_blocks, copied block by block into one uint8 array."""
+    of _indicator_blocks, unpacked from their joined bytes (each block
+    but the last fills whole bytes: _SIM_BLOCK is a multiple of 8)."""
     u0, x0 = _draw_initial(spec, rng)
-    u = np.empty(n, dtype=np.uint8)
-    at = 0
-    for block in _indicator_blocks(n, spec.p, u0, rng):
-        u[at : at + len(block)] = block
-        at += len(block)
+    blocks = _indicator_blocks(n, spec.p, u0, rng)
+    packed = b"".join((w >> 1).to_bytes(-(-k // 8), "little") for k, w in blocks)
+    u = np.unpackbits(np.frombuffer(packed, np.uint8), count=n, bitorder="little")
     return u, u0, x0
 
 
@@ -305,35 +311,29 @@ def simulation_stats(n: int, p: float, seed: int, stream: int = 0) -> dict:
 
     The stream is read in sample_indicator's order after the input: the
     n input bits in one draw, then (u0, x0), then the indicators, walked
-    in blocks of _indicator_blocks.  Each block adds its ones, its errors
-    u_i and (x_(i-1) != x_i) with x_prev carried in front, and its four
-    transitions (u_(i-1), u_i), each counted from the sampled pair codes
-    2 u_(i-1) + u_i with u_prev carried in front, so "11" checks the
-    sampler.  The run holds the n input bytes and one block, and each
-    rate is count / n, the float mean of the 0/1 array."""
+    in blocks of _indicator_blocks.  Each block packs its inputs like its
+    indicators, x_prev at bit 0, and bit-counts its ones, its errors u_i
+    and (x_(i-1) != x_i), and each of its four transitions
+    (u_(i-1), u_i), so "11" checks the sampler.  It holds the n input
+    bytes and one block; each rate is count / n, the 0/1 array's mean."""
     if not _integer(n) or n < 1:
         raise PreconditionError(f"need n >= 1, an integer: n={n!r}")
     spec = ChannelSpec(p)
     rng = make_rng(seed, stream)
     xbits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    u0, x0 = _draw_initial(spec, rng)
+    u0, x_prev = _draw_initial(spec, rng)
     ones = errors = at = 0
     counts = [0, 0, 0, 0]
-    u_prev, x_prev = u0, x0
-    for u in _indicator_blocks(n, spec.p, u0, rng):
-        k = len(u)
-        x = xbits[at : at + k]
-        change = np.empty(k, dtype=bool)
-        change[0] = x_prev != x[0]
-        np.not_equal(x[1:], x[:-1], out=change[1:])
-        pair = np.empty(k, dtype=np.uint8)
-        pair[0] = 2 * u_prev + u[0]
-        np.add(u[:-1] << 1, u[1:], out=pair[1:])
-        ones += int(np.count_nonzero(u))
-        errors += int(np.count_nonzero(change & u.view(bool)))
-        for code in range(4):  # 15 us a 2^14 block; np.bincount(pair) took 50 us
-            counts[code] += int(np.count_nonzero(pair == code))
-        u_prev, x_prev, at = int(u[-1]), int(x[-1]), at + k
+    for k, w in _indicator_blocks(n, spec.p, u0, rng):
+        x = np.packbits(xbits[at : at + k], bitorder="little")
+        x = int.from_bytes(x, "little") << 1 | x_prev
+        mask = (1 << k) - 1
+        prev, u = w & mask, w >> 1  # u_(i-1) and u_i at bit i - 1
+        ones += u.bit_count()
+        errors += (u & (x ^ (x >> 1))).bit_count()
+        for code, pair in enumerate((mask & ~(prev | u), u & ~prev, prev & ~u, prev & u)):
+            counts[code] += pair.bit_count()
+        x_prev, at = x >> k, at + k
     trans = {f"{k >> 1}{k & 1}": c for k, c in enumerate(counts)}
     return {
         "n": n,

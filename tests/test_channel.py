@@ -14,6 +14,7 @@ from grainlab.channel import (
     _PREFIX_LEAF,
     _SIM_BLOCK,
     ChannelSpec,
+    _alternate,
     _derivative_matrices,
     _entropy,
     _indicator_law,
@@ -314,6 +315,40 @@ def whole_array_stats(n, p, seed, stream=0):
 BLOCK_EDGES = (1, 2, 3, _SIM_BLOCK - 1, _SIM_BLOCK, _SIM_BLOCK + 1, 3 * _SIM_BLOCK + 17)
 
 
+def alternate_loop(h):
+    """Reference _alternate: u_i = h_i and not u_(i-1), bit by bit."""
+    u = prev = 0
+    for i, bit in enumerate(reversed(bin(h)[2:])):
+        prev = int(bit == "1" and not prev)
+        u |= prev << i
+    return u
+
+
+def from_runs(lengths):
+    """The int whose bits, from bit 0 up, are runs of the given
+    lengths, alternately 0s and 1s."""
+    h = at = 0
+    for i, length in enumerate(lengths):
+        if i % 2:
+            h |= ((1 << length) - 1) << at
+        at += length
+    return h & ((1 << 3 * _SIM_BLOCK) - 1)
+
+
+class TestAlternate:
+    def test_matches_recurrence_below_2_to_the_14(self):
+        assert all(_alternate(h) == alternate_loop(h) for h in range(1 << 14))
+
+    @given(
+        st.one_of(
+            st.integers(min_value=0, max_value=(1 << 3 * _SIM_BLOCK) - 1),
+            st.lists(st.integers(min_value=1, max_value=_SIM_BLOCK), max_size=8).map(from_runs),
+        )
+    )
+    def test_matches_recurrence_up_to_three_blocks(self, h):
+        assert _alternate(h) == alternate_loop(h)
+
+
 class TestIndicatorKernel:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("initial", INITIALS)
@@ -373,8 +408,8 @@ class TestIndicatorKernel:
     @pytest.mark.parametrize("initial", INITIALS)
     def test_simulators_match_per_bit_reference(self, initial):
         spec = ChannelSpec(0.4, initial=initial)
-        for seed in range(5):
-            n = 257
+        cases = [(seed, 257) for seed in range(5)] + [(1, n) for n in BLOCK_EDGES]
+        for seed, n in cases:
             xb = "".join(map(str, make_rng(seed, 9).integers(0, 2, size=n)))
             x = Word.parse(xb)
             u, _, x0 = sample_indicator(n, spec, make_rng(seed, 3))
@@ -383,6 +418,31 @@ class TestIndicatorKernel:
             erasures = "".join("e" if u[i] else xb[i] for i in range(n))
             assert str(simulate_grains(x, spec, seed, stream=3)) == grains
             assert simulate_erasures(x, spec, seed, stream=3) == erasures
+
+    @pytest.mark.parametrize("u0", [0, 1])
+    def test_longest_carry_alternates_across_blocks(self, u0):
+        # at p = 1 every uniform is a hit: each block is one carry
+        n = 3 * _SIM_BLOCK + 17
+        for x0 in (0, 1):
+            u, _, _ = sample_indicator(n, ChannelSpec(1.0, initial=(u0, x0)), make_rng(4))
+            assert np.array_equal(u, (np.arange(n) + u0 + 1) % 2)
+
+    def test_longest_carry_counts(self):
+        n = 3 * _SIM_BLOCK + 17
+        starts = set()
+        for seed in range(6):
+            stats = simulation_stats(n, 1.0, seed)
+            rng = make_rng(seed)
+            x = rng.integers(0, 2, size=n, dtype=np.uint8)
+            u0, x0 = channel._draw_initial(ChannelSpec(1.0), rng)
+            starts.add(u0)
+            up, down = (n // 2, (n + 1) // 2) if u0 else ((n + 1) // 2, n // 2)
+            assert stats["transitions"] == {"00": 0, "01": up, "10": down, "11": 0}
+            assert stats["indicator_rate"] == up / n
+            u = (np.arange(n) + u0 + 1) % 2 == 1
+            change = x != np.insert(x[:-1], 0, x0)
+            assert stats["error_rate"] == np.count_nonzero(change & u) / n
+        assert starts == {0, 1}
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_stats_transitions_match_pair_count(self, p):
