@@ -68,10 +68,14 @@ def _h2(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
+def _integers(*values) -> bool:
+    return all(isinstance(v, Integral) for v in values)
+
+
 def iroot(value: int, k: int) -> int:
     """floor(value ** (1/k)) for non-negative integers, exactly."""
-    if value < 0 or k < 1:
-        raise PreconditionError("need value >= 0 and k >= 1")
+    if not _integers(value, k) or value < 0 or k < 1:
+        raise PreconditionError("need integers value >= 0 and k >= 1")
     if value == 0:
         return 0
     r = 1 << (value.bit_length() // k + 1)
@@ -92,7 +96,7 @@ def count_error_vectors(n: int, t: int) -> int:
     ways, so the count is sum_{i=0..t} C(n-i, i).  Terms with n-i < i
     vanish, which clamps t past floor((n-1)/2) automatically.
     """
-    if not (isinstance(n, Integral) and isinstance(t, Integral)) or n < 1 or t < 0:
+    if not _integers(n, t) or n < 1 or t < 0:
         raise PreconditionError("need integers n >= 1 and t >= 0")
     return sum(math.comb(n - i, i) for i in range(0, t + 1) if n - i >= i)
 
@@ -117,7 +121,7 @@ def fixed_budget_upper(n: int, t: int) -> int:
     bound.  For t = 0 the formula degenerates to 3 * 2^n and is not
     meaningful (the true maximum is 2^n).
     """
-    if not (isinstance(n, Integral) and isinstance(t, Integral)) or n < 1 or t < 0:
+    if not _integers(n, t) or n < 1 or t < 0:
         raise PreconditionError("need integers n >= 1 and t >= 0")
     if t > 6:
         raise PreconditionError("fixed-budget form is for small t (<= 6)")
@@ -198,8 +202,7 @@ def clique_upper(n: int, t: int, m: int, s: int, chi: int) -> int:
     size for (m, s); requires t/n <= s/m.  With t < s the product is
     empty and the bound degenerates to 2^n.
     """
-    integers = all(isinstance(v, Integral) for v in (n, t, m, s, chi))
-    if not integers or n < 1 or m < 1 or s < 1 or t < 0 or chi < 1:
+    if not _integers(n, t, m, s, chi) or n < 1 or m < 1 or s < 1 or t < 0 or chi < 1:
         raise PreconditionError("need integers n,m,s >= 1, t >= 0, chi >= 1")
     if t * m > s * n:
         raise PreconditionError(f"t/n = {t}/{n} exceeds s/m = {s}/{m}")
@@ -208,9 +211,9 @@ def clique_upper(n: int, t: int, m: int, s: int, chi: int) -> int:
 
 
 def clique_rate_upper(tau: float, m: int, s: int, chi: int) -> float:
-    """Rate form 1 - tau (m/s - log2(chi)/s), valid for tau <= s/m."""
-    if m < 1 or s < 1 or chi < 1:
-        raise PreconditionError("need m, s >= 1 and chi >= 1")
+    """Rate form 1 - tau (m/s - log2(chi)/s), valid for tau <= s/m; chi may be real."""
+    if not _integers(m, s) or m < 1 or s < 1 or chi < 1:
+        raise PreconditionError("need integers m, s >= 1 and chi >= 1")
     if not 0 <= tau <= s / m:
         raise PreconditionError(f"tau={tau} exceeds s/m={s / m}")
     return 1.0 - tau * (m / s - math.log2(chi) / s)
@@ -224,8 +227,8 @@ def list_decoding_lower(n: int, t: int, list_size: int) -> Fraction:
     root, which only weakens the bound (and by less than one part in
     2^n).
     """
-    if n < 1 or t < 0 or list_size < 1:
-        raise PreconditionError("need n >= 1, t >= 0, list size >= 1")
+    if not _integers(n, t, list_size) or n < 1 or t < 0 or list_size < 1:
+        raise PreconditionError("need integers n >= 1, t >= 0, list size >= 1")
     numerator = iroot(2 ** (n * list_size), list_size + 1)
     return Fraction(numerator, count_error_vectors(n, t))
 
@@ -233,8 +236,8 @@ def list_decoding_lower(n: int, t: int, list_size: int) -> Fraction:
 def list_decoding_rate(tau: float, list_size: int) -> float:
     """Rate form L/(L+1) - (1-tau) h(tau/(1-tau)), valid while the
     error-vector count is dominated by its top term (tau <= 0.2764)."""
-    if list_size < 1:
-        raise PreconditionError("list size must be >= 1")
+    if not _integers(list_size) or list_size < 1:
+        raise PreconditionError("list size must be an integer >= 1")
     if not 0 <= tau <= INFORMED_TAU_MAX + 1e-12:
         raise PreconditionError(f"tau={tau} outside [0, {INFORMED_TAU_MAX:.4f}]")
     ratio = tau / (1.0 - tau) if tau > 0 else 0.0
@@ -275,12 +278,14 @@ def informed_rate_bounds(tau: float) -> tuple[float, float]:
 def clique_rate_min(tau: float, chi_entries=None) -> float:
     """Minimum of the clique-partition rate bounds over all table
     entries admissible at tau (those with tau <= s/m).  Every entry
-    needs m, s, parts >= 1, whether or not tau admits it."""
+    needs integers m, s >= 1 and parts >= 1, whether or not tau admits it."""
     entries = REFERENCE_PARTITION_SIZES if chi_entries is None else chi_entries
     best = 1.0
     for (m, s), chi in entries.items():
-        if m < 1 or s < 1 or chi < 1:
-            raise PreconditionError(f"table entry m={m}, s={s}, parts={chi}: need all >= 1")
+        if not _integers(m, s) or m < 1 or s < 1 or chi < 1:
+            raise PreconditionError(
+                f"table entry m={m}, s={s}, parts={chi}: need integers m, s >= 1 and parts >= 1"
+            )
         if tau <= s / m:
             best = min(best, clique_rate_upper(tau, m, s, chi))
     return best
@@ -298,8 +303,8 @@ def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
     INFORMED_TAU_MAX.  clique_rate_min checks every entry of chi_entries
     at each tau.
     """
-    if list_size < 1:
-        raise PreconditionError("list size must be >= 1")
+    if not _integers(list_size) or list_size < 1:
+        raise PreconditionError("list size must be an integer >= 1")
     rows = []
     for tau in taus:
         if not 0 < tau <= 0.5:

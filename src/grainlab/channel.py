@@ -116,11 +116,13 @@ def _indicator_law(n: int, p: float, u0: int) -> tuple[np.ndarray, np.ndarray]:
         q = p^k (1-p)^(n - u0 - 2k + u_n),
     and q = 0 when u0 = 1 = u_1.  Only that excluded case makes the
     exponent negative; it is clamped to 0 there so that p = 1 does not
-    raise 0 to a negative power.
+    raise 0 to a negative power.  k = np.bitwise_count(mask) is a uint8, so
+    the sum starts from the int64 u_n = mask & 1 and cannot wrap there.
     """
     p = float(p)
-    masks, ones = _error_masks(n + 1, n)
-    free = n - u0 - 2 * ones + (masks & 1)
+    masks = _error_masks(n + 1, n)
+    ones = np.bitwise_count(masks)
+    free = (masks & 1) + (n - u0) - 2 * ones
     probs = p**ones * (1.0 - p) ** np.maximum(free, 0)
     if u0:
         probs[masks >> (n - 1) == 1] = 0.0
@@ -429,10 +431,11 @@ def erasure_mi_exact(n: int, p: float) -> float:
 
     For each u0, I = H(y|u0) - H(y|x,u0); the erasure pattern of y
     reveals u exactly, so H(y|x,u0) = H(u|u0), and conditioned on u the
-    non-erased outputs are uniform.  Comes out to 1/(1+p) for every n.
+    n - np.bitwise_count(u) non-erased outputs are uniform (a uint8 count,
+    >= 0 as n <= 62).  Comes out to 1/(1+p) for every n.
     """
     p = _check_n(n, p)
-    kept = n - _error_masks(n + 1, n)[1]  # non-erased positions
+    kept = n - np.bitwise_count(_error_masks(n + 1, n))  # non-erased positions
     mi = 0.0
     for u0, w in enumerate(_stationary_weights(p)):
         q = _indicator_law(n, p, u0)[1]

@@ -40,8 +40,8 @@ from .model import (
     _apply_mask,
     _check_image_cap,
     _check_kernel_bits,
+    _error_masks,
     _integer,
-    _mask_array,
     image_values,
     in_blocks,
 )
@@ -161,8 +161,8 @@ def decode_doubling(y: Word) -> Word | None:
 
 def hamming_prefix_size(m: int) -> int:
     """Size of the Hamming-prefix code for n = 2^m: exactly 2^n / n."""
-    if not 2 <= m <= 6:
-        raise PreconditionError("m out of range (want 2..6)")
+    if not _integer(m) or not 2 <= m <= 6:
+        raise PreconditionError("m out of range (want an integer 2..6)")
     n = 1 << m
     return (1 << n) // n
 
@@ -182,8 +182,8 @@ def construct_hamming_prefix(m: int) -> Code:
     caps.greedy_code_n (default 20): m = 4 lists 2^12 words, m = 5
     already means 2^27.
     """
-    if not 2 <= m <= 6:
-        raise PreconditionError("m out of range (want 2..6)")
+    if not _integer(m) or not 2 <= m <= 6:
+        raise PreconditionError("m out of range (want an integer 2..6)")
     n = 1 << m
     _check_kernel_bits(n)
     check_cap("n-m", n - m, "greedy_code_n")
@@ -233,7 +233,7 @@ def construct_greedy_known(n: int, t: int) -> Code:
     """
     _check_kernel_bits(n)
     check_cap("n", n, "greedy_code_n")
-    masks = _mask_array(n, t)
+    masks = _error_masks(n, t)
     code = np.zeros(1, dtype=np.int64)
     for k in range(n):
         taken = np.zeros(1 << k, dtype=bool)  # L_k ^ D_k, less 2^k
@@ -301,7 +301,7 @@ def verify_known_pattern(code: Code, t: int) -> bool:
     past a raised cap, a length whose array cannot be had is an error.
     """
     _check_image_cap(code.n)
-    masks = _mask_array(code.n, t).tolist()
+    masks = _error_masks(code.n, t).tolist()
     try:
         member = np.zeros(1 << code.n, dtype=bool)
     except (MemoryError, ValueError) as exc:  # ValueError: 2^n past the index range

@@ -441,8 +441,8 @@ def _witness_hits(values: np.ndarray, target: np.ndarray, m: int, s: int) -> np.
     the one mask M = x ^ y.
 
     M is accepted iff it is a grain support of weight <= s (no bit at
-    position 1, no two adjacent bits, at most s bits, the weight found
-    by clearing the lowest set bit s times) and _apply_mask(x, M) == y.
+    position 1, no two adjacent bits, at most s bits by
+    np.bitwise_count) and _apply_mask(x, M) == y.
     Sound: an accepted M is a valid mask that maps x to y.  Complete:
     let a support M' map x to y.  Bit j of _apply_mask(x, M') is x_{j-1}
     for j in M' and x_j elsewhere, so it differs from x_j iff j lies in
@@ -456,11 +456,7 @@ def _witness_hits(values: np.ndarray, target: np.ndarray, m: int, s: int) -> np.
     """
     mask = values ^ target
     hit = (mask >> (m - 1) == 0) & (mask & (mask >> 1) == 0)
-    rest = mask
-    # an accepted mask has at most m - 1 bits, so m clearings suffice
-    for _ in range(min(s, m)):
-        rest = rest & (rest - 1)
-    return hit & (rest == 0) & (_apply_mask(values, mask) == target)
+    return hit & (np.bitwise_count(mask) <= s) & (_apply_mask(values, mask) == target)
 
 
 def verify_clique_partition(partition: CliquePartition) -> bool:

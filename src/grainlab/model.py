@@ -370,9 +370,9 @@ def image_count_lower_bound(r: int, t: int) -> int:
 
 @lru_cache(maxsize=256, typed=True)
 def _error_masks(n: int, t: int) -> np.ndarray:
-    """Rows (masks, weights) of all error vectors of length n and weight
-    <= t, masks in Word packing and support-lex order, as a read-only
-    int64 array.  With P_k the masks of length k, P_0 = P_1 = [0] and
+    """The masks of all error vectors of length n and weight (bit count)
+    <= t, in Word packing and support-lex order, as a read-only int64
+    array.  With P_k the masks of length k, P_0 = P_1 = [0] and
         P_k = [0] ++ (bit k-2 + the masks of P_{k-2} of weight < t)
                   ++ P_{k-1}[1:]:
     the empty support, then {2} u S for S a support on positions 4..k
@@ -395,18 +395,13 @@ def _error_masks(n: int, t: int) -> np.ndarray:
 
     if not (_integer(n) and _integer(t) and 1 <= n <= KERNEL_BITS and t >= 0):
         raise PreconditionError(f"need integers 1 <= n <= {KERNEL_BITS}, t >= 0: n={n!r}, t={t!r}")
-    empty = np.zeros((2, 1), np.int64)
-    short = rows = empty
+    empty = np.zeros(1, np.int64)
+    short = masks = empty
     for k in range(2, n + 1):
-        grown = short[:, short[1] < t] + [[1 << (k - 2)], [1]]
-        short, rows = rows, np.concatenate([empty, grown, rows[:, 1:]], axis=1)
-    rows.setflags(write=False)
-    return rows
-
-
-def _mask_array(n: int, t: int) -> np.ndarray:
-    """The masks row of _error_masks(n, t), read-only."""
-    return _error_masks(n, t)[0]
+        grown = short[np.bitwise_count(short) < t] + (1 << (k - 2))
+        short, masks = masks, np.concatenate([empty, grown, masks[1:]])
+    masks.setflags(write=False)
+    return masks
 
 
 def image_values(x, n: int, t: int) -> np.ndarray:
@@ -433,7 +428,7 @@ def image_values(x, n: int, t: int) -> np.ndarray:
     """
     import numpy as np
 
-    masks = _mask_array(n, t)
+    masks = _error_masks(n, t)
     x = np.asarray(x, dtype=np.int64)[..., None]
     return (x ^ masks)[(masks & ~(x ^ (x >> 1))) == 0]
 
@@ -444,7 +439,7 @@ def in_blocks(kernel, values: np.ndarray, n: int, t: int) -> Iterator[np.ndarray
     shorter), S the support masks of weight <= t; kernel is
     image_values.  The step is taken at the call, so a bad n or t
     raises here, not at the first block."""
-    step = max(1, KERNEL_BLOCK // _mask_array(n, t).size)
+    step = max(1, KERNEL_BLOCK // _error_masks(n, t).size)
     return (kernel(values[lo : lo + step], n, t) for lo in range(0, len(values), step))
 
 
@@ -497,7 +492,7 @@ def support_table(n: int, t: int) -> SupportTable:
     rows test the masks whose higher bits lie inside the block's, in order."""
     import numpy as np
 
-    masks = _mask_array(n, t)  # the budget check, before any allocation
+    masks = _error_masks(n, t)  # the budget check, before any allocation
     k = n - 1
     size = sum(math.comb(n - w, w) << (k - w) for w in range(min(t, k) + 1))
     offsets = np.zeros((1 << k) + 1, np.int64)

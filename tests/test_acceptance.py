@@ -58,7 +58,7 @@ from grainlab.graph import (
 from grainlab.model import (
     ErrorVector,
     Word,
-    _mask_array,
+    _error_masks,
     apply_grains,
     enumerate_error_vectors,
     grain_images,
@@ -112,7 +112,7 @@ def image_counts(n, t):
     d(x) = x ^ (x >> 1) (closed form (a) of model.image_values)."""
     xs = np.arange(1 << n, dtype=np.int64)
     d = xs ^ (xs >> 1)
-    return ((_mask_array(n, t) & ~d[:, None]) == 0).sum(axis=1).tolist()
+    return ((_error_masks(n, t) & ~d[:, None]) == 0).sum(axis=1).tolist()
 
 
 def test_criterion_1_grain_operator_fidelity():

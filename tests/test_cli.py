@@ -620,6 +620,13 @@ def test_no_series_name_is_imported_through_channel():
     assert through_channel == []
 
 
+def test_numpy_floor_has_bitwise_count():
+    # the mask readers count weights with np.bitwise_count, new in numpy 2.0;
+    # a regex, since Python 3.10 has no tomllib
+    found = re.findall(r'"numpy>=(\d+)\.(\d+)', (ROOT / "pyproject.toml").read_text())
+    assert len(found) == 1 and tuple(map(int, found[0])) >= (2, 0), found
+
+
 class TestBadCapValues:
     """nan, inf and a negative value are rejected by every caps source
     before any search starts: exit 2 with one error line.  Accepted, the

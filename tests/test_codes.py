@@ -34,7 +34,7 @@ from grainlab.model import (
     ErrorVector,
     Word,
     _apply_mask,
-    _mask_array,
+    _error_masks,
     apply_grains,
     enumerate_error_vectors,
     grain_image_list,
@@ -231,7 +231,7 @@ class TestHammingPrefix:
 def greedy_sweep(n, t):
     """The numeric-order sweep: keep each word of {0,1}^n that is not
     within an error mask of a word kept before it."""
-    masks = _mask_array(n, t)
+    masks = _error_masks(n, t)
     forbidden = np.zeros(1 << n, dtype=bool)
     kept = []
     for xv in range(1 << n):
@@ -276,7 +276,7 @@ class TestGreedyKnown:
 def known_pattern_by_sort(code, t):
     """The per-mask sort: for every support mask, sort the recorded
     words and look for a repeat."""
-    for mask in _mask_array(code.n, t).tolist():
+    for mask in _error_masks(code.n, t).tolist():
         images = np.sort(_apply_mask(code.values, mask))
         if (images[1:] == images[:-1]).any():
             return False

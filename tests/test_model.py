@@ -22,7 +22,6 @@ from grainlab.model import (
     ErrorVector,
     Word,
     _error_masks,
-    _mask_array,
     _supports_inside,
     apply_grains,
     confusable,
@@ -281,7 +280,7 @@ class TestEnumeration:
                     if all(b - a > 1 for a, b in zip(supp, supp[1:]))
                 )
                 masks = [sum(1 << (n - j) for j in supp) for supp in supports]
-                assert _mask_array(n, t).tolist() == masks, (n, t)
+                assert _error_masks(n, t).tolist() == masks, (n, t)
 
     def test_count_formula_n15_t4(self):
         expected = sum(math.comb(15 - i, i) for i in range(5))
@@ -300,7 +299,16 @@ class TestEnumeration:
         for t in range(0, 7 if n <= 20 else 3):
             if n <= 20:
                 assert len(enumerate_error_vectors(n, t)) == count_error_vectors(n, t)
-            assert _mask_array(n, t).size == count_error_vectors(n, t)
+            assert _error_masks(n, t).size == count_error_vectors(n, t)
+
+    @pytest.mark.parametrize("t", [*range(7), 10**6])
+    def test_weights_are_the_bit_counts(self, t):
+        # the masks carry no weight row: C(n - w, w) of them count w bits, w <= t
+        for n in range(1, 25):
+            masks = _error_masks(n, t)
+            weights = np.bincount(np.bitwise_count(masks), minlength=n + 1).tolist()
+            assert weights == [math.comb(n - w, w) if w <= t else 0 for w in range(n + 1)], (n, t)
+            assert masks.tolist() == _supports_inside((1 << (n - 1)) - 1, t), (n, t)
 
     def test_matches_brute_force_supports(self):
         for n in range(1, 10):
@@ -499,7 +507,7 @@ class TestWalkAgainstKernel:
         for n in range(1, 13):
             for t in range(7):
                 got = [e.mask for e in enumerate_error_vectors(n, t)]
-                assert got == _mask_array(n, t).tolist(), (n, t)
+                assert got == _error_masks(n, t).tolist(), (n, t)
 
     def test_confusable_is_the_image_set_intersection(self):
         for n in range(1, 8):
@@ -543,7 +551,7 @@ class TestInBlocks:
     # (12, 3): 141 masks, 232 words a block; (23, 11): 46 368 masks, one
     @pytest.mark.parametrize("n,t,step", [(12, 3, 232), (23, 11, 1)])
     def test_blocks_concatenate_to_the_unblocked_kernel(self, n, t, step):
-        assert max(1, KERNEL_BLOCK // _mask_array(n, t).size) == step
+        assert max(1, KERNEL_BLOCK // _error_masks(n, t).size) == step
         xs = np.random.default_rng(n).integers(0, 1 << n, size=2 * step + 3)
         calls = []
 
@@ -580,7 +588,7 @@ class TestSupportTable:
     @pytest.mark.parametrize("n,t", [(1, 0), (5, 2), (12, 4), (13, 4), (16, 1), (17, 2)])
     def test_size_and_dtypes(self, n, t):
         # each support M lies inside 2^(n-1-|M|) masks d
-        size = sum(1 << (n - 1 - w) for w in _error_masks(n, t)[1].tolist())
+        size = sum(1 << (n - 1 - w) for w in np.bitwise_count(_error_masks(n, t)).tolist())
         table = support_table(n, t)
         assert table.entries.size == table.offsets[-1] == size
         assert (table.offsets.dtype, table.entries.dtype) == (np.int64, np.uint16)

@@ -11,6 +11,8 @@ shift before any mask is read (and bounds and series, which read none)
 test for integers themselves.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,7 @@ def test_gate_verdict_does_not_depend_on_the_cache():
     _error_masks.cache_clear()
     with pytest.raises(PreconditionError):
         _error_masks(5, 1.0)  # cold
-    assert _error_masks(5, 1).shape == (2, 5)
+    assert _error_masks(5, 1).shape == (5,)
     with pytest.raises(PreconditionError):
         _error_masks(5, 1.0)  # (5, 1) cached: lru_cache alone keys 1.0 as 1
 
@@ -229,6 +231,16 @@ def test_gate_runs_before_any_allocation(call):
         (lambda: Code(3.0, [1]), "not an integer"),
         (lambda: codes.verify_list_decodable(DOUBLING_4, 1, 1.5), "an integer >= 1"),
         (lambda: model.image_count_lower_bound(3, 1.5), "integers"),
+        (lambda: bounds.iroot(8, 1.5), "integers"),
+        (lambda: bounds.list_decoding_lower(2.5, 1, 1), "integers"),
+        (lambda: bounds.list_decoding_lower(4, 1, 1.5), "integers"),
+        (lambda: bounds.list_decoding_rate(0.1, 1.5), "list size must be an integer"),
+        (lambda: bounds.rate_curves([0.1], None, 1.5), "list size must be an integer"),
+        (lambda: bounds.clique_rate_upper(0.1, 2.5, 1, 2), "integers"),
+        (lambda: bounds.clique_rate_upper(0.1, 4, 1.0, 2), "integers"),
+        (lambda: bounds.clique_rate_min(0.1, {(2.5, 1): 2}), "need integers m, s"),
+        (lambda: codes.hamming_prefix_size(2.5), "m out of range"),
+        (lambda: codes.construct_hamming_prefix(3.0), "m out of range"),
     ],
     ids=[
         "confusable",
@@ -250,11 +262,27 @@ def test_gate_runs_before_any_allocation(call):
         "code-n",
         "verify-list-decodable-list-size",
         "image-count-lower-bound-t",
+        "iroot-k",
+        "list-decoding-lower-n",
+        "list-decoding-lower-list-size",
+        "list-decoding-rate-list-size",
+        "rate-curves-list-size",
+        "clique-rate-upper-m",
+        "clique-rate-upper-s",
+        "clique-rate-min-m",
+        "hamming-prefix-size-m",
+        "construct-hamming-prefix-m",
     ],
 )
 def test_checks_before_the_masks_refuse_non_integers(call, match):
     with pytest.raises(PreconditionError, match=match):
         call()
+
+
+def test_clique_rates_take_a_real_cover_size():
+    # chi bounds a (possibly fractional) cover size, so only m and s are integers
+    assert bounds.clique_rate_upper(0.1, 4, 1, 2.5) == 1.0 - 0.1 * (4 - math.log2(2.5))
+    assert bounds.clique_rate_min(0.1, {(4, 1): 2.5}) == bounds.clique_rate_upper(0.1, 4, 1, 2.5)
 
 
 @pytest.mark.parametrize(
