@@ -53,11 +53,12 @@ plain ints in ascending order, and builds no Word: one dense bincount
 over the 2^n possible outputs adds the weights in the pass's order, and
 its live bins are the keys.  The error entropy is a forward recursion
 on indicator_transition_matrix.  The output-entropy bracket and
-P(y^n = 0^n) read _derivative_matrices.  The bracket sweeps the
-chain's prefix masses in blocks of 2^_PREFIX_LEAF prefixes, one block
-per start state at a time, and adds each block's entropy terms to its
-sums, so it never holds all 2^(n-1) prefixes.  Every oracle reads p as
-a Python float, so a float32 p is computed in float64 like any other.
+P(y^n = 0^n) read _derivative_matrices.  A z = 1 step always lands
+in u' = 0, so the chain resets at every 1: a prefix's mass is a product
+of one factor per run of 0s, and the bracket's entropies follow from a
+recursion over the position of the last 1, O(n^2) float steps in place
+of a sweep over 2^(n-1) prefixes.  Every oracle reads p as a Python
+float, so a float32 p is computed in float64 like any other.
 """
 
 from __future__ import annotations
@@ -72,16 +73,11 @@ import numpy as np
 from .config import check_cap
 from .errors import PreconditionError
 from .model import Word, _apply_mask, _error_masks, _integer
-from .series import _check, _stationary_weights
+from .series import _check, _real, _stationary_weights
 # re-exported only because the benchmark reads them off channel
 from .series import capacity_curves, output_entropy_series, sir  # noqa: F401
 
 ERASURE = "e"
-#: steps one block of the prefix sweep extends, 2^12 prefixes per start
-#: state.  output_entropy_bracket(20, 0.5) took 18/13/11.3/10.6/11.1 ms
-#: with blocks of 2^10..2^14 at a traced peak of 0.17/0.32/0.63/1.25/2.49
-#: MB (the whole sweep: 26 ms, 33.6 MB), so past 2^12 only the peak grows
-_PREFIX_LEAF = 12
 #: indicators one block of the simulation walk draws; a seed gives the
 #: same run at any size.  At 10^6 symbols 2^14 took 9.8 ms with 0.16 MB
 #: of block temporaries over the n input bytes, 2^16 9.2 ms with 0.64 MB
@@ -89,10 +85,12 @@ _SIM_BLOCK = 1 << 14
 
 
 def _check_n(n: int, p: float, least: int = 1) -> float:
-    """Reject n above channel_exact_n, then n < least or p outside [0, 1];
-    return p as a Python float, so that a float32 p computes in float64."""
-    check_cap("n", n, "channel_exact_n")
-    if not _integer(n) or n < least or not 0.0 <= p <= 1.0:
+    """Reject a non-integer n, then n above channel_exact_n, then
+    n < least or p not a real in [0, 1]; return p as a Python float, so
+    that a float32 p computes in float64."""
+    if _integer(n):
+        check_cap("n", n, "channel_exact_n")
+    if not _integer(n) or n < least or not _real(p) or not 0.0 <= p <= 1.0:
         raise PreconditionError(f"need an integer n >= {least} and p in [0, 1]")
     return float(p)
 
@@ -454,86 +452,87 @@ def _derivative_matrices(p: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([[half, p], [0.5, 0.0]]), np.array([[half, 0.0], [0.5, 0.0]])
 
 
-def _entropy(q: np.ndarray) -> float:
-    """Sum of -q log2 q over the positive entries of q, as +0.0 (never
-    -0.0) when no entry contributes."""
-    q = q[q > 0.0]
-    terms = np.log2(q)
-    terms *= q
-    return 0.0 - float(terms.sum())
+def _xlog2(x: float) -> float:
+    """x log2 x, as 0.0 at x = 0."""
+    return x * math.log2(x) if x > 0.0 else 0.0
 
 
-def _sweep(alpha: np.ndarray, d01: np.ndarray, steps: int) -> np.ndarray:
-    """Extend each row of alpha, a mass over (prefix, u), by steps
-    derivatives: row i of alpha @ [D0 | D1] holds prefix i extended by
-    0, then by 1, so reshaping keeps the prefixes ascending."""
-    for _ in range(steps):
-        alpha = (alpha @ d01).reshape(-1, 2)
-    return alpha
-
-
-def _prefix_masses(p: float, n: int):
-    """Yield P(z^{n-1}) and P(z^n) of the derivative chain, row u0 from
-    indicator u0, indexed by the prefix read MSB-first, as pairs of
-    blocks (shorter, longer) whose rows concatenate to the whole laws.
-
-    The first k = n - 1 - _PREFIX_LEAF steps (none for short n) are
-    swept whole from eye(2), both start states at once, into 2^k roots
-    per state.  The last m = n - 1 - k steps are one table: the same
-    sweep from eye(2), its masses summed over u (shorter) and times the
-    row sums of D0 and D1 (longer; the last step needs only
-    alpha(z^{n-1}) D_b 1).  Root i of both states, a 2 x 2 mass over
-    (u0, u), times the table is block i: 2^m shorter and 2^(m+1) longer
-    masses per state, in prefix order."""
+def _run_factors(p: float, n: int) -> tuple[list[list[float]], list[list[float]]]:
+    """(c, tau), c[u][a] = e_u D0^a v and tau[u][a] = e_u D0^a 1 for
+    a = 0..n, v the first column of D1: the mass of a run of a 0s from
+    indicator u that a 1 ends (c) or that ends the prefix (tau)."""
     d0, d1 = _derivative_matrices(p)
-    d01 = np.hstack((d0, d1))
-    k = max(n - 1 - _PREFIX_LEAF, 0)
-    roots = _sweep(np.eye(2), d01, k).reshape(2, -1, 2)
-    leaves = _sweep(np.eye(2), d01, n - 1 - k).reshape(2, -1, 2)
-    size = leaves.shape[1]
-    sums = np.column_stack((d0.sum(axis=1), d1.sum(axis=1)))
-    table = np.hstack((leaves.sum(axis=2), (leaves @ sums).reshape(2, -1)))
-    del leaves
-    for i in range(roots.shape[1]):
-        masses = roots[:, i] @ table
-        yield masses[:, :size], masses[:, size:]
+    (d00, d01), (d10, d11) = d0.tolist()
+    v0, v1 = d1[:, 0].tolist()
+    c, tau = [[], []], [[], []]
+    for u, (r0, r1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        for _ in range(n + 1):
+            c[u].append(r0 * v0 + r1 * v1)
+            tau[u].append(r0 + r1)
+            r0, r1 = r0 * d00 + r1 * d10, r0 * d01 + r1 * d11
+    return c, tau
+
+
+def _run_entropies(first, alone, gap, tail, n: int) -> tuple[float, float]:
+    """-sum m log2 m over the prefixes z^n, then z^(n-1), when
+    0^a0 1 0^a1 1 ... 1 0^ar has mass first[a0] gap[a1] ... tail[ar] and
+    0^L has alone[L].  Per position k of the last 1 it carries A = sum P
+    and B = sum P log2 P over the prefixes z^k that end in 1: 0^(k-1) 1,
+    of mass first[k - 1], and each one that ends in 1 at j < k, extended
+    by a factor phi = gap[k - 1 - j] that maps (A, B) to (phi A,
+    phi B + A phi log2 phi), 0 at phi = 0.  The lists run newest first,
+    so the entry at index i is extended by gap[i].  A tail tau adds
+    tau B + A tau log2 tau: n (n + 1) / 2 steps, not 2^n prefixes."""
+    gap_log = [_xlog2(g) for g in gap]
+    tail_log = [_xlog2(t) for t in tail]
+    big_a, big_b = [], []
+    for f in first[:n]:
+        a, b = f, _xlog2(f)
+        for phi, phi_log, a_j, b_j in zip(gap, gap_log, big_a, big_b):
+            a += phi * a_j
+            b += phi * b_j + phi_log * a_j
+        big_a.insert(0, a)
+        big_b.insert(0, b)
+    sums = []
+    for skip in (0, 1):  # length n, then n - 1, which has no 1 at position n
+        terms = zip(tail, tail_log, big_a[skip:], big_b[skip:])
+        sums.append(sum((t * b + t_log * a for t, t_log, a, b in terms), _xlog2(alone[n - skip])))
+    return 0.0 - sums[0], 0.0 - sums[1]
 
 
 def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
     """(lower, upper) bracket for the output entropy rate:
     H(y_n | y^{n-1}, s0) <= rate <= H(y_n | y^{n-1}), both exact under
     the stationary initial state.  The output-entropy series partial
-    sums converge inside this bracket.
+    sums converge inside this bracket.  a_u(z^L) = e_u D_z1 ... D_zL 1 is
+    the mass of z^L from u0 = u.
 
-    Both ends come from two sweeps of the derivative chain, with a_u the
-    prefix masses from u0 = u.  Lower end: given s0 = (u0, x0), y^n ->
-    z^n is a bijection and z^n's law depends on u0 alone, so
-        lower = sum_u w_u (H(a_u at n) - H(a_u at n-1)).
-    Upper end: y^n -> (y_1, z_2..z_n) is a bijection.  y_1 (x_1 or x0)
-    is uniform whatever u_1, z_2..z_n is emitted from u_1 without
-    reading y_1, and u_1 is stationary; so H(y^n) = 1 + H(b) with
-    b = sum_u w_u a_u at n - 1, and H(y^{n-1}) = 1 + H(b'), b' the
-    pairwise sums of b (the last z summed out): upper = H(b) - H(b').
+    Lower end: given s0 = (u0, x0), y^n -> z^n is a bijection and z^n's
+    law depends on u0 alone: lower = sum_u w_u (H(a_u at n) - H(a_u at
+    n - 1)).  Upper end: y^n -> (y_1, z_2..z_n) is a bijection.  y_1
+    (x_1 or x0) is uniform whatever u_1, z_2..z_n is emitted from u_1
+    without reading y_1, and u_1 is stationary; so H(y^L) = 1 + H(b) at
+    L - 1, b = sum_u w_u a_u: upper = H(b at n - 1) - H(b at n - 2).
 
-    The sweeps walk in the blocks of _prefix_masses, one block per
-    start state at a time, and each block adds its terms to the three
-    sums, exactly up to float reordering:
-    - -sum q log2 q is a sum over prefixes, so it splits over any
-      partition of them;
-    - the two start states' blocks cover the same prefixes, so b can be
-      formed block by block;
-    - b' sums the pairs (2i, 2i+1), and an even-sized block never
-      splits a pair."""
+    The rank-one step.  z_i = 1 means y_i != y_(i-1), which a grain
+    (y_i = x_(i-1) = y_(i-1)) rules out: every z = 1 step lands in
+    u = 0, so D1 = v e_0^T, v its first column.  For z^L =
+    0^a0 1 0^a1 1 ... 1 0^ar, then
+        a_u(z^L) = (e_u D0^a0 v) (e_0 D0^a1 v) ... (e_0 D0^ar 1),
+    the factors of _run_factors, and 0^L has mass e_u D0^L 1.  The
+    mixture b changes only the first factors, to sum_u w_u c_u and
+    sum_u w_u tau_u, so _run_entropies gives all six entropies."""
     p = _check_n(n, p, least=2)
+    c, tau = _run_factors(p, n)
     weights = _stationary_weights(p)
-    lower = h_b = h_pairs = 0.0
-    for shorter, longer in _prefix_masses(p, n):
-        for w, s, l in zip(weights, shorter, longer):
-            lower += w * (_entropy(l) - _entropy(s))
-        b = np.dot(weights, shorter)
-        h_b += _entropy(b)
-        h_pairs += _entropy(b[0::2] + b[1::2])
-    return lower, h_b - h_pairs
+    lower = 0.0
+    for u, w in enumerate(weights):
+        longer, shorter = _run_entropies(c[u], tau[u], c[0], tau[0], n)
+        lower += w * (longer - shorter)
+    w0, w1 = weights
+    mixed = ([w0 * f0 + w1 * f1 for f0, f1 in zip(*pair)] for pair in (c, tau))
+    h_b, h_shorter = _run_entropies(*mixed, c[0], tau[0], n - 1)
+    return lower, h_b - h_shorter
 
 
 def all_zero_output_prob(n: int, p: float) -> float:
@@ -541,7 +540,7 @@ def all_zero_output_prob(n: int, p: float) -> float:
     bounded by (3/4)^floor(n/2) since each 00 output pair rules out an
     11 input pair.  It is P(y_1 = 0, z_2..z_n = 0) = (1/2) w D0^(n-1) 1,
     w the stationary indicator law (as in output_entropy_bracket)."""
-    if not _integer(n) or n < 1 or not 0.0 <= p <= 1.0:
+    if not _integer(n) or n < 1 or not _real(p) or not 0.0 <= p <= 1.0:
         raise PreconditionError("need an integer n >= 1 and p in [0, 1]")
     p = float(p)
     d0 = _derivative_matrices(p)[0]

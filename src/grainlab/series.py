@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 from .bounds import _h2, binary_entropy
 from .errors import PreconditionError
@@ -46,20 +46,34 @@ from .errors import PreconditionError
 DEPTH_MAX = 4096
 
 
-def _check(p: float | None = None, depth: int | None = None) -> float | None:
-    """Reject a grain probability outside [0, 1] and a series depth
-    outside 2..DEPTH_MAX (each checked when given).  Return p as a
-    Python float (None when not given), so that a float32 p computes in
-    float64."""
-    if p is not None and not 0.0 <= p <= 1.0:
+def _real(v) -> bool:
+    """Whether v is a real number: a float, tested first as the common
+    and the fast case, or any other numbers.Real (an int, a Fraction, a
+    numpy float)."""
+    return type(v) is float or isinstance(v, Real)
+
+
+def _check(p: float, depth: int | None = None) -> float:
+    """Reject a grain probability that is not a real in [0, 1], and a
+    series depth outside 2..DEPTH_MAX when one is given.  Return p as a
+    Python float, so that a float32 p computes in float64."""
+    if not _real(p):
+        raise PreconditionError(f"p must be a real number, got {p!r}")
+    if not 0.0 <= p <= 1.0:
         raise PreconditionError(f"p={p} outside [0, 1]")
-    if depth is not None and (not isinstance(depth, Integral) or depth < 2):
+    if depth is not None:
+        _check_depth(depth)
+    return float(p)
+
+
+def _check_depth(depth: int) -> None:
+    """Reject a series depth outside 2..DEPTH_MAX."""
+    if not isinstance(depth, Integral) or depth < 2:
         raise PreconditionError(f"depth must be an integer >= 2, got {depth!r}")
-    if depth is not None and depth > DEPTH_MAX:
+    if depth > DEPTH_MAX:
         raise PreconditionError(
             f"depth {depth} exceeds {DEPTH_MAX}: the deeper terms underflow to 0"
         )
-    return None if p is None else float(p)
 
 
 def _stationary_weights(p: float) -> tuple[float, float]:
@@ -307,7 +321,7 @@ def nonadjacent_error_capacity(p: float) -> float:
 
 def indicator_stay_prob(j: int, p: float) -> float:
     """Closed form P(u_j = 0 | u_1 = 0) = (1 - (-p)^j)/(1 + p)."""
-    if not isinstance(j, Integral) or j < 1 or not 0.0 <= p <= 1.0:
+    if not isinstance(j, Integral) or j < 1 or not _real(p) or not 0.0 <= p <= 1.0:
         raise PreconditionError("need an integer j >= 1 and p in [0, 1]")
     return _stay_probs(float(p), int(j), int(j))[0]
 
@@ -368,7 +382,7 @@ def capacity_curves(
     sir + certified_bound < 1/2 (there the SIR stops being the binding
     lower bound whatever the truncation error), or None.  Each grid
     point is reported as the Python float the SIR was computed at."""
-    _check(depth=depth)
+    _check_depth(depth)
     depth = int(depth)
     rows = []
     crossing = None

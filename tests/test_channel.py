@@ -11,15 +11,14 @@ from hypothesis import given, strategies as st
 from grainlab import channel
 from grainlab.bounds import binary_entropy
 from grainlab.channel import (
-    _PREFIX_LEAF,
     _SIM_BLOCK,
     ChannelSpec,
     _alternate,
     _derivative_matrices,
-    _entropy,
     _indicator_law,
     _fill,
-    _prefix_masses,
+    _run_entropies,
+    _run_factors,
     _start_table,
     all_zero_output_prob,
     cascade_fill,
@@ -876,10 +875,18 @@ def derivative_law(n: int, spec: ChannelSpec, x0: int) -> np.ndarray:
     return law / 2**n
 
 
+def _entropy(q: np.ndarray) -> float:
+    """Sum of -q log2 q over the positive entries of q, as +0.0 (never
+    -0.0) when no entry contributes."""
+    q = q[q > 0.0]
+    return 0.0 - float((q * np.log2(q)).sum())
+
+
 def prefix_masses_whole(p: float, n: int, u0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-array reference for _prefix_masses: one forward sweep that
-    keeps every (prefix, u) mass at once, the last step one product with
-    the row sums of D0 and D1."""
+    """P(z^{n-1}) and P(z^n) of the derivative chain from u0, indexed by
+    the prefix read MSB-first: one forward sweep that keeps every
+    (prefix, u) mass at once, the last step one product with the row
+    sums of D0 and D1."""
     d0, d1 = _derivative_matrices(p)
     d01 = np.hstack((d0, d1))
     alpha = np.eye(2)[u0 : u0 + 1]
@@ -891,7 +898,8 @@ def prefix_masses_whole(p: float, n: int, u0: int) -> tuple[np.ndarray, np.ndarr
 
 
 def bracket_whole(n: int, p: float) -> tuple[float, float]:
-    """output_entropy_bracket on the whole-array sweeps."""
+    """output_entropy_bracket's two ends from the whole-array sweeps of
+    all 2^(n-1) prefixes."""
     lower = b = 0.0
     for u, w in enumerate(ChannelSpec(p).stationary_weights):
         if w > 0.0:
@@ -899,18 +907,6 @@ def bracket_whole(n: int, p: float) -> tuple[float, float]:
             lower += w * (_entropy(longer) - _entropy(shorter))
             b = b + w * shorter
     return lower, _entropy(b) - _entropy(b[0::2] + b[1::2])
-
-
-def concatenated_masses(p: float, n: int, u0: int) -> tuple[np.ndarray, np.ndarray]:
-    """_prefix_masses's blocks of start state u0, joined."""
-    blocks = list(_prefix_masses(p, n))
-    return tuple(np.concatenate([part[u0] for part in parts]) for parts in zip(*blocks))
-
-
-def prefix_block_edges(leaf: int) -> list[int]:
-    """n with n - 1 in {B - 1, B, B + 1, 2B + 1}, B = leaf, as far as
-    the bracket (2 <= n) and the cap (n <= 20) admit."""
-    return [m + 1 for m in (leaf - 1, leaf, leaf + 1, 2 * leaf + 1) if 2 <= m + 1 <= 20]
 
 
 class TestOutputEntropyBracket:
@@ -941,36 +937,36 @@ class TestOutputEntropyBracket:
             want = output_entropy_bracket_reference(n, p)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=str(n))
 
-    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
-    def test_prefix_masses_match_enumerated_output_laws(self, p):
-        """The derivative chain from u0 gives the law of z^n (and of
-        z^{n-1}) that the exact output laws of all 2^n inputs give from
-        (u0, x0), for either x0."""
-        for n in range(1, 9):
-            for u0 in (0, 1):
-                shorter, longer = concatenated_masses(p, n, u0)
-                for x0 in (0, 1):
-                    want = derivative_law(n, ChannelSpec(p, initial=(u0, x0)), x0)
-                    np.testing.assert_allclose(longer, want, rtol=0.0, atol=1e-15)
-                    np.testing.assert_allclose(
-                        shorter, want[0::2] + want[1::2], rtol=0.0, atol=1e-15
-                    )
-
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
-    @pytest.mark.parametrize("leaf", [1, 4, _PREFIX_LEAF])
-    def test_blocks_match_whole_sweep(self, monkeypatch, leaf, p):
-        """Blocks of 2^leaf prefixes concatenate to the whole sweep, and
-        the blocked bracket agrees with the whole-array one, at the
-        block edges n - 1 in {B - 1, B, B + 1, 2B + 1} and at the cap."""
-        monkeypatch.setattr(channel, "_PREFIX_LEAF", leaf)
-        edges = prefix_block_edges(leaf) + ([20] if leaf == _PREFIX_LEAF else [])
-        for n in edges:
+    def test_run_recursion_matches_enumerated_laws_and_whole_sweep(self, p):
+        """From each u0, the recursion's entropies at n and n - 1 are
+        those of the laws of z^n and z^{n-1} that the exact output laws
+        of all 2^n inputs give from (u0, x0), for either x0; and the
+        bracket is the one the whole-array sweeps give, up to the cap."""
+        for n in range(1, 9):
+            c, tau = _run_factors(p, n)
             for u0 in (0, 1):
-                got, want = concatenated_masses(p, n, u0), prefix_masses_whole(p, n, u0)
-                for g, w in zip(got, want):
-                    np.testing.assert_allclose(g, w, rtol=1e-13, atol=0.0, err_msg=str(n))
+                got = _run_entropies(c[u0], tau[u0], c[0], tau[0], n)
+                for x0 in (0, 1):
+                    law = derivative_law(n, ChannelSpec(p, initial=(u0, x0)), x0)
+                    want = (_entropy(law), _entropy(law[0::2] + law[1::2]))
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=str(n))
+        for n in range(2, 21):
             got, want = output_entropy_bracket(n, p), bracket_whole(n, p)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13, err_msg=str(n))
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 1.0])
+    def test_brackets_nest(self, p):
+        """Conditioning on more of the past cannot raise an entropy, so
+        the lower end does not fall with n, the upper end does not rise,
+        and the lower end stays below the upper."""
+        brackets = [output_entropy_bracket(n, p) for n in range(2, 21)]
+        for n, (lower, upper) in enumerate(brackets, 2):
+            assert lower <= upper + 1e-13, n
+        for n, ((lower, upper), (next_lower, next_upper)) in enumerate(
+            zip(brackets, brackets[1:]), 2
+        ):
+            assert next_lower >= lower - 1e-13 and next_upper <= upper + 1e-13, n
 
     def test_traced_memory_at_n18(self):
         output_entropy_bracket(18, 0.5)  # warm imports and caches
@@ -983,7 +979,7 @@ class TestOutputEntropyBracket:
         assert peak < 10e6
 
     def test_traced_memory_at_n20(self):
-        # one block per start state; the whole sweep held 33.6 MB
+        # the whole sweep held 33.6 MB
         output_entropy_bracket(20, 0.5)
         tracemalloc.start()
         try:

@@ -18,7 +18,7 @@ import pytest
 
 from grainlab import bounds, channel, codes, config, graph, model, series
 from grainlab.codes import Code
-from grainlab.errors import PreconditionError
+from grainlab.errors import CapExceeded, PreconditionError
 from grainlab.graph import CliquePartition
 from grainlab.model import ErrorVector, Word, _error_masks
 
@@ -143,6 +143,37 @@ def test_numpy_floats_compute_as_python_floats(oracle, p):
     for numpy_p in (np.float32(p), np.float64(p)):
         got = P_ORACLES[oracle](numpy_p)
         assert got == want and all(type(v) is float for v in got), numpy_p
+
+
+@pytest.mark.parametrize("p", [None, "0.5"], ids=["none", "string"])
+@pytest.mark.parametrize("oracle", P_ORACLES)
+def test_p_oracles_refuse_a_non_real_p(oracle, p):
+    # ChannelSpec(None) built a spec with p=None, and sir(None, 15) raised
+    # a bare TypeError from the range comparison
+    with pytest.raises(PreconditionError):
+        P_ORACLES[oracle](p)
+
+
+@pytest.mark.parametrize("p", [None, "0.5"], ids=["none", "string"])
+def test_simulation_stats_refuses_a_non_real_p(p):
+    with pytest.raises(PreconditionError, match="p must be a real number"):
+        channel.simulation_stats(10, p, 1)
+
+
+EXACT_N_ORACLES = {
+    "erasure_mi_exact": channel.erasure_mi_exact,
+    "error_entropy_exact": channel.error_entropy_exact,
+    "output_entropy_bracket": channel.output_entropy_bracket,
+}
+
+
+@pytest.mark.parametrize("oracle", EXACT_N_ORACLES)
+def test_exact_oracles_check_the_type_of_n_before_the_cap(oracle):
+    # the cap compared "5" > 20 first and raised a bare TypeError
+    with pytest.raises(PreconditionError, match="integer n >= "):
+        EXACT_N_ORACLES[oracle]("5", 0.5)
+    with pytest.raises(CapExceeded):
+        EXACT_N_ORACLES[oracle](2**70, 0.5)
 
 
 @pytest.mark.parametrize(
