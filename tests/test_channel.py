@@ -909,6 +909,17 @@ def bracket_whole(n: int, p: float) -> tuple[float, float]:
     return lower, _entropy(b) - _entropy(b[0::2] + b[1::2])
 
 
+#: test_blocks_match_whole_sweep checks the depths start < n <= next
+#: start for each start here; the last band runs to the cap n = 20
+DEPTH_BAND_STARTS = [1, 4, 12]
+
+
+def depth_band(start: int) -> range:
+    """The n with start < n <= the next band start (20 for the last)."""
+    stops = DEPTH_BAND_STARTS[1:] + [20]
+    return range(start + 1, stops[DEPTH_BAND_STARTS.index(start)] + 1)
+
+
 class TestOutputEntropyBracket:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_bracket_contains_series_limit(self, p):
@@ -938,11 +949,11 @@ class TestOutputEntropyBracket:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=str(n))
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
-    def test_run_recursion_matches_enumerated_laws_and_whole_sweep(self, p):
-        """From each u0, the recursion's entropies at n and n - 1 are
-        those of the laws of z^n and z^{n-1} that the exact output laws
-        of all 2^n inputs give from (u0, x0), for either x0; and the
-        bracket is the one the whole-array sweeps give, up to the cap."""
+    def test_prefix_masses_match_enumerated_output_laws(self, p):
+        """From each u0, the run recursion's entropies of the prefix
+        masses at n and n - 1 are those of the laws of z^n and z^{n-1}
+        that the exact output laws of all 2^n inputs give from (u0, x0),
+        for either x0."""
         for n in range(1, 9):
             c, tau = _run_factors(p, n)
             for u0 in (0, 1):
@@ -951,7 +962,21 @@ class TestOutputEntropyBracket:
                     law = derivative_law(n, ChannelSpec(p, initial=(u0, x0)), x0)
                     want = (_entropy(law), _entropy(law[0::2] + law[1::2]))
                     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=str(n))
-        for n in range(2, 21):
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("start", DEPTH_BAND_STARTS)
+    def test_blocks_match_whole_sweep(self, start, p):
+        """Over the band of depths start < n <= next start, the run
+        recursion's per-u0 entropies are those of the whole-array
+        sweep's prefix masses, and its bracket is the whole-array one;
+        the bands cover every n from 2 up to the cap."""
+        for n in depth_band(start):
+            c, tau = _run_factors(p, n)
+            for u0 in (0, 1):
+                got = _run_entropies(c[u0], tau[u0], c[0], tau[0], n)
+                shorter, longer = prefix_masses_whole(p, n, u0)
+                want = (_entropy(longer), _entropy(shorter))
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13, err_msg=str(n))
             got, want = output_entropy_bracket(n, p), bracket_whole(n, p)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13, err_msg=str(n))
 
