@@ -20,9 +20,10 @@ Arbitrary codes can be loaded from text files (one 0/1 word per line,
 A Code is its sorted packed codewords (Code.values) and nothing else:
 the constructions and the code files produce and read ints, and Words
 are built only for the API (Code.words, Code.sorted_words() and the
-decoders' answers).  The verifiers and the decoder run on Code.values
-through model's closed-form image kernel or the grain operator applied
-to the whole array.
+decoders' answers).  The verifiers run on Code.values through model's
+closed-form image kernel; the known-pattern decoder applies the grain
+operator to the codewords that agree with the received word outside
+the pattern.
 """
 
 from __future__ import annotations
@@ -322,15 +323,17 @@ def decode_known_pattern(code: Code, y: Word, e: ErrorVector) -> Word:
     """
     if y.n != code.n or e.n != code.n:
         raise PreconditionError("length mismatch between code, word and pattern")
-    matches = code.values[_apply_mask(code.values, e.mask) == y.value]
-    if not matches.size:
+    # e keeps the positions outside its mask, so y must agree there
+    near = code.values[((code.values ^ y.value) & ~e.mask) == 0].tolist()
+    matches = [x for x in near if _apply_mask(x, e.mask) == y.value]
+    if not matches:
         raise GrainlabError("no codeword maps to the received word under e")
-    if matches.size > 1:
+    if len(matches) > 1:
         raise GrainlabError(
             "multiple codewords map to the received word: code is not "
             "known-pattern decodable for this pattern"
         )
-    return Word(code.n, int(matches[0]))
+    return Word(code.n, matches[0])
 
 
 # ---------------------------------------------------------------------------

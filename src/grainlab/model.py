@@ -11,11 +11,12 @@ error vectors of x0 x_1..x_n, so it reads these masks and operator.
 
 Everything here is pure and deterministic.  Words pack their bits into
 a Python int (leftmost bit = most significant) so the grain operator is
-a couple of mask operations.  One-word queries (grain_image_list,
-confusable, enumerate_error_vectors) walk the grain supports inside a
-bit mask on Python ints and import no numpy; bulk work vectorises the
-same closed form on numpy, imported when first called: the graph layer
-gathers from support_table, the code verifiers call image_values.
+a couple of mask operations.  One-word queries run on Python ints and
+import no numpy: grain_image_list and enumerate_error_vectors walk the
+grain supports inside a bit mask, and confusable reads the runs of
+x1 ^ x2.  Bulk work vectorises the closed form of the images on numpy,
+imported when first called: the graph layer gathers from
+support_table, the code verifiers call image_values.
 """
 
 from __future__ import annotations
@@ -210,27 +211,28 @@ def apply_grains(x: Word, e: ErrorVector) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _supports_inside(d: int, t: int) -> list[int]:
-    """The grain supports of weight <= t inside the bit mask d (Word
-    packing, position 1 clear), in support-lex order, which is
-    _error_masks' order: the empty support, then for each position j of
-    d from the left, {j} and then {j} u S for each nonempty S of weight
-    < t inside the part of d right of j + 1, in this same order.
+def _supports_inside(d: int, t: int, base: int = 0) -> list[int]:
+    """base ^ M for the grain supports M of weight <= t inside the bit
+    mask d (Word packing, position 1 clear), in support-lex order, which
+    is _error_masks' order: the empty support, then for each position j
+    of d from the left, {j} and then {j} u S for each nonempty S of
+    weight < t inside the part of d right of j + 1, in this same order.
     Picking j drops its right neighbour j + 1 (one bit lower), so no two
-    picked positions are adjacent."""
-    out = [0]
+    picked positions are adjacent.  With base = 0 these are the supports
+    themselves; with base = x and d = d(x), the images of x."""
+    out = [base]
 
     def walk(base: int, rest: int, budget: int) -> None:
         while rest:
             top = 1 << (rest.bit_length() - 1)
             rest ^= top
-            mask = base | top
+            mask = base ^ top
             out.append(mask)
             if budget > 1:
                 walk(mask, rest & ~(top >> 1), budget - 1)
 
     if t:
-        walk(0, d, t)
+        walk(base, d, t)
     return out
 
 
@@ -263,8 +265,8 @@ def _check_image_cap(n: int) -> None:
 
 
 def _check_budget(t: int) -> None:
-    """The walk's check of a grain budget: an integer t >= 0, so a
-    fractional budget is refused, not read as the next integer."""
+    """The one-word queries' check of a grain budget: an integer t >= 0,
+    so a fractional budget is refused, not read as the next integer."""
     if not _integer(t) or t < 0:
         raise PreconditionError(f"t must be >= 0 and an integer, got {t!r}")
 
@@ -282,8 +284,7 @@ def grain_image_list(x: Word, t: int) -> list[Word]:
     image_values, in its order)."""
     _check_image_cap(x.n)
     _check_budget(t)
-    v = x.value
-    return Word._unchecked(x.n, [v ^ m for m in _supports_inside(_boundaries(x), t)])
+    return Word._unchecked(x.n, _supports_inside(_boundaries(x), t, x.value))
 
 
 def grain_images(x: Word, t: int) -> frozenset[Word]:
@@ -312,29 +313,47 @@ def confusable(x1: Word, x2: Word, t: int) -> bool:
     x1 and x2 identically (their image sets intersect).
 
     By closed form (a) of image_values the images of x are x ^ M for the
-    grain supports M of weight <= t inside d(x).  So the image sets meet
-    iff x1 ^ M1 = x2 ^ M2 for some such M1 of x1 and M2 of x2, that is,
-    iff some M1 inside d(x1) makes M2 = M1 ^ x1 ^ x2 a grain support of
-    weight <= t inside d(x2): at most t positions, no two of them
-    adjacent, and none at position 1, which d(x2) leaves out.  The walk
-    over M1 tests each M2 directly and builds no image set.
+    grain supports M of weight <= t inside d(x).  Words whose first bits
+    differ never meet.  Otherwise split delta = x1 ^ x2 into maximal runs
+    of adjacent positions: the pair is t-confusable iff (a) d(x1) holds
+    every position of delta but the first of each run, and (b) handing
+    each run's positions to x1 and x2 in turn, starting with x1 when
+    d(x1) holds the run's first position and with x2 otherwise, gives
+    each word at most t positions.
+
+    Take x1 ^ M1 = x2 ^ M2 with each Mi a support inside d(xi).  A
+    position in both supports can be dropped from both, so M1 and M2 can
+    be taken to partition delta.  Inside a run two neighbours cannot go
+    to the same side, because supports have no adjacent positions, so
+    the sides alternate.  At a run's first position j the words agree at
+    j - 1, so exactly one of d(x1), d(x2) holds j, and that fixes the
+    side.  At every later position of the run the words differ at both
+    j - 1 and j, so d(x1) and d(x2) agree at j, and both must hold it.
+    Conversely, under (a) the hand-out of (b) is such a pair of supports.
     """
     _check_budget(t)
     if x1.n != x2.n:
         raise PreconditionError(f"length mismatch: {x1.n} vs {x2.n}")
-    if x1 == x2:
+    delta = x1.value ^ x2.value
+    if not delta:
         return True
     # position 1 survives every grain pattern, so differing first bits
     # can never collide
-    if x1.bit(1) != x2.bit(1):
+    if delta >> (x1.n - 1):
         return False
     _check_image_cap(x1.n)
-    diff, d2 = x1.value ^ x2.value, _boundaries(x2)
-    for m1 in _supports_inside(_boundaries(x1), t):
-        m2 = m1 ^ diff
-        if not m2 & ~d2 and not m2 & (m2 >> 1) and m2.bit_count() <= t:
-            return True
-    return False
+    d1 = _boundaries(x1)
+    if delta & (delta >> 1) & ~d1:  # (a)
+        return False
+    counts = [0, 0]  # (b): positions handed to x1, to x2
+    while delta:
+        top = delta.bit_length()  # the run is bits low .. top - 1
+        low = (delta ^ ((1 << top) - 1)).bit_length()
+        delta &= (1 << low) - 1
+        starter = not d1 >> (top - 1) & 1  # 0 when x1 starts the run
+        counts[starter] += (top - low + 1) >> 1
+        counts[1 - starter] += (top - low) >> 1
+    return max(counts) <= t
 
 
 def image_count_lower_bound(r: int, t: int) -> int:
@@ -385,11 +404,12 @@ def _error_masks(n: int, t: int) -> np.ndarray:
     in_blocks, support_table, the greedy partition, the verifiers, the
     greedy-known code, the exact search) reach it before they allocate
     anything and have no (n, t) check of their own; only max_code_size,
-    which shifts before it reads a mask, tests (n, t) first.  The walk of
-    _supports_inside reads no mask: grain_image_list, confusable and
-    enumerate_error_vectors check t with confusable's check,
-    _check_budget.  The cache is typed, so the verdict on (5, 1.0) does
-    not depend on whether (5, 1) was cached.
+    which shifts before it reads a mask, tests (n, t) first.  The
+    one-word queries read no mask: grain_image_list and
+    enumerate_error_vectors walk _supports_inside, confusable reads the
+    runs of x1 ^ x2, and all three check t with _check_budget.  The cache
+    is typed, so the verdict on (5, 1.0) does not depend on whether
+    (5, 1) was cached.
     """
     import numpy as np
 

@@ -424,7 +424,51 @@ class TestVerifiers:
 # ---------------------------------------------------------------------------
 
 
+def decode_scan(code: Code, y: Word, e: ErrorVector) -> Word:
+    """The known-pattern decoder as it was before it narrowed the code to
+    the words that agree with y outside e: the grain operator applied to
+    every codeword."""
+    matches = code.values[_apply_mask(code.values, e.mask) == y.value]
+    if not matches.size:
+        raise GrainlabError("no codeword maps to the received word under e")
+    if matches.size > 1:
+        raise GrainlabError(
+            "multiple codewords map to the received word: code is not "
+            "known-pattern decodable for this pattern"
+        )
+    return Word(code.n, int(matches[0]))
+
+
+def outcome(decode, *case):
+    """The decoded word, or the type and message of the error raised."""
+    try:
+        return decode(*case)
+    except GrainlabError as exc:
+        return type(exc), str(exc)
+
+
 class TestDecodeKnownPattern:
+    def test_matches_the_full_scan(self):
+        """On every (codeword, pattern) pair of greedy-known(12, 2), on a
+        received word that is no output, and on codes that fail the
+        known-pattern property."""
+        code = construct_greedy_known(12, 2)
+        patterns = enumerate_error_vectors(12, 2)
+        cases = [(code, apply_grains(c, e), e) for c in code.sorted_words() for e in patterns]
+        e = patterns[5]
+        outputs = {apply_grains(c, e).value for c in code.sorted_words()}
+        cases.append((code, Word(12, next(v for v in range(1 << 12) if v not in outputs)), e))
+        cases.append((Code(2, [0b00, 0b01]), Word.parse("00"), ErrorVector(2, (2,))))
+        everything = Code(4, range(16))
+        cases += [(everything, Word(4, y), ErrorVector(4, (2, 4))) for y in range(16)]
+        errors = []
+        for case in cases:
+            want = outcome(decode_scan, *case)
+            assert outcome(decode_known_pattern, *case) == want, case
+            if isinstance(want, tuple):
+                errors.append(want[1][:8])
+        assert errors.count("no codew") >= 1 and errors.count("multiple") >= 2
+
     @pytest.mark.parametrize("n,t", [(6, 1), (8, 1), (8, 2)])
     def test_round_trip(self, n, t):
         code = construct_greedy_known(n, t)

@@ -64,6 +64,25 @@ def images_ref(x: str, t: int) -> set[str]:
     return {apply_ref(x, s) for s in supports_ref(len(x), t)}
 
 
+def confusable_walk(x1: Word, x2: Word, t: int) -> bool:
+    """The image sets of x1 and x2 meet iff some grain support M1 inside
+    d(x1) makes M2 = M1 ^ x1 ^ x2 a support of weight <= t inside d(x2):
+    the walk over M1 that confusable ran before it read the runs of
+    x1 ^ x2."""
+    if x1 == x2:
+        return True
+    if x1.bit(1) != x2.bit(1):
+        return False
+    low = (1 << (x1.n - 1)) - 1
+    d1, d2 = ((x.value ^ (x.value >> 1)) & low for x in (x1, x2))
+    diff = x1.value ^ x2.value
+    for m1 in _supports_inside(d1, t):
+        m2 = m1 ^ diff
+        if not m2 & ~d2 and not m2 & (m2 >> 1) and m2.bit_count() <= t:
+            return True
+    return False
+
+
 @functools.lru_cache(maxsize=None)
 def literal_images(n: int, t: int) -> tuple[frozenset[int], ...]:
     """The image set of every word value of length n under at most t
@@ -409,9 +428,57 @@ class TestConfusable:
         assert confusable(Word.parse("0110"), Word.parse("0110"), 0)
 
     def test_symmetric(self):
-        for w1 in words_of_length(5):
-            for w2 in words_of_length(5):
-                assert confusable(w1, w2, 1) == confusable(w2, w1, 1)
+        for t in range(4):
+            for w1 in words_of_length(5):
+                for w2 in words_of_length(5):
+                    assert confusable(w1, w2, t) == confusable(w2, w1, t), (w1, w2, t)
+
+    @given(st.data())
+    def test_runs_match_the_walk(self, data):
+        """Half of the pairs share an image y: each word is y ^ M for a
+        support M of weight <= t outside d(y), a member of B(y) by closed
+        form (b) of image_values, so both answers occur."""
+        n = data.draw(st.integers(1, 24), "n")
+        t = data.draw(st.integers(0, 6), "t")
+        words = st.integers(0, (1 << n) - 1)
+        if data.draw(st.booleans(), "shared image"):
+            y, low = data.draw(words, "y"), (1 << (n - 1)) - 1
+            outside = low & ~(y ^ (y >> 1))
+            pair = []
+            for side in ("x1", "x2"):
+                m = data.draw(words, side) & outside
+                m &= ~(m >> 1)  # drop each position whose left neighbour is in m
+                while m.bit_count() > t:
+                    m &= m - 1
+                pair.append(Word(n, y ^ m))
+            x1, x2 = pair
+            assert confusable(x1, x2, t)
+        else:
+            x1, x2 = Word(n, data.draw(words, "x1")), Word(n, data.draw(words, "x2"))
+        assert confusable(x1, x2, t) == confusable_walk(x1, x2, t)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_run_length_against_the_budget(self, t):
+        """One run of delta at positions 2..L + 1, x1 alternating over it
+        from position 1: x1 starts the run and takes ceil(L/2) of it."""
+        for length, want in ((2 * t, True), (2 * t + 1, False)):
+            x1 = Word.parse(("01" * (t + 1))[: length + 1])
+            x2 = Word(x1.n, x1.value ^ ((1 << length) - 1))
+            assert confusable(x1, x2, t) == confusable(x2, x1, t) == want, (length, t)
+            assert confusable_walk(x1, x2, t) == want
+
+    def test_edge_cases(self):
+        # delta = {2, 3}, and x1 does not change at 3: (a) fails at any t
+        x1, x2 = Word.parse("011"), Word.parse("000")
+        assert not any(confusable(x1, x2, t) or confusable_walk(x1, x2, t) for t in range(5))
+        # delta = {2, 4}: x1 starts the run at 2 and x2 the one at 4, so
+        # one grain each records both as 00000
+        x1, x2 = Word.parse("01000"), Word.parse("00010")
+        assert confusable(x1, x2, 1) and confusable_walk(x1, x2, 1)
+        # differing first bits
+        assert not confusable(Word.parse("0101"), Word.parse("1101"), 3)
+        # equal words, no grains
+        assert confusable(Word.parse("10110"), Word.parse("10110"), 0)
 
     def test_length_mismatch(self):
         with pytest.raises(PreconditionError):
@@ -493,8 +560,9 @@ class TestClosedFormKernel:
 
 
 class TestWalkAgainstKernel:
-    """The one-word queries walk the grain supports inside a bit mask;
-    the bulk kernels test every mask.  They agree, order included."""
+    """The one-word queries walk the grain supports inside a bit mask or
+    read the runs of x1 ^ x2; the bulk kernels test every mask.  They
+    agree, order included."""
 
     def test_image_list_is_the_kernel_row(self):
         for n in range(1, 11):
@@ -502,6 +570,14 @@ class TestWalkAgainstKernel:
                 for x in range(1 << n):
                     got = [w.value for w in grain_image_list(Word(n, x), t)]
                     assert got == image_values(x, n, t).tolist(), (n, x, t)
+
+    def test_image_list_is_the_walk_from_zero(self):
+        for n in range(1, 9):
+            for t in range(4):
+                for x in range(1 << n):
+                    d = (x ^ (x >> 1)) & ((1 << (n - 1)) - 1)
+                    got = [w.value for w in grain_image_list(Word(n, x), t)]
+                    assert got == [x ^ m for m in _supports_inside(d, t)], (n, x, t)
 
     def test_enumeration_is_the_mask_row(self):
         for n in range(1, 13):
