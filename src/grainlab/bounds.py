@@ -216,6 +216,10 @@ def clique_rate_upper(tau: float, m: int, s: int, chi: int) -> float:
         raise PreconditionError("need integers m, s >= 1 and chi >= 1")
     if not 0 <= tau <= s / m:
         raise PreconditionError(f"tau={tau} exceeds s/m={s / m}")
+    return _clique_rate(tau, m, s, chi)
+
+
+def _clique_rate(tau: float, m: int, s: int, chi: float) -> float:
     return 1.0 - tau * (m / s - math.log2(chi) / s)
 
 
@@ -275,20 +279,24 @@ def informed_rate_bounds(tau: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def clique_rate_min(tau: float, chi_entries=None) -> float:
-    """Minimum of the clique-partition rate bounds over all table
-    entries admissible at tau (those with tau <= s/m).  Every entry
-    needs integers m, s >= 1 and parts >= 1, whether or not tau admits it."""
-    entries = REFERENCE_PARTITION_SIZES if chi_entries is None else chi_entries
-    best = 1.0
-    for (m, s), chi in entries.items():
+def _partition_rows(chi_entries) -> list[tuple[float, int, int, float]]:
+    """(s / m, m, s, parts) per entry of chi_entries (the reference table
+    when None); every entry needs integers m, s >= 1 and parts >= 1."""
+    rows = []
+    for (m, s), chi in (REFERENCE_PARTITION_SIZES if chi_entries is None else chi_entries).items():
         if not _integers(m, s) or m < 1 or s < 1 or chi < 1:
             raise PreconditionError(
                 f"table entry m={m}, s={s}, parts={chi}: need integers m, s >= 1 and parts >= 1"
             )
-        if tau <= s / m:
-            best = min(best, clique_rate_upper(tau, m, s, chi))
-    return best
+        rows.append((s / m, m, s, chi))
+    return rows
+
+
+def clique_rate_min(tau: float, chi_entries=None) -> float:
+    """Minimum of 1 and the clique-partition rate bounds over the table
+    entries admissible at tau (tau <= s/m), every entry checked first."""
+    rows = _partition_rows(chi_entries)
+    return min([1.0, *(clique_rate_upper(tau, m, s, chi) for top, m, s, chi in rows if tau <= top)])
 
 
 def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
@@ -300,12 +308,13 @@ def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
     cor2_min is the minimum clique-partition rate bound; rn_lower is
     the constant 1/2 achieved by the bit-doubling code.  list_rate (for
     lists of list_size words) and the informed pair are empty past
-    INFORMED_TAU_MAX.  clique_rate_min checks every entry of chi_entries
-    at each tau.
+    INFORMED_TAU_MAX.  chi_entries is checked once, at the first row; each
+    row then reads _clique_rate, clique_rate_upper without the checks that
+    the table check and 0 < tau <= s/m already cover.
     """
     if not _integers(list_size) or list_size < 1:
         raise PreconditionError("list size must be an integer >= 1")
-    rows = []
+    rows, table = [], None
     for tau in taus:
         if not 0 < tau <= 0.5:
             raise PreconditionError(f"tau={tau} outside (0, 1/2]")
@@ -318,7 +327,7 @@ def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
             informed = informed_rate_bounds(tau)
         else:
             list_rate, informed = None, (None, None)
-        rows.append(
-            (tau, gv, upper, clique_rate_min(tau, chi_entries), 0.5, list_rate, *informed)
-        )
+        table = _partition_rows(chi_entries) if table is None else table
+        rates = (_clique_rate(tau, m, s, chi) for top, m, s, chi in table if tau <= top)
+        rows.append((tau, gv, upper, min([1.0, *rates]), 0.5, list_rate, *informed))
     return rows

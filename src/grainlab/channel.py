@@ -41,11 +41,11 @@ on u alone: from u = 0 to u' = 0 with z = 0 or 1, (1-p)/2 each, or to
 u' = 1 with z = 0, p; from u = 1 to u' = 0 with z = 0 or 1, 1/2 each.
 
 The indicators u_1..u_n are an error vector of the word x0 x_1..x_n,
-so model's kernel serves: every output is its grain operator on x0 x,
-x0 dropped.  The exact finite-n oracles check the series at desk
-scale.  The mutual information reads _indicator_law (model's masks of
-length n + 1 with closed-form laws), which keeps no cache, since no
-caller reads a row twice; the output laws read it through
+so model's masks serve: the grains law reads closed form (a) of its
+images, which the cascade's literal fill does not share.  The exact
+oracles check the series at desk scale.  The mutual information reads
+_indicator_law (model's masks of length n + 1, closed-form laws), not
+cached, as no caller reads a row twice; the output laws read it through
 _start_table, cached per (n, spec): it merges the initial states into
 one weight row per fill bit x0, so each law is one broadcast pass of
 its channel over (x0, mask) pairs.  A law is keyed by packed outputs,
@@ -112,16 +112,19 @@ def _indicator_law(n: int, p: float, u0: int) -> tuple[np.ndarray, np.ndarray]:
     number u0 + k - u_n (the 1s among u_0..u_{n-1}), so the steps from
     state 0 number n - u0 - k + u_n, of which k go to 1:
         q = p^k (1-p)^(n - u0 - 2k + u_n),
-    and q = 0 when u0 = 1 = u_1.  Only that excluded case makes the
-    exponent negative; it is clamped to 0 there so that p = 1 does not
-    raise 0 to a negative power.  k = np.bitwise_count(mask) is a uint8, so
+    and q = 0 when u0 = 1 = u_1.  Both factors are gathered from tables
+    of the powers 0..n + 1, the pows a pass per mask takes; only the
+    excluded case makes the exponent negative, -1, which reads the last
+    entry before the zeroing.  k = np.bitwise_count(mask) is a uint8, so
     the sum starts from the int64 u_n = mask & 1 and cannot wrap there.
     """
     p = float(p)
     masks = _error_masks(n + 1, n)
     ones = np.bitwise_count(masks)
     free = (masks & 1) + (n - u0) - 2 * ones
-    probs = p**ones * (1.0 - p) ** np.maximum(free, 0)
+    powers = np.arange(n + 2)
+    probs = ((1.0 - p) ** powers)[free]
+    probs *= (p**powers)[ones]
     if u0:
         probs[masks >> (n - 1) == 1] = 0.0
     return masks, probs
@@ -292,8 +295,9 @@ def cascade_fill(y: str | Sequence[str], y0: int) -> Word:
     adjacent erasures, which would leave a non-binary symbol, are
     rejected.
     """
-    if y0 not in (0, 1):
+    if not (_integer(y0) and y0 in (0, 1)):
         raise PreconditionError("fill bit y0 must be 0 or 1")
+    y0 = int(y0)
     kept = erased = 0
     for c in y:
         if c not in ("0", "1", ERASURE):
@@ -391,15 +395,17 @@ def _output_law(x: Word, spec: ChannelSpec, channel) -> dict[int, float]:
     masks, x0s, weights = _start_table(x.n, spec)
     ys = channel(masks, x0s).ravel()  # the kernel keeps outputs in 0 .. 2^n - 1
     law = np.bincount(ys, weights=weights.ravel(), minlength=1 << x.n)
-    keys = np.flatnonzero(law > 0.0)
+    keys = law.nonzero()[0]  # the weights are never negative: the bins > 0
     return dict(zip(keys.tolist(), law[keys].tolist()))
 
 
 def grains_output_law(x: Word, spec: ChannelSpec) -> dict[int, float]:
     """Exact output distribution of the grains channel for input x,
-    keyed by the packed output value (Word packing), ascending."""
-    cells = (1 << x.n) - 1
-    return _output_law(x, spec, lambda u, x0s: _apply_mask((x0s << x.n) | x.value, u) & cells)
+    keyed by the packed output value (Word packing), ascending: closed
+    form (a) of model.image_values, y = x ^ (u & d(x0 x)), two passes
+    where the grain operator on x0 x takes six."""
+    d = x.value ^ (x.value >> 1)  # d(x0 x) but at position 1, where x0 enters
+    return _output_law(x, spec, lambda u, x0s: (u & (d ^ (x0s << (x.n - 1)))) ^ x.value)
 
 
 def cascaded_erasure_output_law(x: Word, spec: ChannelSpec) -> dict[int, float]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from grainlab import bounds
 from grainlab.bounds import (
     ASYMPTOTIC_UPPER_TAU_MAX,
     INFORMED_TAU_MAX,
@@ -342,6 +343,21 @@ class TestRateCurves:
                 assert (inf_lo, inf_hi) == informed_rate_bounds(tau)
             else:
                 assert list_rate is inf_lo is inf_hi is None
+
+    @pytest.mark.parametrize("entries", [None, {(4, 1): 2.5, (6, 2): 12, (3, 1): 4}])
+    def test_table_checked_once_and_min_unchanged(self, entries, monkeypatch):
+        # once per call, not per grid point, and the same minimum as clique_rate_min
+        taus = [0.002 * k for k in range(1, 251)]
+        calls, check = [], bounds._partition_rows
+        monkeypatch.setattr(bounds, "_partition_rows", lambda e: calls.append(e) or check(e))
+        rows = rate_curves(taus, entries)
+        assert calls == [entries]
+        assert [row[3] for row in rows] == [clique_rate_min(tau, entries) for tau in taus]
+
+    def test_empty_grid_reads_no_table(self):
+        assert rate_curves([], {(0, 1): 2}) == []
+        with pytest.raises(PreconditionError, match="tau=0.7 outside"):
+            rate_curves([0.7], {(0, 1): 2})
 
     def test_list_size_checked_before_the_grid(self):
         with pytest.raises(PreconditionError, match="list size"):

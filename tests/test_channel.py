@@ -37,7 +37,7 @@ from grainlab.channel import (
 )
 from grainlab.config import caps_override
 from grainlab.errors import CapExceeded, PreconditionError
-from grainlab.model import Word, _apply_mask
+from grainlab.model import Word, _apply_mask, _error_masks
 from grainlab.series import (
     DEPTH_MAX,
     IndecomposabilityResult,
@@ -404,6 +404,21 @@ class TestIndicatorKernel:
                 probs, ref_probs, rtol=n * np.finfo(float).eps, atol=0.0
             )
 
+    @pytest.mark.parametrize("u0", [0, 1])
+    @pytest.mark.parametrize("n", [1, 5, 9, 14, 20])
+    def test_law_equals_per_mask_pows_bit_for_bit(self, n, u0):
+        """The power-table gathers take the pows of one pass per mask."""
+        masks = _error_masks(n + 1, n)
+        ones = np.bitwise_count(masks)
+        free = (masks & 1) + (n - u0) - 2 * ones
+        for p in np.linspace(0.0, 1.0, 21).tolist():
+            want = p**ones * (1.0 - p) ** np.maximum(free, 0)
+            if u0:
+                want[masks >> (n - 1) == 1] = 0.0
+            got_masks, got = _indicator_law(n, p, u0)
+            assert got_masks is masks
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), p
+
     @pytest.mark.parametrize("initial", INITIALS)
     def test_simulators_match_per_bit_reference(self, initial):
         spec = ChannelSpec(0.4, initial=initial)
@@ -537,6 +552,23 @@ class TestDegradation:
                         assert keys == sorted(set(keys)), (spec, x, cascade)
                         want = output_law_unique(x, spec, cascade)
                         assert (keys, list(got.values())) == want, (spec, x, cascade)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_grains_law_equals_literal_operator_bit_for_bit(self, p):
+        """Closed form (a) gives the law of the literal grain operator on
+        x0 x: the same keys in the same order and the same float bits."""
+        for start in INITIALS:
+            spec = ChannelSpec(p, start)
+            for n in range(1, 9):
+                masks, x0s, weights = _start_table(n, spec)
+                for x in words(n):
+                    ys = _apply_mask((x0s << n) | x.value, masks) & ((1 << n) - 1)
+                    law = np.bincount(ys.ravel(), weights=weights.ravel(), minlength=1 << n)
+                    keys = np.flatnonzero(law > 0.0)
+                    got = grains_output_law(x, spec)
+                    assert list(got) == keys.tolist(), (spec, x)
+                    bits = np.array(list(got.values())).view(np.uint64)
+                    assert bits.tolist() == law[keys].view(np.uint64).tolist(), (spec, x)
 
     def test_laws_match_per_start_reference(self):
         starts = ["stationary", (0, 0), (0, 1), (1, 0), (1, 1)]

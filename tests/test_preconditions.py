@@ -63,6 +63,15 @@ def test_numpy_int_seeds_are_integers():
     assert stats == channel.simulation_stats(50, 0.3, seed=2)
 
 
+def test_numpy_int_fill_bits_are_integers():
+    # np.int64(1) << 70 overflowed, and the float 1.0 raised a bare TypeError
+    erased = "e" + "0" * 69
+    assert channel.cascade_fill(erased, np.int64(1)) == channel.cascade_fill(erased, 1)
+    for y0 in (1.0, np.float64(0.0)):
+        with pytest.raises(PreconditionError, match="^fill bit y0 must be 0 or 1$"):
+            channel.cascade_fill("e01", y0)
+
+
 @pytest.mark.parametrize(
     "call",
     [
