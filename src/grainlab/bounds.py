@@ -211,11 +211,11 @@ def clique_upper(n: int, t: int, m: int, s: int, chi: int) -> int:
 
 
 def clique_rate_upper(tau: float, m: int, s: int, chi: int) -> float:
-    """Rate form 1 - tau (m/s - log2(chi)/s), valid for tau <= s/m; chi may be real."""
+    """Rate form 1 - tau (m/s - log2(chi)/s), valid for 0 <= tau <= s/m; chi may be real."""
     if not _integers(m, s) or m < 1 or s < 1 or chi < 1:
         raise PreconditionError("need integers m, s >= 1 and chi >= 1")
     if not 0 <= tau <= s / m:
-        raise PreconditionError(f"tau={tau} exceeds s/m={s / m}")
+        raise PreconditionError(f"tau={tau} outside [0, s/m={s / m}]")
     return _clique_rate(tau, m, s, chi)
 
 

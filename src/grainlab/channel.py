@@ -51,14 +51,14 @@ one weight row per fill bit x0, so each law is one broadcast pass of
 its channel over (x0, mask) pairs.  A law is keyed by packed outputs,
 plain ints in ascending order, and builds no Word: one dense bincount
 over the 2^n possible outputs adds the weights in the pass's order, and
-its live bins are the keys.  The error entropy is a forward recursion
-on indicator_transition_matrix.  The output-entropy bracket and
-P(y^n = 0^n) read _derivative_matrices.  A z = 1 step always lands
-in u' = 0, so the chain resets at every 1: a prefix's mass is a product
-of one factor per run of 0s, and the bracket's entropies follow from a
-recursion over the position of the last 1, O(n^2) float steps in place
-of a sweep over 2^(n-1) prefixes.  Every oracle reads p as a Python
-float, so a float32 p is computed in float64 like any other.
+its live bins are the keys.  The error entropy and the output-entropy
+bracket share one recursion over the last event, _run_entropies:
+O(n^2) float steps, not 3^(n-1) star strings or 2^(n-1) prefixes.  The
+error entropy's events are fixed indicators, two states on powers of
+indicator_transition_matrix.  The bracket and P(y^n = 0^n) read
+_derivative_matrices, whose z = 1 step always lands in u' = 0: the
+chain resets at every 1, one event state.  Every oracle reads p as a
+Python float, so a float32 p is computed in float64 like any other.
 """
 
 from __future__ import annotations
@@ -436,18 +436,15 @@ def erasure_mi_exact(n: int, p: float) -> float:
     For each u0, I = H(y|u0) - H(y|x,u0); the erasure pattern of y
     reveals u exactly, so H(y|x,u0) = H(u|u0), and conditioned on u the
     n - np.bitwise_count(u) non-erased outputs are uniform (a uint8 count,
-    >= 0 as n <= 62).  Comes out to 1/(1+p) for every n.
+    >= 0 as n <= 62).  With q the law of u, H(y|u0) = sum q (kept - log2 q)
+    and H(u|u0) = -sum q log2 q: the logs cancel, I = sum q kept, which
+    comes out to 1/(1+p) for every n.
     """
     p = _check_n(n, p)
     kept = n - np.bitwise_count(_error_masks(n + 1, n))  # non-erased positions
     mi = 0.0
     for u0, w in enumerate(_stationary_weights(p)):
-        q = _indicator_law(n, p, u0)[1]
-        live = q > 0.0
-        q, log_q = q[live], np.log2(q[live])
-        h_u = -(q * log_q).sum()
-        h_y = (q * (kept[live] - log_q)).sum()
-        mi += w * float(h_y - h_u)
+        mi += w * float((_indicator_law(n, p, u0)[1] * kept).sum())
     return mi / n
 
 
@@ -463,46 +460,64 @@ def _xlog2(x: float) -> float:
     return x * math.log2(x) if x > 0.0 else 0.0
 
 
+def _powers(m: np.ndarray, k: int) -> list[tuple[tuple[float, float], ...]]:
+    """M^0..M^k of the 2x2 matrix m as rows of floats, (e_0 M^a, e_1 M^a):
+    each step multiplies both rows by m."""
+    (m00, m01), (m10, m11) = m.tolist()
+    r0, r1, s0, s1 = 1.0, 0.0, 0.0, 1.0
+    powers = [((r0, r1), (s0, s1))]
+    for _ in range(k):
+        r0, r1 = r0 * m00 + r1 * m10, r0 * m01 + r1 * m11
+        s0, s1 = s0 * m00 + s1 * m10, s0 * m01 + s1 * m11
+        powers.append(((r0, r1), (s0, s1)))
+    return powers
+
+
 def _run_factors(p: float, n: int) -> tuple[list[list[float]], list[list[float]]]:
     """(c, tau), c[u][a] = e_u D0^a v and tau[u][a] = e_u D0^a 1 for
     a = 0..n, v the first column of D1: the mass of a run of a 0s from
     indicator u that a 1 ends (c) or that ends the prefix (tau)."""
     d0, d1 = _derivative_matrices(p)
-    (d00, d01), (d10, d11) = d0.tolist()
     v0, v1 = d1[:, 0].tolist()
-    c, tau = [[], []], [[], []]
-    for u, (r0, r1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        for _ in range(n + 1):
-            c[u].append(r0 * v0 + r1 * v1)
-            tau[u].append(r0 + r1)
-            r0, r1 = r0 * d00 + r1 * d10, r0 * d01 + r1 * d11
+    rows = list(zip(*_powers(d0, n)))  # rows[u][a] = e_u D0^a
+    c = [[r0 * v0 + r1 * v1 for r0, r1 in row] for row in rows]
+    tau = [[r0 + r1 for r0, r1 in row] for row in rows]
     return c, tau
 
 
 def _run_entropies(first, alone, gap, tail, n: int) -> tuple[float, float]:
-    """-sum m log2 m over the prefixes z^n, then z^(n-1), when
-    0^a0 1 0^a1 1 ... 1 0^ar has mass first[a0] gap[a1] ... tail[ar] and
-    0^L has alone[L].  Per position k of the last 1 it carries A = sum P
-    and B = sum P log2 P over the prefixes z^k that end in 1: 0^(k-1) 1,
-    of mass first[k - 1], and each one that ends in 1 at j < k, extended
-    by a factor phi = gap[k - 1 - j] that maps (A, B) to (phi A,
-    phi B + A phi log2 phi), 0 at phi = 0.  The lists run newest first,
-    so the entry at index i is extended by gap[i].  A tail tau adds
-    tau B + A tau log2 tau: n (n + 1) / 2 steps, not 2^n prefixes."""
-    gap_log = [_xlog2(g) for g in gap]
-    tail_log = [_xlog2(t) for t in tail]
-    big_a, big_b = [], []
+    """-sum m log2 m over the strings of length n, then n - 1, of 0s and
+    events of S = len(tail[0]) states, when 0^a0 s_1 0^a1 ... s_r 0^ar has
+    mass first[a0][s_1] gap[a1][s_1][s_2] ... tail[ar][s_r] and 0^L has
+    alone[L].  Per position k and state s of the last event it carries
+    A = sum m and B = sum m log2 m over the strings z^k that end in it:
+    0^(k-1) s, of mass first[k - 1][s], and each one that ends in state b
+    at j < k, extended by phi = gap[k - 1 - j][b][s], which maps (A, B)
+    to (phi A, phi B + A phi log2 phi), 0 at phi = 0.  The ends run
+    newest position first, states in order, so the end at index i S + b
+    is extended by gap[i][b][s].  A tail tau adds tau B + A tau log2 tau:
+    S^2 C(n, 2) steps, not (S + 1)^n strings."""
+    states = range(len(tail[0]))
+    ends = []  # (A, B) per event position and state, newest position first
+    into = []  # per state s: gap[i][b][s] at index i S + b, and its x log2 x
+    for s in states:
+        col = [g[b][s] for g in gap for b in states]
+        into.append((col, list(map(_xlog2, col))))
     for f in first[:n]:
-        a, b = f, _xlog2(f)
-        for phi, phi_log, a_j, b_j in zip(gap, gap_log, big_a, big_b):
-            a += phi * a_j
-            b += phi * b_j + phi_log * a_j
-        big_a.insert(0, a)
-        big_b.insert(0, b)
+        grown = []
+        for a, (col, col_log) in zip(f, into):
+            b = _xlog2(a)
+            for phi, phi_log, (a_j, b_j) in zip(col, col_log, ends):
+                a += phi * a_j
+                b += phi * b_j + phi_log * a_j
+            grown.append((a, b))
+        ends[:0] = grown
+    col = [t[s] for t in tail for s in states]
+    col_log = list(map(_xlog2, col))
     sums = []
-    for skip in (0, 1):  # length n, then n - 1, which has no 1 at position n
-        terms = zip(tail, tail_log, big_a[skip:], big_b[skip:])
-        sums.append(sum((t * b + t_log * a for t, t_log, a, b in terms), _xlog2(alone[n - skip])))
+    for skip, length in ((0, n), (len(states), n - 1)):  # n - 1 has no event at position n
+        terms = zip(col, col_log, ends[skip:])
+        sums.append(sum((t * b + t_log * a for t, t_log, (a, b) in terms), _xlog2(alone[length])))
     return 0.0 - sums[0], 0.0 - sums[1]
 
 
@@ -530,14 +545,16 @@ def output_entropy_bracket(n: int, p: float) -> tuple[float, float]:
     sum_u w_u tau_u, so _run_entropies gives all six entropies."""
     p = _check_n(n, p, least=2)
     c, tau = _run_factors(p, n)
+    gap, tail = [[[g]] for g in c[0]], [[t] for t in tau[0]]  # one event state
     weights = _stationary_weights(p)
     lower = 0.0
     for u, w in enumerate(weights):
-        longer, shorter = _run_entropies(c[u], tau[u], c[0], tau[0], n)
+        longer, shorter = _run_entropies([[f] for f in c[u]], tau[u], gap, tail, n)
         lower += w * (longer - shorter)
     w0, w1 = weights
-    mixed = ([w0 * f0 + w1 * f1 for f0, f1 in zip(*pair)] for pair in (c, tau))
-    h_b, h_shorter = _run_entropies(*mixed, c[0], tau[0], n - 1)
+    first = [[w0 * f0 + w1 * f1] for f0, f1 in zip(*c)]
+    alone = [w0 * t0 + w1 * t1 for t0, t1 in zip(*tau)]
+    h_b, h_shorter = _run_entropies(first, alone, gap, tail, n - 1)
     return lower, h_b - h_shorter
 
 
@@ -571,39 +588,21 @@ def error_entropy_exact(n: int, p: float) -> float:
     mu the stationary law, P indicator_transition_matrix(p); trailing
     stars contribute a factor 1, as P is stochastic.
 
-    Recursion.  Per last fixed position and value (i, a), carry A = sum g
-    and B = sum g log2 g.  A string starts at (i, a) with g = alpha(i, a)
-    or extends one ending at (j, b), j < i, by phi = P^(i-j)(b, a), which
-    maps (A, B) to (phi A, phi (B + A log2 phi)); phi = 0 is skipped.  The
-    all-star string has g = G0 = sum c mu, so a half sums to -(G0 log2 G0
-    + sum B): 4 C(n-1, 2) steps, not 3^(n-1) star strings.  The tests
-    check it against those enumerations, which are independent of the
-    series whose limit the successive differences approach."""
+    Recursion.  A fixed value a is an event of state a, so each half is
+    one _run_entropies call over the n - 1 positions 2..n, with
+    first[k] = c mu P^(k+1) (alpha at k + 2), gap[k] = P^(k+1), tail 1
+    and the all-star G0 = sum c mu: 4 C(n-1, 2) steps, not 3^(n-1) star
+    strings.  The tests check it against those enumerations, which are
+    independent of the series whose limit the successive differences
+    approach."""
     p = _check_n(n, p)
-    (p00, p01), (p10, p11) = indicator_transition_matrix(p).tolist()
-    powers = [((1.0, 0.0), (0.0, 1.0))]  # P^k for k = 0 .. n - 1
-    for _ in range(n - 1):
-        powers.append(tuple((r0 * p00 + r1 * p10, r0 * p01 + r1 * p11) for r0, r1 in powers[-1]))
+    gap = _powers(indicator_transition_matrix(p), n - 1)[1:]  # gap[k] = P^(k + 1)
     w0, w1 = _stationary_weights(p)
     total = 0.0
-    for start in ((w0, 0.5 * w1), (0.0, 0.5 * w1)):  # c mu per half
-        g0 = start[0] + start[1]
-        total += g0 * math.log2(g0) if g0 > 0.0 else 0.0
-        ends: list[tuple[int, int, float, float]] = []  # (i, a, A, B)
-        for i in range(2, n + 1):
-            grown = []
-            for a in (0, 1):
-                big_a = start[0] * powers[i - 1][0][a] + start[1] * powers[i - 1][1][a]
-                big_b = big_a * math.log2(big_a) if big_a > 0.0 else 0.0
-                for j, b, a_j, b_j in ends:
-                    phi = powers[i - j][b][a]
-                    if phi > 0.0:
-                        big_a += phi * a_j
-                        big_b += phi * (b_j + a_j * math.log2(phi))
-                grown.append((i, a, big_a, big_b))
-                total += big_b
-            ends += grown
-    return 0.0 - total / (1 << (int(n) - 1))
+    for c0, c1 in ((w0, 0.5 * w1), (0.0, 0.5 * w1)):  # c mu per half
+        first = [[c0 * r0 + c1 * r1 for r0, r1 in zip(*power)] for power in gap]
+        total += _run_entropies(first, [c0 + c1] * n, gap, [(1.0, 1.0)] * n, n - 1)[0]
+    return total / (1 << (int(n) - 1))
 
 
 def indicator_transition_matrix(p: float) -> np.ndarray:

@@ -988,8 +988,9 @@ class TestOutputEntropyBracket:
         for either x0."""
         for n in range(1, 9):
             c, tau = _run_factors(p, n)
+            gap, tail = [[[g]] for g in c[0]], [[t] for t in tau[0]]
             for u0 in (0, 1):
-                got = _run_entropies(c[u0], tau[u0], c[0], tau[0], n)
+                got = _run_entropies([[f] for f in c[u0]], tau[u0], gap, tail, n)
                 for x0 in (0, 1):
                     law = derivative_law(n, ChannelSpec(p, initial=(u0, x0)), x0)
                     want = (_entropy(law), _entropy(law[0::2] + law[1::2]))
@@ -1004,8 +1005,9 @@ class TestOutputEntropyBracket:
         the bands cover every n from 2 up to the cap."""
         for n in depth_band(start):
             c, tau = _run_factors(p, n)
+            gap, tail = [[[g]] for g in c[0]], [[t] for t in tau[0]]
             for u0 in (0, 1):
-                got = _run_entropies(c[u0], tau[u0], c[0], tau[0], n)
+                got = _run_entropies([[f] for f in c[u0]], tau[u0], gap, tail, n)
                 shorter, longer = prefix_masses_whole(p, n, u0)
                 want = (_entropy(longer), _entropy(shorter))
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13, err_msg=str(n))
@@ -1124,7 +1126,43 @@ def error_entropy_star(n: int, p: float, shortcut: bool = True) -> float:
     return sum(star_entropy(g, n - 1, shortcut) for g in halves) / (1 << (n - 1))
 
 
+def run_masses(first, alone, gap, tail, length: int) -> np.ndarray:
+    """The mass of every string of the given length over a non-event and
+    two event states, read off _run_entropies' product form one string
+    at a time: first at the first event, gap between events, tail after
+    the last, alone without events."""
+    masses = []
+    for string in itertools.product((None, 0, 1), repeat=length):
+        events = [(i, a) for i, a in enumerate(string) if a is not None]
+        if not events:
+            masses.append(alone[length])
+            continue
+        i, a = events[0]
+        mass = first[i][a]
+        for (j, b), (i, a) in zip(events, events[1:]):
+            mass *= gap[i - j - 1][b][a]
+        mass *= tail[length - 1 - i][a]
+        masses.append(mass)
+    return np.array(masses)
+
+
 class TestErrorEntropyExact:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run_recursion_with_two_states_and_a_tail(self, seed):
+        """With two event states, a tail other than the 1 that
+        error_entropy_exact passes, and a zero gap factor, the run
+        recursion's entropies at n and n - 1 are those of the masses of
+        all 3^n and 3^(n-1) strings."""
+        rng = np.random.default_rng(seed)
+        for n in range(1, 7):
+            first, tail = rng.random((2, n + 1, 2)).tolist()
+            gap = rng.random((n + 1, 2, 2))
+            gap[0, 1, 1] = 0.0  # as P(1 | 1) = 0
+            gap, alone = gap.tolist(), rng.random(n + 1).tolist()
+            got = _run_entropies(first, alone, gap, tail, n)
+            want = [_entropy(run_masses(first, alone, gap, tail, k)) for k in (n, n - 1)]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=str(n))
+
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
     def test_matches_per_pattern_loop(self, p):
         for n in range(1, 13):

@@ -335,6 +335,9 @@ def test_clique_rates_take_a_real_cover_size():
         (lambda: bounds.fixed_budget_upper(10, 7), "small t"),
         (lambda: bounds.clique_upper(0, 1, 2, 1, 2), "n,m,s >= 1"),
         (lambda: bounds.clique_rate_upper(0.1, 0, 1, 2), "m, s >= 1"),
+        (lambda: bounds.clique_rate_upper(-0.1, 4, 1, 2), r"^tau=-0.1 outside \[0, s/m=0.25\]$"),
+        (lambda: bounds.clique_rate_upper(math.nan, 4, 1, 2), r"^tau=nan outside \[0, s/m=0.25\]$"),
+        (lambda: bounds.clique_rate_min(-0.1), r"^tau=-0.1 outside \[0, s/m="),
         (lambda: bounds.list_decoding_lower(0, 1, 1), "list size >= 1"),
         (lambda: bounds.list_decoding_rate(0.1, 0), "list size"),
         (lambda: bounds.decoder_informed_lower(0, 1), "n >= 1"),
@@ -378,6 +381,9 @@ def test_clique_rates_take_a_real_cover_size():
         "fixed-budget-t",
         "clique-upper",
         "clique-rate-upper",
+        "clique-rate-upper-negative-tau",
+        "clique-rate-upper-nan-tau",
+        "clique-rate-min-negative-tau",
         "list-decoding-lower",
         "list-decoding-rate",
         "decoder-informed-lower",
