@@ -19,7 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from harness import quartiles  # noqa: E402
 
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")  # all lower-is-better, like error_rate
 
@@ -29,10 +33,7 @@ def load(path: str) -> list[dict]:
 
 
 def summary(values: list[float]) -> dict:
-    if len(values) == 1:
-        q1 = median = q3 = values[0]
-    else:
-        q1, median, q3 = statistics.quantiles(values, n=4)
+    q1, median, q3 = quartiles(values)
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 

@@ -4,7 +4,9 @@ Rates are in bits per symbol as functions of the normalized grain
 budget tau = t/n in (0, 1/2].  Cardinality bounds are exact integers
 (Python bigints / fractions), safe up to n = 128 and beyond; the
 error-vector count they divide by is here too, so this module needs
-no numpy.
+no numpy.  Each quantity has one implementation: the curves in
+rate_curves read the same functions as the scalar calls, and the
+argument checks read errors._integer.
 
 Bounds implemented:
 
@@ -15,9 +17,11 @@ Bounds implemented:
 * the run-count asymptotic upper bound h((1-x*)/2) where x* is the
   smallest positive root of h((1-x)/2) + ((1-x)/4) h(4 tau/(1-x)) = 1,
   valid for tau <= 0.0706;
-* clique-partition upper bounds chi^floor(t/s) 2^(n - m floor(t/s))
-  and their rate form 1 - tau (m/s - log2(chi)/s);
-* the list-decoding existence lower bound and its rate form;
+* clique-partition upper bounds chi^floor(t/s) 2^(n - m floor(t/s)),
+  their rate form 1 - tau (m/s - log2(chi)/s), and its minimum over a
+  chi table (Corollary 2), which clique_rate_min and rate_curves share;
+* the list-decoding existence lower bound and its rate form, which
+  subtracts the error-vector count's rate (1-tau) h(tau/(1-tau));
 * lower bounds for grain locations known to the decoder (greedy
   packing) or to the encoder (good-family existence), with the shared
   rate curve max(1/2, 1 - (1-tau) h(tau/(1-tau))) and the
@@ -28,9 +32,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Integral
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _integer
 
 #: validity edge of the rate forms that rely on the error-vector count
 #: being dominated by its top binomial term: tau <= 1/2 - sqrt(5)/10
@@ -68,13 +71,9 @@ def _h2(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
-def _integers(*values) -> bool:
-    return all(isinstance(v, Integral) for v in values)
-
-
 def iroot(value: int, k: int) -> int:
     """floor(value ** (1/k)) for non-negative integers, exactly."""
-    if not _integers(value, k) or value < 0 or k < 1:
+    if not (_integer(value) and _integer(k)) or value < 0 or k < 1:
         raise PreconditionError("need integers value >= 0 and k >= 1")
     if value == 0:
         return 0
@@ -96,7 +95,7 @@ def count_error_vectors(n: int, t: int) -> int:
     ways, so the count is sum_{i=0..t} C(n-i, i).  Terms with n-i < i
     vanish, which clamps t past floor((n-1)/2) automatically.
     """
-    if not _integers(n, t) or n < 1 or t < 0:
+    if not (_integer(n) and _integer(t)) or n < 1 or t < 0:
         raise PreconditionError("need integers n >= 1 and t >= 0")
     return sum(math.comb(n - i, i) for i in range(0, t + 1) if n - i >= i)
 
@@ -121,7 +120,7 @@ def fixed_budget_upper(n: int, t: int) -> int:
     bound.  For t = 0 the formula degenerates to 3 * 2^n and is not
     meaningful (the true maximum is 2^n).
     """
-    if not _integers(n, t) or n < 1 or t < 0:
+    if not (_integer(n) and _integer(t)) or n < 1 or t < 0:
         raise PreconditionError("need integers n >= 1 and t >= 0")
     if t > 6:
         raise PreconditionError("fixed-budget form is for small t (<= 6)")
@@ -157,13 +156,18 @@ def asymptotic_upper_root(tau: float) -> float:
     (step 1e-4, then 1-8 tau if the grid stops short) finds the same
     bracketing grid points as a scan from 0 would; a bisection of that
     bracket to 1e-10 follows.
+
+    f(0) = h(4 tau)/4 > 0 for every tau > 0, but 1 + h(4 tau)/4 rounds
+    to 1 in floats once tau falls below about 1e-18.  There the float
+    f(0) is not positive and the root returned is 0: the rate h(1/2) = 1
+    is then the true rate to float precision, and still an upper bound.
     """
     if not 0 < tau <= ASYMPTOTIC_UPPER_TAU_MAX:
         raise PreconditionError(f"tau outside (0, {ASYMPTOTIC_UPPER_TAU_MAX}]")
     scan_step, tol = 1e-4, 1e-10
     hi = 1.0 - 8.0 * tau
     if _root_equation(0.0, tau) <= 0:
-        raise PreconditionError("no positive root: equation non-positive at 0")
+        return 0.0
     steps = int(hi / scan_step)
     last = steps + 1 if steps == 0 or steps * scan_step < hi else steps
 
@@ -202,7 +206,7 @@ def clique_upper(n: int, t: int, m: int, s: int, chi: int) -> int:
     size for (m, s); requires t/n <= s/m.  With t < s the product is
     empty and the bound degenerates to 2^n.
     """
-    if not _integers(n, t, m, s, chi) or n < 1 or m < 1 or s < 1 or t < 0 or chi < 1:
+    if not all(map(_integer, (n, t, m, s, chi))) or n < 1 or m < 1 or s < 1 or t < 0 or chi < 1:
         raise PreconditionError("need integers n,m,s >= 1, t >= 0, chi >= 1")
     if t * m > s * n:
         raise PreconditionError(f"t/n = {t}/{n} exceeds s/m = {s}/{m}")
@@ -212,7 +216,7 @@ def clique_upper(n: int, t: int, m: int, s: int, chi: int) -> int:
 
 def clique_rate_upper(tau: float, m: int, s: int, chi: int) -> float:
     """Rate form 1 - tau (m/s - log2(chi)/s), valid for 0 <= tau <= s/m; chi may be real."""
-    if not _integers(m, s) or m < 1 or s < 1 or chi < 1:
+    if not (_integer(m) and _integer(s)) or m < 1 or s < 1 or chi < 1:
         raise PreconditionError("need integers m, s >= 1 and chi >= 1")
     if not 0 <= tau <= s / m:
         raise PreconditionError(f"tau={tau} outside [0, s/m={s / m}]")
@@ -231,21 +235,28 @@ def list_decoding_lower(n: int, t: int, list_size: int) -> Fraction:
     root, which only weakens the bound (and by less than one part in
     2^n).
     """
-    if not _integers(n, t, list_size) or n < 1 or t < 0 or list_size < 1:
+    if not all(map(_integer, (n, t, list_size))) or n < 1 or t < 0 or list_size < 1:
         raise PreconditionError("need integers n >= 1, t >= 0, list size >= 1")
     numerator = iroot(2 ** (n * list_size), list_size + 1)
     return Fraction(numerator, count_error_vectors(n, t))
 
 
-def list_decoding_rate(tau: float, list_size: int) -> float:
-    """Rate form L/(L+1) - (1-tau) h(tau/(1-tau)), valid while the
-    error-vector count is dominated by its top term (tau <= 0.2764)."""
-    if not _integers(list_size) or list_size < 1:
-        raise PreconditionError("list size must be an integer >= 1")
+def _error_vector_rate(tau: float) -> float:
+    """(1-tau) h(tau/(1-tau)), the exponent of the error-vector count's
+    top binomial term, for tau in [0, INFORMED_TAU_MAX], where that term
+    dominates the count."""
     if not 0 <= tau <= INFORMED_TAU_MAX + 1e-12:
         raise PreconditionError(f"tau={tau} outside [0, {INFORMED_TAU_MAX:.4f}]")
     ratio = tau / (1.0 - tau) if tau > 0 else 0.0
-    return list_size / (list_size + 1) - (1.0 - tau) * binary_entropy(ratio)
+    return (1.0 - tau) * binary_entropy(ratio)
+
+
+def list_decoding_rate(tau: float, list_size: int) -> float:
+    """Rate form L/(L+1) - (1-tau) h(tau/(1-tau)), valid while the
+    error-vector count is dominated by its top term (tau <= 0.2764)."""
+    if not _integer(list_size) or list_size < 1:
+        raise PreconditionError("list size must be an integer >= 1")
+    return list_size / (list_size + 1) - _error_vector_rate(tau)
 
 
 def decoder_informed_lower(n: int, t: int) -> Fraction:
@@ -267,11 +278,7 @@ def informed_rate_bounds(tau: float) -> tuple[float, float]:
     pattern: lower = max(1/2, 1 - (1-tau) h(tau/(1-tau))) (the
     bit-doubling code stays viable), upper = 1 - tau (one bit per
     grain)."""
-    if not 0 <= tau <= INFORMED_TAU_MAX + 1e-12:
-        raise PreconditionError(f"tau={tau} outside [0, {INFORMED_TAU_MAX:.4f}]")
-    ratio = tau / (1.0 - tau) if tau > 0 else 0.0
-    lower = max(0.5, 1.0 - (1.0 - tau) * binary_entropy(ratio))
-    return lower, 1.0 - tau
+    return max(0.5, 1.0 - _error_vector_rate(tau)), 1.0 - tau
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,7 @@ def _partition_rows(chi_entries) -> list[tuple[float, int, int, float]]:
     when None); every entry needs integers m, s >= 1 and parts >= 1."""
     rows = []
     for (m, s), chi in (REFERENCE_PARTITION_SIZES if chi_entries is None else chi_entries).items():
-        if not _integers(m, s) or m < 1 or s < 1 or chi < 1:
+        if not (_integer(m) and _integer(s)) or m < 1 or s < 1 or chi < 1:
             raise PreconditionError(
                 f"table entry m={m}, s={s}, parts={chi}: need integers m, s >= 1 and parts >= 1"
             )
@@ -292,11 +299,26 @@ def _partition_rows(chi_entries) -> list[tuple[float, int, int, float]]:
     return rows
 
 
+def _cor2_min(tau: float, rows) -> float:
+    """Minimum of 1 and _clique_rate over the checked _partition_rows
+    admissible at tau (tau <= s/m).  A tau for which tau >= 0 is false,
+    NaN included, is refused with the first row's s/m."""
+    if not tau >= 0:
+        edge = rows[0][0] if rows else math.inf
+        raise PreconditionError(f"tau={tau} outside [0, s/m={edge}]")
+    return min([1.0, *(_clique_rate(tau, m, s, chi) for top, m, s, chi in rows if tau <= top)])
+
+
 def clique_rate_min(tau: float, chi_entries=None) -> float:
-    """Minimum of 1 and the clique-partition rate bounds over the table
-    entries admissible at tau (tau <= s/m), every entry checked first."""
-    rows = _partition_rows(chi_entries)
-    return min([1.0, *(clique_rate_upper(tau, m, s, chi) for top, m, s, chi in rows if tau <= top)])
+    """Corollary 2's minimum: min of 1 and the clique-partition rate
+    bounds over the table entries admissible at tau (tau <= s/m).
+
+    Every entry is checked first, then tau: any tau >= 0 has an answer
+    (1.0 past every entry's s/m, or with an empty table), and a negative
+    or NaN tau is refused whatever the table.  rate_curves computes its
+    cor2_min column with the same minimum.
+    """
+    return _cor2_min(tau, _partition_rows(chi_entries))
 
 
 def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
@@ -309,10 +331,9 @@ def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
     the constant 1/2 achieved by the bit-doubling code.  list_rate (for
     lists of list_size words) and the informed pair are empty past
     INFORMED_TAU_MAX.  chi_entries is checked once, at the first row; each
-    row then reads _clique_rate, clique_rate_upper without the checks that
-    the table check and 0 < tau <= s/m already cover.
+    row then reads the minimum clique_rate_min reads.
     """
-    if not _integers(list_size) or list_size < 1:
+    if not _integer(list_size) or list_size < 1:
         raise PreconditionError("list size must be an integer >= 1")
     rows, table = [], None
     for tau in taus:
@@ -328,6 +349,5 @@ def rate_curves(taus, chi_entries=None, list_size: int = 1) -> list[tuple]:
         else:
             list_rate, informed = None, (None, None)
         table = _partition_rows(chi_entries) if table is None else table
-        rates = (_clique_rate(tau, m, s, chi) for top, m, s, chi in table if tau <= top)
-        rows.append((tau, gv, upper, min([1.0, *rates]), 0.5, list_rate, *informed))
+        rows.append((tau, gv, upper, _cor2_min(tau, table), 0.5, list_rate, *informed))
     return rows

@@ -71,9 +71,9 @@ from typing import Sequence
 import numpy as np
 
 from .config import check_cap
-from .errors import PreconditionError
-from .model import Word, _apply_mask, _error_masks, _integer
-from .series import _check, _real, _stationary_weights
+from .errors import PreconditionError, _integer, _real
+from .model import Word, _apply_mask, _error_masks
+from .series import _check, _stationary_weights
 # re-exported only because the benchmark reads them off channel
 from .series import capacity_curves, output_entropy_series, sir  # noqa: F401
 

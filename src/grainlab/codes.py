@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import check_cap
-from .errors import GrainlabError, PreconditionError
+from .errors import GrainlabError, PreconditionError, _integer
 from .model import (
     ErrorVector,
     Word,
@@ -42,7 +42,6 @@ from .model import (
     _check_image_cap,
     _check_kernel_bits,
     _error_masks,
-    _integer,
     image_values,
     in_blocks,
 )
@@ -183,8 +182,7 @@ def construct_hamming_prefix(m: int) -> Code:
     caps.greedy_code_n (default 20): m = 4 lists 2^12 words, m = 5
     already means 2^27.
     """
-    if not _integer(m) or not 2 <= m <= 6:
-        raise PreconditionError("m out of range (want an integer 2..6)")
+    hamming_prefix_size(m)  # refuses an m outside 2..6
     n = 1 << m
     _check_kernel_bits(n)
     check_cap("n-m", n - m, "greedy_code_n")

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_cap, get_caps
-from .errors import PreconditionError
-from .model import Word, _apply_mask, _integer, support_table
+from .errors import PreconditionError, _integer
+from .model import Word, _apply_mask, support_table
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .config import check_cap
-from .errors import PreconditionError
+from .errors import PreconditionError, _integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,13 +44,6 @@ KERNEL_BITS = 63
 #: took 0.4-0.6 s with 4 * 2^16 entries and 0.26 s with 2^15 on a shared
 #: 2-CPU VM.  support_table and SupportTable.gather size their blocks from it
 KERNEL_BLOCK = 1 << 15
-
-
-def _integer(v) -> bool:
-    """Whether v is an integer: an int, tested first as the common and
-    the fast case (isinstance against the ABC costs ten times more), or
-    any other numbers.Integral, a numpy int say."""
-    return type(v) is int or isinstance(v, Integral)
 
 
 # ---------------------------------------------------------------------------

@@ -34,23 +34,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral, Real
 
 from .bounds import _h2, binary_entropy
-from .errors import PreconditionError
+from .errors import PreconditionError, _integer, _real
 
 #: deepest series truncation.  The terms fall at least by half every two
 #: steps (see SirResult), so past J = 2160 every term of both series and
 #: both truncation bounds underflow to 0.0 for every p in [0, 1]: a
 #: deeper series returns the same floats, at a cost linear in J.
 DEPTH_MAX = 4096
-
-
-def _real(v) -> bool:
-    """Whether v is a real number: a float, tested first as the common
-    and the fast case, or any other numbers.Real (an int, a Fraction, a
-    numpy float)."""
-    return type(v) is float or isinstance(v, Real)
 
 
 def _check(p: float, depth: int | None = None) -> float:
@@ -68,7 +60,7 @@ def _check(p: float, depth: int | None = None) -> float:
 
 def _check_depth(depth: int) -> None:
     """Reject a series depth outside 2..DEPTH_MAX."""
-    if not isinstance(depth, Integral) or depth < 2:
+    if not _integer(depth) or depth < 2:
         raise PreconditionError(f"depth must be an integer >= 2, got {depth!r}")
     if depth > DEPTH_MAX:
         raise PreconditionError(
@@ -321,7 +313,7 @@ def nonadjacent_error_capacity(p: float) -> float:
 
 def indicator_stay_prob(j: int, p: float) -> float:
     """Closed form P(u_j = 0 | u_1 = 0) = (1 - (-p)^j)/(1 + p)."""
-    if not isinstance(j, Integral) or j < 1 or not _real(p) or not 0.0 <= p <= 1.0:
+    if not _integer(j) or j < 1 or not _real(p) or not 0.0 <= p <= 1.0:
         raise PreconditionError("need an integer j >= 1 and p in [0, 1]")
     return _stay_probs(float(p), int(j), int(j))[0]
 
@@ -356,7 +348,7 @@ def zero_error_rate(n: int, initial: str | int = "stationary") -> Fraction:
     achievable (and achieved by the bit-doubling code).  With u0 = 1
     the first cell is also safe: ceil(n/2)/n.  Either way -> 1/2.
     """
-    if not isinstance(n, Integral) or n < 1:
+    if not _integer(n) or n < 1:
         raise PreconditionError("need an integer n >= 1")
     if initial == "stationary" or initial == 0:
         first_can_fire = True

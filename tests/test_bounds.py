@@ -208,6 +208,14 @@ class TestAsymptoticUpper:
         for tau in (0.001, 0.01, 0.05, 0.0706):
             assert asymptotic_upper_rate(tau) < 1.0
 
+    def test_tiny_tau_reads_rate_one(self):
+        # f(0) = h(4 tau)/4 > 0, but 1 + f(0) rounds to 1 below tau ~ 1e-18:
+        # the root is then 0 and the rate h(1/2) = 1, not a refusal
+        assert asymptotic_upper_root(1e-20) == 0.0
+        assert asymptotic_upper_rate(1e-20) == 1.0
+        assert rate_curves([1e-20])[0][2] == 1.0
+        assert asymptotic_upper_rate(1e-17) < 1.0
+
     def test_matches_minimax_oracle(self):
         assert asymptotic_upper_rate(0.05) == pytest.approx(
             minimax_rate_by_grid(0.05), abs=1e-4

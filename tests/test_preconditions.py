@@ -8,7 +8,9 @@ before it allocates anything.  The one-word queries that walk the
 supports instead (grain_image_list, enumerate_error_vectors,
 confusable) share model._check_budget, and the checks that answer or
 shift before any mask is read (and bounds and series, which read none)
-test for integers themselves.
+test for integers themselves.  Every module tests with the one
+predicate errors._integer, so a numpy int passes and 2.0 is refused
+alike everywhere.
 """
 
 import math
@@ -84,6 +86,30 @@ def test_numpy_int_fill_bits_are_integers():
 def test_numpy_int_depths_are_integers(call):
     # each raised a bare TypeError from math.ldexp
     assert call(np.int64(15)) == call(15)
+
+
+#: one integer argument of an entry in each module, all read by errors._integer
+INTEGER_ARGUMENTS = {
+    "bounds.count_error_vectors": lambda k: bounds.count_error_vectors(8, k),
+    "bounds.clique_upper": lambda k: bounds.clique_upper(16, k, 4, 1, 6),
+    "bounds.clique_rate_min": lambda k: bounds.clique_rate_min(0.1, {(4, k): 4}),
+    "bounds.rate_curves": lambda k: bounds.rate_curves([0.1], None, k),
+    "series.sir": lambda k: series.sir(0.5, k),
+    "series.indicator_stay_prob": lambda k: series.indicator_stay_prob(k, 0.5),
+    "series.zero_error_rate": series.zero_error_rate,
+    "model.enumerate_error_vectors": lambda k: model.enumerate_error_vectors(6, k),
+    "codes.hamming_prefix_size": codes.hamming_prefix_size,
+    "graph.max_code_size": lambda k: graph.max_code_size(4, k).size,
+    "channel.all_zero_output_prob": lambda k: channel.all_zero_output_prob(k, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_numpy_int_is_an_integer_and_a_float_is_not(entry):
+    call = INTEGER_ARGUMENTS[entry]
+    assert call(np.int64(2)) == call(2)
+    with pytest.raises(PreconditionError):
+        call(2.0)
 
 
 #: every series entry that reads a grain probability and a depth; each
@@ -338,6 +364,8 @@ def test_clique_rates_take_a_real_cover_size():
         (lambda: bounds.clique_rate_upper(-0.1, 4, 1, 2), r"^tau=-0.1 outside \[0, s/m=0.25\]$"),
         (lambda: bounds.clique_rate_upper(math.nan, 4, 1, 2), r"^tau=nan outside \[0, s/m=0.25\]$"),
         (lambda: bounds.clique_rate_min(-0.1), r"^tau=-0.1 outside \[0, s/m="),
+        (lambda: bounds.clique_rate_min(math.nan), r"^tau=nan outside \[0, s/m=0.5\]$"),
+        (lambda: bounds.clique_rate_min(-0.1, {}), r"^tau=-0.1 outside \[0, s/m=inf\]$"),
         (lambda: bounds.list_decoding_lower(0, 1, 1), "list size >= 1"),
         (lambda: bounds.list_decoding_rate(0.1, 0), "list size"),
         (lambda: bounds.decoder_informed_lower(0, 1), "n >= 1"),
@@ -384,6 +412,8 @@ def test_clique_rates_take_a_real_cover_size():
         "clique-rate-upper-negative-tau",
         "clique-rate-upper-nan-tau",
         "clique-rate-min-negative-tau",
+        "clique-rate-min-nan-tau",
+        "clique-rate-min-empty-table",
         "list-decoding-lower",
         "list-decoding-rate",
         "decoder-informed-lower",
